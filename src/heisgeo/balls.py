@@ -1,16 +1,20 @@
 """Exact counting and enumeration of lattice balls B_k and their boundaries.
 
-Counting is fiberwise: fix the horizontal coordinate y of a lattice point
-and the remaining central values form an interval of integers in a single
+Every lattice set here is a FiberSet: integer intervals of central values
+over horizontal fibers.  Fix the horizontal coordinate y of a lattice point
+and the central values of a ball form an interval of integers in a single
 parity class (m = <ya, yb> mod 2).  For a ball of radius u/v centred at the
 origin the fiber over y with X = |y|^2 is
 
     { m : v^4 m^2 <= 4 u^2 (u^2 - v^2 X), m in the parity class },
 
-so cardinalities, product sets B_k B_k, symmetric differences B triangle
-sigma*B and thickened spheres all reduce to unions and intersections of
-integer intervals, merged and counted per parity class.  No floating point
-enters any count except through the certified minimizer used for the
+whose bound comes from the one overflow-checked helper _halfwidth.  A
+translate g B or B g moves each fiber as a whole, so balls about any center,
+shifted balls sigma B, the difference B triangle sigma B, the annulus around
+S_k and the shells B_i minus B_(i-1) are all fiber sets built by intersecting,
+subtracting and merging intervals fiber by fiber.  Counts never materialize
+points; enumeration writes each point once, already lex-sorted.  No floating
+point enters any count except through the certified minimizer used for the
 ambiguous band of t-boundary membership.
 
 The t-boundary d_t B_r(x) is the set of points within distance t of the
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,11 +44,8 @@ from .core import (
     Point,
     Radius,
     as_continuous,
-    dist_eq_exact,
     inverse,
-    isometry_flip,
     lattice_identity,
-    lattice_rotate_quarter,
     metric_d,
     multiply,
     radius_parts,
@@ -54,6 +54,7 @@ from .errors import ResourceCapError
 from .spherequad import gauge_min, gauge_min_batched, point_to_flat
 
 DEFAULT_CAP = 10 ** 8
+_PAIR_BATCH = 1 << 16  # (fiber, center) pairs per batch of the product count
 
 
 # --- integer helpers --------------------------------------------------------
@@ -66,53 +67,201 @@ def _isqrt_vec(x: np.ndarray) -> np.ndarray:
     return r
 
 
-def _count_parity(lo, hi, p):
-    """#{ m in [lo, hi] : m = p (mod 2) }, elementwise; 0 when lo > hi."""
-    return np.maximum((hi - p) // 2 - (lo - 1 - p) // 2, 0)
+def _count_congruent(lo, hi, residue, modulus):
+    """# integers in [lo, hi] congruent to residue mod modulus, elementwise; 0 when lo > hi."""
+    return np.maximum((hi - residue) // modulus - (lo - 1 - residue) // modulus, 0)
 
 
-def _parity_hull(m_max, p):
-    """Largest |m| <= m_max in parity class p, or -1 if the class is empty."""
-    adj = m_max - ((m_max - p) % 2)
-    return adj
+def _halfwidth(u: int, v: int, x: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Largest |m| with d((y, m), 0) <= u/v (< u/v when strict), -1 if none.
 
-
-def _fiber_halfwidth(u: int, v: int, x: np.ndarray) -> np.ndarray:
-    """Largest |m| allowed over a fiber with X = x inside B_{u/v}(0).
-
-    Clamped at 0 for X outside the horizontal disk so callers may evaluate
-    on full grids and mask afterwards.
+    x holds X = |y|^2 for fibers inside the disk X <= (u/v)^2.  The bound is
+    4 u^2 v^2 X + v^4 m^2 <= 4 u^4, every term of which is at most 4 u^4, so
+    int64 is exact while 4 max(u, v)^4 <= 2^62; beyond that the arithmetic
+    runs in Python integers.
     """
-    return _isqrt_vec(np.maximum(4 * u * u * (u * u - v * v * x), 0)) // (v * v)
+    if 4 * max(u, v) ** 4 <= 2 ** 62:
+        isqrt = _isqrt_vec
+    else:
+        x = np.asarray(x).astype(object)
+        isqrt = np.frompyfunc(math.isqrt, 1, 1)
+    t = 4 * u * u * (u * u - v * v * x)
+    if strict:
+        return np.where(t > 0, isqrt(np.maximum(t - 1, 0)) // (v * v), -1)
+    return np.where(t >= 0, isqrt(np.maximum(t, 0)) // (v * v), -1)
 
 
-def _grid_coords(bounds: Sequence[tuple[int, int]], cap: int) -> np.ndarray:
-    """All integer tuples within the per-coordinate bounds, as an (N, d) array."""
-    sizes = [hi - lo + 1 for lo, hi in bounds]
-    total = math.prod(sizes)
-    if total > cap:
+def _disk(n: int, u: int, v: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Horizontal points with |y| <= u/v as lex-sorted columns (2n, N), and X = |y|^2."""
+    side = 2 * (u // v) + 1
+    cells = side ** (2 * n)
+    if cells > cap:
         raise ResourceCapError(
-            f"fiber grid of {total} cells exceeds cap {cap}", predicted=total, cap=cap
+            f"fiber grid of {cells} cells exceeds cap {cap}", predicted=cells, cap=cap
         )
-    axes = np.indices(sizes).reshape(len(sizes), -1).T.astype(np.int64)
-    offsets = np.array([lo for lo, _ in bounds], dtype=np.int64)
-    return axes + offsets
+    grid = np.indices((side,) * (2 * n), dtype=np.int64).reshape(2 * n, -1) - u // v
+    x = np.sum(grid * grid, axis=0)
+    keep = x <= (u * u) // (v * v)
+    return np.compress(keep, grid, axis=1), x[keep]
 
 
-def _merged_parity_count(lo: np.ndarray, hi: np.ndarray, parity: int) -> int:
-    """Count integers of the given parity in the union of [lo_i, hi_i]."""
+def _merge_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Join intervals of one parity class in the same group that overlap or touch.
+
+    Returns (first, top): for each maximal run, in (group, lo) order, the
+    index of the entry that opens it and the run's upper bound.  Touching
+    means a gap of one parity step (2), since all bounds share the class.
+    """
     if lo.size == 0:
-        return 0
-    order = np.argsort(lo, kind="stable")
-    lo, hi = lo[order], hi[order]
-    run = np.maximum.accumulate(hi)
-    new_seg = np.empty(lo.shape, dtype=bool)
-    new_seg[0] = True
-    # touching intervals may be merged: they cover the same integers
-    new_seg[1:] = lo[1:] > run[:-1] + 1
-    starts = np.flatnonzero(new_seg)
-    ends = np.r_[starts[1:] - 1, lo.size - 1]
-    return int(np.sum(_count_parity(lo[starts], run[ends], parity)))
+        return np.empty(0, dtype=np.int64), hi[:0]
+    span = hi.max() - lo.min() + 3
+    order = np.argsort(group * span + (lo - lo.min()))
+    group, lo, hi = group[order], lo[order], hi[order]
+    # a running max of hi restarted per group: each group is offset above the last
+    offset = group * span
+    run = np.maximum.accumulate(hi + offset) - offset
+    start = np.ones(lo.size, dtype=bool)
+    start[1:] = (group[1:] != group[:-1]) | (lo[1:] > run[:-1] + 2)
+    first = np.flatnonzero(start)
+    last = np.r_[first[1:] - 1, lo.size - 1]
+    return order[first], run[last]
+
+
+# --- fiber-interval sets ----------------------------------------------------
+
+@dataclass(frozen=True)
+class FiberSet:
+    """Lattice points as integer intervals of m over horizontal points y.
+
+    Entry i holds the points (y[:, i], m) with lo[i] <= m <= hi[i] and m in
+    the fiber's parity class <a, b> mod 2; lo and hi already lie in that
+    class and every entry is nonempty.  Entries are sorted by (y, lo).  A
+    fiber has two entries only where a difference splits it, and then they
+    are disjoint, so rows() comes out lex-sorted without sorting any points.
+    """
+
+    y: np.ndarray   # (2n, N) int64, column i = (a_1..a_n, b_1..b_n) of entry i
+    lo: np.ndarray  # (N,) int64, or Python ints for huge radii
+    hi: np.ndarray  # (N,)
+
+    @classmethod
+    def ball(cls, n: int, r: Radius, cap: int = DEFAULT_CAP, strict: bool = False) -> "FiberSet":
+        """Fibers of B_r(0), the open ball when strict; B_r(c) is ball(...).translate(c)."""
+        u, v = radius_parts(r)
+        y, x = _disk(n, u, v, cap)
+        w = _halfwidth(u, v, x, strict)
+        hull = w - (w - np.sum(y[:n] * y[n:], axis=0)) % 2
+        keep = hull >= 0
+        return cls(np.compress(keep, y, axis=1), -hull[keep], hull[keep])
+
+    def sizes(self) -> np.ndarray:
+        """Points per entry."""
+        return (self.hi - self.lo) // 2 + 1
+
+    def count(self) -> int:
+        return int(np.sum(self.sizes()))
+
+    def rows(self) -> np.ndarray:
+        """Every point once as (a_1..a_n, b_1..b_n, m), lex-sorted."""
+        sizes = self.sizes().astype(np.int64)
+        total = int(sizes.sum())
+        d = self.y.shape[0]
+        out = np.empty((total, d + 1), dtype=np.int64)
+        for j in range(d):
+            out[:, j] = np.repeat(self.y[j], sizes)
+        m = out[:, d]
+        m[:] = np.arange(total)
+        m *= 2
+        m += np.repeat(self.lo.astype(np.int64) - 2 * (np.cumsum(sizes) - sizes), sizes)
+        return out
+
+    def translate(self, g: LatticePoint, left: bool = False) -> "FiberSet":
+        """S * g, or g * S when left.
+
+        Points shift by z_g and each fiber's m by m_g +- Im<z_y, z_g>, a
+        constant per fiber, so entry order and parity classes are kept.
+        """
+        n = self.y.shape[0] // 2
+        ga = np.array(g.a, dtype=np.int64)
+        gb = np.array(g.b, dtype=np.int64)
+        twist = gb @ self.y[:n] - ga @ self.y[n:]
+        shift = g.m + (-twist if left else twist)
+        zg = np.concatenate([ga, gb])[:, None]
+        return FiberSet(self.y + zg, self.lo + shift, self.hi + shift)
+
+    def _match(self, other: "FiberSet") -> np.ndarray:
+        """Index of other's entry over each entry's fiber, or -1.
+
+        other must have one entry per fiber, as balls and their translates
+        do.  Fibers are keyed in mixed radix over the box both sets share,
+        which is no larger than either set's grid, so keys fit int64 and
+        keep lex order.
+        """
+        match = np.full(self.lo.size, -1, dtype=np.int64)
+        if not (self.lo.size and other.lo.size):
+            return match
+        low = np.maximum(self.y.min(axis=1), other.y.min(axis=1))
+        high = np.minimum(self.y.max(axis=1), other.y.max(axis=1))
+
+        def keyed(y):
+            idx = np.flatnonzero(np.all((y >= low[:, None]) & (y <= high[:, None]), axis=0))
+            key = np.zeros(idx.size, dtype=np.int64)
+            for j in range(y.shape[0]):
+                key = key * (high[j] - low[j] + 1) + (y[j, idx] - low[j])
+            return idx, key
+
+        ia, ka = keyed(self.y)
+        ib, kb = keyed(other.y)
+        if kb.size == 0:
+            return match
+        pos = np.minimum(np.searchsorted(kb, ka), kb.size - 1)
+        hit = kb[pos] == ka
+        match[ia[hit]] = ib[pos[hit]]
+        return match
+
+    def intersect(self, other: "FiberSet") -> "FiberSet":
+        """self & other; other has one entry per fiber."""
+        j = self._match(other)
+        hit = j >= 0
+        y, lo, hi = np.compress(hit, self.y, axis=1), self.lo[hit], self.hi[hit]
+        lo = np.maximum(lo, other.lo[j[hit]])
+        hi = np.minimum(hi, other.hi[j[hit]])
+        keep = lo <= hi
+        return FiberSet(np.compress(keep, y, axis=1), lo[keep], hi[keep])
+
+    def difference(self, other: "FiberSet") -> "FiberSet":
+        """self minus other; other has one entry per fiber, which may split one of self's."""
+        if other.lo.size == 0:
+            return self
+        j = self._match(other)
+        hit = j >= 0
+        j = np.where(hit, j, 0)
+        below = np.where(hit, np.minimum(self.hi, other.lo[j] - 2), self.hi)
+        above = np.where(hit, np.maximum(self.lo, other.hi[j] + 2), self.hi + 2)
+        lo = np.stack([self.lo, above], axis=1).ravel()
+        hi = np.stack([below, self.hi], axis=1).ravel()
+        keep = lo <= hi
+        return FiberSet(np.compress(keep, np.repeat(self.y, 2, axis=1), axis=1), lo[keep], hi[keep])
+
+    def union(self, other: "FiberSet") -> "FiberSet":
+        """self | other, overlapping and touching intervals merged."""
+        y = np.concatenate([self.y, other.y], axis=1)
+        lo = np.concatenate([self.lo, other.lo])
+        order = np.lexsort(y[::-1])
+        new_fiber = np.ones(order.size, dtype=bool)
+        new_fiber[1:] = np.any(y[:, order[1:]] != y[:, order[:-1]], axis=0)
+        fiber = np.empty(order.size, dtype=np.int64)
+        fiber[order] = np.cumsum(new_fiber)
+        first, top = _merge_runs(fiber, lo, np.concatenate([self.hi, other.hi]))
+        return FiberSet(y.take(first, axis=1), lo[first], top)
+
+    def corner_counts(self, modulus: int) -> np.ndarray:
+        """(entries, modulus) counts of points by matrix corner (m + <a,b>)/2 mod modulus."""
+        n = self.y.shape[0] // 2
+        s = np.sum(self.y[:n] * self.y[n:], axis=0)
+        c_lo = (self.lo + s) // 2
+        c_hi = (self.hi + s) // 2
+        return _count_congruent(c_lo[:, None], c_hi[:, None], np.arange(modulus), modulus)
 
 
 # --- ball tables ------------------------------------------------------------
@@ -132,6 +281,18 @@ class BallSpec:
             raise ValueError("thickening must be nonnegative")
 
 
+def _lattice_points(n: int, coords: np.ndarray, cap: int) -> list[LatticePoint]:
+    if coords.shape[0] > cap:
+        raise ResourceCapError(
+            f"materializing {coords.shape[0]} points exceeds cap {cap}",
+            predicted=coords.shape[0], cap=cap,
+        )
+    return [
+        LatticePoint(tuple(row[:n]), tuple(row[n:2 * n]), int(row[2 * n]))
+        for row in coords.tolist()
+    ]
+
+
 @dataclass(frozen=True)
 class BallTable:
     """Enumerated lattice ball; coords rows are (a_1..a_n, b_1..b_n, m), lex-sorted."""
@@ -146,16 +307,7 @@ class BallTable:
         return self.coords.shape[0]
 
     def points(self, cap: int = 10 ** 6) -> list[LatticePoint]:
-        if self.cardinality > cap:
-            raise ResourceCapError(
-                f"materializing {self.cardinality} points exceeds cap {cap}",
-                predicted=self.cardinality, cap=cap,
-            )
-        n = self.n
-        return [
-            LatticePoint(tuple(row[:n]), tuple(row[n:2 * n]), int(row[2 * n]))
-            for row in self.coords.tolist()
-        ]
+        return _lattice_points(self.n, self.coords, cap)
 
     def __contains__(self, p: LatticePoint) -> bool:
         if p.n != self.n:
@@ -178,10 +330,10 @@ def _pair_hist(u: int, v: int) -> np.ndarray:
     a = xs[:, None]
     b = xs[None, :]
     s = a * a + b * b
-    mask = v * v * s <= u * u
+    smax = (u * u) // (v * v)
+    mask = s <= smax
     s_flat = s[mask]
     p_flat = (a * b)[mask] % 2
-    smax = (u * u) // (v * v)
     h = np.zeros((smax + 1, 2), dtype=np.int64)
     np.add.at(h, (s_flat, p_flat), 1)
     return h
@@ -212,11 +364,10 @@ def ball_cardinality(n: int, r: Radius) -> int:
     if u == 0:
         return 1
     H = _horizontal_hist(n, u, v)
-    S = np.arange(H.shape[0], dtype=np.int64)
-    M = _fiber_halfwidth(u, v, S)
+    M = _halfwidth(u, v, np.arange(H.shape[0], dtype=np.int64))
     total = 0
     for p in (0, 1):
-        total += int(np.sum(H[:, p] * _count_parity(-M, M, p)))
+        total += int(np.sum(H[:, p] * _count_congruent(-M, M, p, 2)))
     return total
 
 
@@ -225,8 +376,8 @@ def enumerate_ball(
 ) -> BallTable:
     """All lattice points within distance k of center, as a sorted table.
 
-    B_k(c) = B_k(0) * c by right invariance, so enumeration always scans the
-    centred candidate box |a_j|, |b_j| <= k and translates afterwards.
+    B_k(c) = B_k(0) * c by right invariance, so the fibers of the centred
+    ball are translated as a whole and written out already in order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -237,39 +388,15 @@ def enumerate_ball(
         raise ResourceCapError(
             f"ball of {card} points exceeds cap {cap}", predicted=card, cap=cap
         )
-    rows = []
-    for ab in itertools.product(range(-k, k + 1), repeat=2 * n):
-        x = sum(c * c for c in ab)
-        if x > k * k:
-            continue
-        m_max = math.isqrt(4 * k * k * (k * k - x))
-        p = sum(ab[j] * ab[n + j] for j in range(n)) % 2
-        hull = _parity_hull(m_max, p)
-        if hull < 0:
-            continue
-        ms = np.arange(-hull, hull + 1, 2, dtype=np.int64)
-        block = np.empty((ms.size, 2 * n + 1), dtype=np.int64)
-        block[:, : 2 * n] = np.array(ab, dtype=np.int64)
-        block[:, 2 * n] = ms
-        rows.append(block)
-    coords = np.concatenate(rows) if rows else np.empty((0, 2 * n + 1), dtype=np.int64)
-    if coords.shape[0] != card:
-        raise AssertionError(
-            f"fiber enumeration ({coords.shape[0]}) disagrees with "
-            f"histogram count ({card})"
-        )
     if center is None:
         center = lattice_identity(n)
-    if center != lattice_identity(n):
-        ac = np.array(center.a, dtype=np.int64)
-        bc = np.array(center.b, dtype=np.int64)
-        # (a,b,m) * center: twist Im<z, z_c> = sum(a_j bc_j - b_j ac_j)
-        twist = coords[:, :n] @ bc - coords[:, n:2 * n] @ ac
-        coords = coords.copy()
-        coords[:, :n] += ac
-        coords[:, n:2 * n] += bc
-        coords[:, 2 * n] += center.m + twist
-    return BallTable(n=n, k=k, center=center, coords=_lexsort_rows(coords))
+    fibers = FiberSet.ball(n, k, cap).translate(center)
+    if fibers.count() != card:
+        raise AssertionError(
+            f"fiber enumeration ({fibers.count()}) disagrees with "
+            f"histogram count ({card})"
+        )
+    return BallTable(n=n, k=k, center=center, coords=fibers.rows())
 
 
 def product_set(
@@ -286,55 +413,45 @@ def product_set(
 
 
 def product_ball_cardinality(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
-    """|B_k * B_k| exactly, one fiber of the product set at a time.
+    """|B_k * B_k| exactly, fiber by fiber of the product set.
 
     B_k B_k is the union of balls B_k(q) over centers q in B_k.  Over a fixed
     product fiber y, the centers with horizontal part w contribute central
     values filling the hull interval Im<z_y, z_w> +- (M*_w + W) where W is
     the fiber halfwidth of B_k(q) over y; for W >= 1 consecutive centers'
     intervals overlap, so the hull is fully covered, while W = 0 contributes
-    a single parity class that must match the fiber's.
+    a single parity class that must match the fiber's.  The union per fiber
+    is merged in batches of fibers.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    # center fibers: horizontal part w, fiber hull M*_w, fiber parity p_w
-    w = _grid_coords([(-k, k)] * (2 * n), cap)
-    xw = np.sum(w * w, axis=1)
-    keep = xw <= k * k
-    w, xw = w[keep], xw[keep]
-    mw = _isqrt_vec(4 * k * k * (k * k - xw))
-    pw = np.sum(w[:, :n] * w[:, n:], axis=1) % 2
-    hull = _parity_hull(mw, pw)
-    keep = hull >= 0
-    w, hull, pw = w[keep], hull[keep], pw[keep]
-    y_grid = _grid_coords([(-2 * k, 2 * k)] * (2 * n), cap)
-    y_grid = y_grid[np.sum(y_grid * y_grid, axis=1) <= 4 * k * k]
-    if y_grid.shape[0] * w.shape[0] > 50 * cap:
+    centers = FiberSet.ball(n, k, cap=cap)
+    w, hull = centers.y, centers.hi
+    pw = hull % 2
+    y_grid, _ = _disk(n, 2 * k, 1, cap)
+    if y_grid.shape[1] * w.shape[1] > 50 * cap:
         raise ResourceCapError(
-            f"{y_grid.shape[0]}x{w.shape[0]} fiber pairs exceed budget",
-            predicted=y_grid.shape[0] * w.shape[0], cap=50 * cap,
+            f"{y_grid.shape[1]}x{w.shape[1]} fiber pairs exceed budget",
+            predicted=y_grid.shape[1] * w.shape[1], cap=50 * cap,
         )
     total = 0
-    wa, wb = w[:, :n], w[:, n:]
-    for y in y_grid:
-        ya, yb = y[:n], y[n:]
-        diff = w - y
-        s2 = np.sum(diff * diff, axis=1)
-        near = s2 <= k * k
-        if not near.any():
-            continue
-        W = _isqrt_vec(4 * k * k * (k * k - s2[near]))
-        im = wb[near] @ ya - wa[near] @ yb  # Im<z_y, z_w>
-        parity_y = int(ya @ yb) % 2
-        full = W >= 1
-        lo = im - hull[near] - W
-        hi = im + hull[near] + W
-        if not full.all():
-            ok0 = (im[~full] + pw[near][~full]) % 2 == parity_y
-            keep_rows = full.copy()
-            keep_rows[~full] = ok0
-            lo, hi = lo[keep_rows], hi[keep_rows]
-        total += _merged_parity_count(lo, hi, parity_y)
+    step = max(1, _PAIR_BATCH // w.shape[1])
+    for start in range(0, y_grid.shape[1], step):
+        ys = y_grid[:, start:start + step]
+        s2 = sum((w[j][None, :] - ys[j][:, None]) ** 2 for j in range(2 * n))
+        im = ys[:n].T @ w[n:] - ys[n:].T @ w[:n]  # Im<z_y, z_w>
+        iy, iw = np.nonzero(s2 <= k * k)
+        W = _halfwidth(k, 1, s2[iy, iw])
+        im = im[iy, iw]
+        parity = (np.sum(ys[:n] * ys[n:], axis=0) % 2)[iy]
+        keep = (W >= 1) | ((im + pw[iw]) % 2 == parity)
+        iy, parity = iy[keep], parity[keep]
+        lo = im[keep] - hull[iw[keep]] - W[keep]
+        hi = im[keep] + hull[iw[keep]] + W[keep]
+        lo += (lo - parity) % 2
+        hi -= (hi - parity) % 2
+        first, top = _merge_runs(iy, lo, hi)
+        total += int(np.sum((top - lo[first]) // 2 + 1))
     return total
 
 
@@ -361,36 +478,13 @@ def doubling_table(n: int, k_max: int, cap: int = DEFAULT_CAP) -> list[DoublingR
 
 # --- symmetric differences and Folner ratios --------------------------------
 
-def _sigma_shift_fiber(n: int, sigma: LatticePoint, grid: np.ndarray) -> np.ndarray:
-    """Central offset c(y) with sigma^{-1} g in B iff |m_g - c| <= halfwidth."""
-    sa = np.array(sigma.a, dtype=np.int64)
-    sb = np.array(sigma.b, dtype=np.int64)
-    # c = m_sigma + Im<z_sigma, z_y> = m_sigma + sum(sa_j yb_j - sb_j ya_j)
-    return sigma.m + grid[:, n:] @ sa - grid[:, :n] @ sb
-
-
 def symmetric_difference_cardinality(
     n: int, k: int, sigma: LatticePoint, cap: int = DEFAULT_CAP
 ) -> tuple[int, int]:
     """(|B_k triangle sigma B_k|, |B_k|), both exact."""
-    u, v = radius_parts(k)
-    grid = _grid_coords([(-k, k)] * (2 * n), cap)
-    x = np.sum(grid * grid, axis=1)
-    inside = x <= k * k
-    grid, x = grid[inside], x[inside]
-    m_half = _fiber_halfwidth(u, v, x)
-    parity = np.sum(grid[:, :n] * grid[:, n:], axis=1) % 2
-    card = int(np.sum(_count_parity(-m_half, m_half, parity)))
-    c = _sigma_shift_fiber(n, sigma, grid)
-    diff = grid - np.array(sigma.a + sigma.b, dtype=np.int64)
-    x_shift = np.sum(diff * diff, axis=1)
-    in_shift = x_shift <= k * k
-    m_half_shift = np.zeros_like(m_half)
-    m_half_shift[in_shift] = _fiber_halfwidth(u, v, x_shift[in_shift])
-    lo = np.maximum(-m_half, c - m_half_shift)
-    hi = np.minimum(m_half, c + m_half_shift)
-    inter_counts = np.where(in_shift, _count_parity(lo, hi, parity), 0)
-    inter = int(np.sum(inter_counts))
+    ball = FiberSet.ball(n, k, cap=cap)
+    card = ball.count()
+    inter = ball.intersect(ball.translate(sigma, left=True)).count()
     return 2 * (card - inter), card
 
 
@@ -403,48 +497,10 @@ def folner_ratio(n: int, k: int, sigma: LatticePoint, cap: int = DEFAULT_CAP) ->
 def symmetric_difference_coords(
     n: int, k: int, sigma: LatticePoint, cap: int = DEFAULT_CAP
 ) -> np.ndarray:
-    """All points of B_k(0) triangle sigma B_k(0) as coordinate rows."""
-    span_a = [(min(-k, s - k), max(k, s + k)) for s in sigma.a]
-    span_b = [(min(-k, s - k), max(k, s + k)) for s in sigma.b]
-    grid = _grid_coords(span_a + span_b, cap)
-    u, v = radius_parts(k)
-    x = np.sum(grid * grid, axis=1)
-    in_ball = x <= k * k
-    m_half = np.where(in_ball, _fiber_halfwidth(u, v, np.maximum(x, 0)), -1)
-    diff = grid - np.array(sigma.a + sigma.b, dtype=np.int64)
-    x_shift = np.sum(diff * diff, axis=1)
-    in_shift = x_shift <= k * k
-    m_shift = np.where(in_shift, _fiber_halfwidth(u, v, np.maximum(x_shift, 0)), -1)
-    c = _sigma_shift_fiber(n, sigma, grid)
-    parity = np.sum(grid[:, :n] * grid[:, n:], axis=1) % 2
-    rows = []
-    for i in range(grid.shape[0]):
-        p = int(parity[i])
-        segs = []
-        if in_ball[i] and in_shift[i]:
-            a_lo, a_hi = -int(m_half[i]), int(m_half[i])
-            b_lo, b_hi = int(c[i] - m_shift[i]), int(c[i] + m_shift[i])
-            i_lo, i_hi = max(a_lo, b_lo), min(a_hi, b_hi)
-            if i_lo > i_hi:
-                segs = [(a_lo, a_hi), (b_lo, b_hi)]
-            else:
-                segs = [(a_lo, i_lo - 1), (i_hi + 1, a_hi),
-                        (b_lo, i_lo - 1), (i_hi + 1, b_hi)]
-        elif in_ball[i]:
-            segs = [(-int(m_half[i]), int(m_half[i]))]
-        elif in_shift[i]:
-            segs = [(int(c[i] - m_shift[i]), int(c[i] + m_shift[i]))]
-        for lo, hi in segs:
-            lo += (p - lo) % 2
-            if lo > hi:
-                continue
-            ms = np.arange(lo, hi + 1, 2, dtype=np.int64)
-            block = np.empty((ms.size, 2 * n + 1), dtype=np.int64)
-            block[:, : 2 * n] = grid[i]
-            block[:, 2 * n] = ms
-            rows.append(block)
-    out = np.concatenate(rows) if rows else np.empty((0, 2 * n + 1), dtype=np.int64)
-    return _lexsort_rows(out)
+    """All points of B_k(0) triangle sigma B_k(0) as lex-sorted coordinate rows."""
+    ball = FiberSet.ball(n, k, cap=cap)
+    shifted = ball.translate(sigma, left=True)
+    return ball.difference(shifted).union(shifted.difference(ball)).rows()
 
 
 # --- thickened boundaries ---------------------------------------------------
@@ -525,51 +581,18 @@ def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:
 
 def _annulus_coords(n: int, k: int, t: Radius, cap: int) -> np.ndarray:
     """Lattice points with k - t <= d(y, 0) <= k + t, the boundary superset."""
-    u, v = radius_parts(t)
-    U2 = (k * v + u) ** 2  # rho_outer = U2 / V
-    V = v * v
-    U1 = (k * v - u) ** 2 if k * v > u else 0
-    amax = (k * v + u) // v
-    grid = _grid_coords([(-amax, amax)] * (2 * n), cap)
-    x = np.sum(grid * grid, axis=1)
-    keep = V * x <= U2
-    grid, x = grid[keep], x[keep]
-    if int(grid.shape[0]) and 4 * U2 * U2 > 2 ** 62:
-        raise ResourceCapError("annulus bounds overflow int64; reduce k or t")
-    m_outer = _isqrt_vec(4 * U2 * (U2 - V * x)) // V
-    inner_gap = U1 - V * x
-    t_inner = np.where(inner_gap > 0, 4 * U1 * np.maximum(inner_gap, 0), 0)
-    c = _isqrt_vec(t_inner)
-    ceil_sqrt = np.where(c * c < t_inner, c + 1, c)
-    m_inner = (ceil_sqrt + V - 1) // V  # smallest |m| with lam >= k - t
-    parity = np.sum(grid[:, :n] * grid[:, n:], axis=1) % 2
-    est = int(np.sum(np.maximum(m_outer - m_inner + 1, 0))) + int(grid.shape[0])
-    if est > cap:
+    t = Fraction(*radius_parts(t))
+    shell = FiberSet.ball(n, k + t, cap=cap).difference(
+        FiberSet.ball(n, max(k - t, 0), cap=cap, strict=True))
+    count = shell.count()
+    if count > cap:
         raise ResourceCapError(
-            f"annulus of ~{est} points exceeds cap {cap}", predicted=est, cap=cap
+            f"annulus of {count} points exceeds cap {cap}", predicted=count, cap=cap
         )
-    rows = []
-    for i in range(grid.shape[0]):
-        p = int(parity[i])
-        hi = _parity_hull(int(m_outer[i]), p)
-        if hi < 0:
-            continue
-        lo_mag = int(m_inner[i])
-        lo_mag += (p - lo_mag) % 2
-        if lo_mag > hi:
-            continue
-        mags = np.arange(lo_mag, hi + 1, 2, dtype=np.int64)
-        ms = np.unique(np.concatenate([mags, -mags]))
-        block = np.empty((ms.size, 2 * n + 1), dtype=np.int64)
-        block[:, : 2 * n] = grid[i]
-        block[:, 2 * n] = ms
-        rows.append(block)
-    return np.concatenate(rows) if rows else np.empty((0, 2 * n + 1), dtype=np.int64)
+    return shell.rows()
 
 
-def _within_sphere_band(
-    coords: np.ndarray, n: int, k: int, t: Radius, chunk: int = 200_000
-) -> np.ndarray:
+def _within_sphere_band(coords: np.ndarray, n: int, k: int, t: Radius) -> np.ndarray:
     """Vectorized three-state test: within t of S_k(0), per coordinate row.
 
     Quick screens run in int64; only the ambiguous band hits the batched
@@ -606,6 +629,7 @@ def _within_sphere_band(
     ambiguous = np.flatnonzero(alive & ~quick_in & ~horizontal)
     if ambiguous.size and u == 0:
         raise AssertionError("t = 0 must be settled exactly by the screens")
+    chunk = 200_000
     for start in range(0, ambiguous.size, chunk):
         idx = ambiguous[start: start + chunk]
         z_flat = coords[idx, : 2 * n].astype(float)
@@ -615,24 +639,19 @@ def _within_sphere_band(
     return result
 
 
-def t_boundary_coords(
-    n: int, k: int, t: Radius, cap: int = DEFAULT_CAP, chunk: int = 200_000
-) -> np.ndarray:
-    """Coordinate rows of all lattice points within t of the sphere S_k(0)."""
+def t_boundary_coords(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Coordinate rows of all lattice points within t of the sphere S_k(0), lex-sorted."""
     if k < 1:
         raise ValueError("k must be >= 1")
     coords = _annulus_coords(n, k, t, cap)
     if coords.shape[0] == 0:
         return coords
-    member = _within_sphere_band(coords, n, k, t, chunk)
-    return _lexsort_rows(coords[member])
+    return coords[_within_sphere_band(coords, n, k, t)]
 
 
-def t_boundary_count(
-    n: int, k: int, t: Radius, cap: int = DEFAULT_CAP, chunk: int = 200_000
-) -> int:
+def t_boundary_count(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> int:
     """# lattice points within t of the sphere S_k(0), certified per point."""
-    return int(t_boundary_coords(n, k, t, cap, chunk).shape[0])
+    return int(t_boundary_coords(n, k, t, cap).shape[0])
 
 
 def sphere_cardinality(n: int, k: int) -> int:
@@ -698,11 +717,3 @@ def folner_csv(rows: Sequence[FolnerRow]) -> str:
     for row in sorted(rows, key=lambda r: r.k):
         writer.writerow([row.k, row.sym_diff, row.card, repr(float(row.ratio))])
     return buf.getvalue()
-
-
-def folner_json(rows: Sequence[FolnerRow]) -> str:
-    payload = [
-        {"k": r.k, "sym_diff": r.sym_diff, "card": r.card, "ratio": float(r.ratio)}
-        for r in sorted(rows, key=lambda r: r.k)
-    ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -20,25 +20,17 @@ import numpy as np
 
 from .balls import (
     DEFAULT_CAP,
-    _count_parity,
-    _fiber_halfwidth,
-    _grid_coords,
+    FiberSet,
+    _count_congruent,  # the congruence count behind corner_counts, importable here
+    _lattice_points,
     ball_cardinality,
-    enumerate_ball,
     symmetric_difference_coords,
     t_boundary_coords,
 )
-from .core import LatticePoint, Radius, generator, inverse, multiply, radius_parts
+from .core import LatticePoint, Radius, generator, inverse, multiply
 from .errors import ResourceCapError
 
 Rational = Union[int, Fraction]
-
-
-def _count_congruent(lo: int, hi: int, residue: int, modulus: int) -> int:
-    """# integers in [lo, hi] congruent to residue mod modulus."""
-    if lo > hi:
-        return 0
-    return (hi - residue) // modulus - (lo - 1 - residue) // modulus
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,11 +166,17 @@ def _as_function(f) -> Callable:
 
 # --- exact ball aggregation --------------------------------------------------
 
-def _horizontal_grid(n: int, k: int, cap: int):
-    grid = _grid_coords([(-k, k)] * (2 * n), cap)
-    x = np.sum(grid * grid, axis=1)
-    keep = x <= k * k
-    return grid[keep], x[keep]
+def _label_histogram(digits: np.ndarray, counts: np.ndarray, base: int) -> dict:
+    """{label: total count}; column i of digits is entry i's label in the given base."""
+    width = digits.shape[0]
+    idx = np.zeros(digits.shape[1], dtype=np.int64)
+    for j in range(width):
+        idx = idx * base + digits[j]
+    hist = np.zeros(base ** width, dtype=np.int64)
+    np.add.at(hist, idx, counts)
+    nz = np.flatnonzero(hist)
+    labels = np.stack(np.unravel_index(nz, (base,) * width), axis=1)
+    return {tuple(lab): c for lab, c in zip(labels.tolist(), hist[nz].tolist())}
 
 
 def ball_label_counts(action: WeightedAction, k: int, cap: int = DEFAULT_CAP) -> dict:
@@ -195,37 +193,18 @@ def ball_label_counts(action: WeightedAction, k: int, cap: int = DEFAULT_CAP) ->
         raise ResourceCapError(
             f"ball of {card} points exceeds cap {cap}", predicted=card, cap=cap
         )
-    n = action.n
-    u, v = radius_parts(k)
-    grid, x = _horizontal_grid(n, k, cap)
-    half = _fiber_halfwidth(u, v, x)
-    counts: dict = {}
+    ball = FiberSet.ball(action.n, k, cap=cap)
     if action.kind == "quotient":
+        # label (a, b, c) mod m with corner c = (m_int + <a,b>)/2
         m = action.spec["m"]
-        a_res = grid % m
-        s_all = np.sum(grid[:, :n] * grid[:, n:], axis=1)
-        for i in range(grid.shape[0]):
-            w, s = int(half[i]), int(s_all[i])
-            c_lo = -((w - s) // 2)  # ceil((-w + s)/2)
-            c_hi = (w + s) // 2
-            base = tuple(int(t) for t in a_res[i])
-            for rho in range(m):
-                cnt = _count_congruent(c_lo, c_hi, rho, m)
-                if cnt:
-                    lab = base + (rho,)
-                    counts[lab] = counts.get(lab, 0) + cnt
-    elif action.kind == "torus":
+        counts = ball.corner_counts(m)
+        digits = np.vstack([np.repeat(ball.y % m, m, axis=1), np.tile(np.arange(m), ball.lo.size)])
+        return _label_histogram(digits, counts.ravel(), m)
+    if action.kind == "torus":
         L = action.spec["resolution"]
         shifts = np.array(action.spec["shifts"], dtype=np.int64)
-        labs = (grid * shifts) % L
-        parity = np.sum(grid[:, :n] * grid[:, n:], axis=1) % 2
-        sizes = _count_parity(-half, half, parity)
-        for i in range(grid.shape[0]):
-            lab = tuple(int(t) for t in labs[i])
-            counts[lab] = counts.get(lab, 0) + int(sizes[i])
-    else:
-        raise ValueError(f"unknown action kind {action.kind!r}")
-    return counts
+        return _label_histogram((ball.y * shifts[:, None]) % L, ball.sizes(), L)
+    raise ValueError(f"unknown action kind {action.kind!r}")
 
 
 def _coords_label_counts(action: WeightedAction, coords: np.ndarray) -> dict:
@@ -237,28 +216,15 @@ def _coords_label_counts(action: WeightedAction, coords: np.ndarray) -> dict:
         m = action.spec["m"]
         s = np.sum(coords[:, :n] * coords[:, n:2 * n], axis=1)
         c = ((coords[:, 2 * n] + s) // 2) % m
-        digits = np.concatenate([coords[:, :2 * n] % m, c[:, None]], axis=1)
+        digits = np.vstack([coords[:, :2 * n].T % m, c])
         base = m
     elif action.kind == "torus":
-        L = action.spec["resolution"]
+        base = action.spec["resolution"]
         shifts = np.array(action.spec["shifts"], dtype=np.int64)
-        digits = (coords[:, :2 * n] * shifts) % L
-        base = L
+        digits = (coords[:, :2 * n] * shifts).T % base
     else:
         raise ValueError(f"unknown action kind {action.kind!r}")
-    idx = np.zeros(coords.shape[0], dtype=np.int64)
-    for j in range(digits.shape[1]):
-        idx = idx * base + digits[:, j]
-    uniq, cnt = np.unique(idx, return_counts=True)
-    out = {}
-    width = digits.shape[1]
-    for key, c_ in zip(uniq.tolist(), cnt.tolist()):
-        lab = []
-        for _ in range(width):
-            lab.append(key % base)
-            key //= base
-        out[tuple(reversed(lab))] = c_
-    return out
+    return _label_histogram(digits, np.ones(coords.shape[0], dtype=np.int64), base)
 
 
 def _weighted_sums(action: WeightedAction, counts: dict, func, x):
@@ -357,12 +323,11 @@ def orbit_transitive(action: WeightedAction) -> bool:
 
 @lru_cache(maxsize=64)
 def _shell_points(n: int, i: int, cap: int) -> tuple:
-    """Points of B_i minus B_{i-1}, cached across repeated checks."""
-    pts = enumerate_ball(n, i, cap=cap).points()
-    if i == 1:
-        return tuple(pts)
-    inner = set(enumerate_ball(n, i - 1, cap=cap).points())
-    return tuple(p for p in pts if p not in inner)
+    """Points of B_i minus B_{i-1} (all of B_1), cached across repeated checks."""
+    shell = FiberSet.ball(n, i, cap=cap)
+    if i > 1:
+        shell = shell.difference(FiberSet.ball(n, i - 1, cap=cap))
+    return tuple(_lattice_points(n, shell.rows(), cap))
 
 
 class MaximalCheck(NamedTuple):

@@ -8,10 +8,13 @@ operations), never through the fiber-interval code paths under test.
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize as opt
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heisgeo as hg
 from heisgeo import balls, spherequad as sq
@@ -31,6 +34,16 @@ def brute_ball_points(n, k):
             if (m - pr) % 2 == 0 and 4 * k * k * x + m * m <= 4 * k ** 4:
                 out.add(hg.LatticePoint(tuple(ab[:n]), tuple(ab[n:]), m))
     return out
+
+
+def candidate_box(center, r):
+    """Lattice points p = q * center (or center * q) with |q| <= r lie in this box."""
+    R, M = math.floor(r), math.floor(2 * r * r)
+    a0, b0, m0 = center.a[0], center.b[0], center.m
+    M += R * (abs(a0) + abs(b0))  # the twist Im<z_q, z_center>
+    return [hg.LatticePoint((a,), (b,), m)
+            for a in range(a0 - R, a0 + R + 1) for b in range(b0 - R, b0 + R + 1)
+            for m in range(m0 - M, m0 + M + 1) if (m - a * b) % 2 == 0]
 
 
 def oracle_sphere_dist(p, r, rng, starts=6):
@@ -71,17 +84,37 @@ class TestCardinality:
         assert set(table.points()) == want
 
     def test_rational_radius(self):
-        # oracle: exact per-point test over the box
-        r = Fraction(5, 2)
+        # oracle: exact per-point test over the box |a|, |b| <= r, |m| <= 2 r^2;
+        # the large numerators overflowed int64 fiber bounds (both count 2547)
         e = hg.lattice_identity(1)
-        want = sum(
-            1
-            for a in range(-3, 4) for b in range(-3, 4)
-            for m in range(-13, 14)
-            if (m - a * b) % 2 == 0
-            and hg.dist_le_exact(hg.LatticePoint((a,), (b,), m), e, r)
-        )
-        assert balls.ball_cardinality(1, r) == want
+        for r in (Fraction(5, 2), Fraction(50001, 10000), Fraction(500001, 100000)):
+            A, M = math.floor(r), math.floor(2 * r * r)
+            want = sum(
+                1
+                for a in range(-A, A + 1) for b in range(-A, A + 1)
+                for m in range(-M, M + 1)
+                if (m - a * b) % 2 == 0
+                and hg.dist_le_exact(hg.LatticePoint((a,), (b,), m), e, r)
+            )
+            assert balls.ball_cardinality(1, r) == want
+
+    def test_large_numerators_match_python_int_fiber_sum(self):
+        def fiber_sum(n, r):
+            u, v = r.numerator, r.denominator
+            total = 0
+            for y in itertools.product(range(-(u // v), u // v + 1), repeat=2 * n):
+                x = sum(c * c for c in y)
+                if v * v * x > u * u:
+                    continue
+                w = math.isqrt(4 * u * u * (u * u - v * v * x)) // (v * v)
+                p = sum(y[j] * y[n + j] for j in range(n)) % 2
+                total += w + 1 if (w - p) % 2 == 0 else w  # m = p mod 2 in [-w, w]
+            return total
+
+        for n, r, want in ((2, Fraction(50001, 10000), 82371),
+                           (1, Fraction(40001, 1000), 10722409)):
+            assert fiber_sum(n, r) == want
+            assert balls.ball_cardinality(n, r) == want
 
     def test_nesting(self):
         cards = [balls.ball_cardinality(1, k) for k in range(1, 9)]
@@ -121,6 +154,45 @@ class TestCardinality:
             balls.enumerate_ball(1, 0)
         with pytest.raises(ValueError):
             balls.enumerate_ball(0, 1)
+
+
+small_points = st.builds(lambda a, b, j: hg.LatticePoint((a,), (b,), a * b + 2 * j),
+                         st.integers(-3, 3), st.integers(-3, 3), st.integers(-5, 5))
+
+
+class TestFiberSet:
+    @staticmethod
+    def point_set(coords):
+        rows = [tuple(r) for r in coords.tolist()]
+        assert all(p < q for p, q in zip(rows, rows[1:]))  # strictly lex-ascending
+        return {hg.LatticePoint((a,), (b,), m) for a, b, m in rows}
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 6), j=st.integers(1, 6), center=small_points, sigma=small_points,
+           t=st.sampled_from([0, Fraction(1, 2), 1, Fraction(3, 2), 3]))
+    def test_operations_match_brute_force(self, k, j, center, sigma, t):
+        e = hg.lattice_identity(1)
+        back = hg.inverse(sigma)
+        A = balls.FiberSet.ball(1, k).translate(center)
+        B = balls.FiberSet.ball(1, j).translate(sigma, left=True)
+        in_a = {p for p in candidate_box(center, k) if hg.dist_le_exact(p, center, k)}
+        in_b = {p for p in candidate_box(sigma, j) if hg.dist_le_exact(hg.multiply(back, p), e, j)}
+        for fibers, want in ((A, in_a), (B, in_b), (A.intersect(B), in_a & in_b),
+                             (A.difference(B), in_a - in_b), (B.difference(A), in_b - in_a),
+                             (A.union(B), in_a | in_b)):
+            assert fibers.count() == fibers.rows().shape[0]
+            assert self.point_set(fibers.rows()) == want
+
+        inner = k - Fraction(t)
+        annulus = {p for p in candidate_box(e, k + Fraction(t))
+                   if hg.dist_le_exact(p, e, k + t)
+                   and not (inner > 0 and hg.dist_le_exact(p, e, inner)
+                            and not hg.dist_eq_exact(p, e, inner))}
+        assert self.point_set(balls._annulus_coords(1, k, t, 10 ** 6)) == annulus
+
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort called")):
+            table = balls.enumerate_ball(1, k, center)
+        assert self.point_set(table.coords) == in_a
 
 
 class TestProductSets:
