@@ -595,18 +595,23 @@ def _annulus_coords(n: int, k: int, t: Radius, cap: int) -> np.ndarray:
 def _within_sphere_band(coords: np.ndarray, n: int, k: int, t: Radius) -> np.ndarray:
     """Vectorized three-state test: within t of S_k(0), per coordinate row.
 
-    Quick screens run in int64; only the ambiguous band hits the batched
-    certified minimizer, in chunks.
+    Quick screens run exactly: in int64 while every screen term provably
+    fits, in Python integers beyond (as in _halfwidth).  Only the ambiguous
+    band hits the batched certified minimizer, in chunks.
     """
     u, v = radius_parts(t)
     V = v * v
     x_worst = int(np.max(np.abs(coords), initial=0)) ** 2 * 2 * n
     m_worst = int(np.max(np.abs(coords[:, 2 * n]), initial=0)) if coords.size else 0
     worst = x_worst * x_worst + m_worst * m_worst
-    if worst * V * V > 2 ** 62 or (2 * (k * k * V + u * u)) ** 2 > 2 ** 62:
-        raise ResourceCapError("sphere band bounds overflow int64; reduce k or t")
+    # each screen term 2 U - V x, with U one of (kv -+ u)^2 and k^2 V -+ u^2,
+    # is at most 2 (kv + u)^2 + V x in size; it is squared and compared with
+    # V^2 |y|^4 <= V^2 worst
+    screen = 2 * (k * v + u) ** 2 + V * x_worst
     x = np.sum(coords[:, : 2 * n] * coords[:, : 2 * n], axis=1)
     m = coords[:, 2 * n]
+    if max(worst * V * V, screen * screen) > 2 ** 62:
+        x, m = x.astype(object), m.astype(object)
     norm_sq = x * x + m * m
     # quick-out: lam^2 outside [(k-t)^2, (k+t)^2]
     U2 = (k * v + u) ** 2

@@ -16,10 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
+# covering, ergodic and separation are imported by the commands that use
+# them, so the lattice commands start without loading those layers
 from . import __version__
-from . import covering as cv
-from . import ergodic as er
-from . import separation as sp
 from .balls import (
     DEFAULT_CAP,
     BallSpec,
@@ -191,6 +190,8 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_net(args) -> int:
+    from . import covering as cv
+
     count, centers = cv.covering_net(args.n, args.rho)
     if args.format == "json":
         pts = [{"z": [[c.real, c.imag] for c in p.z], "tau": p.tau}
@@ -201,8 +202,10 @@ def cmd_net(args) -> int:
     return 0
 
 
-def _random_carpet(rng, count: int, box: int, rmax: int) -> cv.Carpet:
+def _random_carpet(rng, count: int, box: int, rmax: int):
     """Lattice carpet with unique centers and integer radii."""
+    from . import covering as cv
+
     balls = []
     seen = set()
     while len(balls) < count:
@@ -218,6 +221,8 @@ def _random_carpet(rng, count: int, box: int, rmax: int) -> cv.Carpet:
 
 
 def cmd_bcp(args) -> int:
+    from . import covering as cv
+
     rng = np.random.default_rng(args.seed)
     lines = ["trial,balls,selected,multiplicity,covered"]
     worst = 0
@@ -243,6 +248,8 @@ def cmd_bcp(args) -> int:
 
 
 def cmd_colour(args) -> int:
+    from . import covering as cv
+
     rng = np.random.default_rng(args.seed)
     lines = ["trial,selected,classes_used,separated"]
     all_ok = True
@@ -262,6 +269,8 @@ def cmd_colour(args) -> int:
 
 
 def cmd_boundgen(args) -> int:
+    from . import covering as cv
+
     nu, F, stack, eps, delta, t = cv.synthetic_boundgen_instance(
         args.f, args.t, args.height, args.clusters, args.seed)
     res = cv.boundgen_select(nu, F, stack, eps, delta, t, args.chi)
@@ -277,6 +286,8 @@ def cmd_boundgen(args) -> int:
 
 
 def cmd_height(args) -> int:
+    from . import covering as cv
+
     params = cv.HeightParams(chi=args.chi, kappa=args.kappa, eps=args.eps,
                              delta=args.delta, R=args.R)
     res = cv.stack_height(params)
@@ -291,6 +302,8 @@ def cmd_height(args) -> int:
 
 
 def cmd_lss(args) -> int:
+    from . import separation as sp
+
     eps = float(args.eps)
     if not 0.0 < eps < 1.0:
         raise HypothesisViolation("eps_range", f"eps = {eps} must lie in (0, 1)")
@@ -312,6 +325,8 @@ def cmd_lss(args) -> int:
 
 
 def cmd_closeball(args) -> int:
+    from . import separation as sp
+
     rng = np.random.default_rng(args.seed)
     dim = 2 * args.n + 1
     verified = 0
@@ -338,6 +353,8 @@ def cmd_closeball(args) -> int:
 
 
 def cmd_intersect(args) -> int:
+    from . import separation as sp
+
     report = sp.intersection_search(args.n, args.R, args.trials,
                                     max_chain=args.max_chain, seed=args.seed,
                                     workers=args.workers)
@@ -346,7 +363,9 @@ def cmd_intersect(args) -> int:
     return 0
 
 
-def _build_action(args) -> er.WeightedAction:
+def _build_action(args):
+    from . import ergodic as er
+
     if args.action:
         with open(args.action) as fh:
             return er.action_from_spec(json.load(fh))
@@ -359,6 +378,8 @@ def _build_action(args) -> er.WeightedAction:
 
 
 def cmd_ergodic(args) -> int:
+    from . import ergodic as er
+
     action = _build_action(args)
     target = action.states[args.target]
     f = lambda y: Fraction(1) if y == target else Fraction(0)
@@ -374,6 +395,8 @@ def cmd_ergodic(args) -> int:
 
 
 def cmd_maximal(args) -> int:
+    from . import ergodic as er
+
     action = _build_action(args)
     rng = np.random.default_rng(args.seed)
     lines = ["trial,lhs,bound,holds"]

@@ -19,13 +19,11 @@ empirically by the ``*_estimate`` helpers and frozen as defaults.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.optimize as opt
 
 from .balls import BallSpec, boundary_contains
 from .core import (
@@ -289,6 +287,8 @@ def _boundary_max_distance(q: Point, r: float, p: Point, samples: int,
             return 0.0
         return -metric_d(multiply(sphere_point(r, x / nrm), cq), p)
 
+    import scipy.optimize as opt  # loaded on first polish: costs ~0.5 s at import
+
     res = opt.minimize(neg, best_xi, method="Nelder-Mead",
                        options=dict(xatol=1e-10, fatol=1e-12, maxiter=400))
     if -res.fun > best_val:
@@ -504,6 +504,8 @@ def _common_point_search(points, radii, thicks, seeds, rounds: int = 48):
                                     points, radii, thicks)
 
         start = np.concatenate([z0 / scale, [tau0 / (scale * scale)]])
+        import scipy.optimize as opt
+
         res = opt.minimize(f, start, method="Nelder-Mead",
                            options=dict(xatol=1e-12, fatol=1e-12, maxiter=600))
         if res.fun < best_v:
@@ -598,6 +600,8 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
         raise ValueError("R must exceed 1")
     jobs = [(n, R, seed, i, max_chain) for i in range(trials)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, jobs, chunksize=64))
     else:

@@ -420,6 +420,27 @@ class TestTBoundary:
         r10 = Fraction(balls.t_boundary_count(1, 10, 1), balls.ball_cardinality(1, 10))
         assert r10 < r5
 
+    @pytest.mark.parametrize("k,t", [(1, Fraction(50001, 10000)), (5, Fraction(1, 10 ** 5))])
+    def test_screens_beyond_int64_match_scalar(self, k, t):
+        # their screen terms exceed int64, which the batched path once refused
+        coords = balls._annulus_coords(1, k, t, 10 ** 7)
+        spec = balls.BallSpec(hg.lattice_identity(1), k, t)
+        want = sum(balls.boundary_contains(hg.LatticePoint((a,), (b,), m), spec).inside
+                   for a, b, m in coords.tolist())
+        assert balls.t_boundary_count(1, k, t) == want
+
+    def test_large_denominator_band_at_k5(self):
+        # the scalar boundary_contains accepts 21817 of the 41653 annulus rows
+        # (a 55 s pass); every 40th row is rechecked here
+        t = Fraction(50001, 10000)
+        coords = balls._annulus_coords(1, 5, t, 10 ** 7)
+        member = balls._within_sphere_band(coords, 1, 5, t)
+        spec = balls.BallSpec(hg.lattice_identity(1), 5, t)
+        for (a, b, m), got in zip(coords[::40].tolist(), member[::40].tolist()):
+            assert balls.boundary_contains(hg.LatticePoint((a,), (b,), m), spec).inside == got
+        assert coords.shape[0] == 41653
+        assert balls.t_boundary_count(1, 5, t) == int(member.sum()) == 21817
+
     def test_scalar_and_batched_paths_agree(self):
         k, t = 3, 1
         coords = balls._annulus_coords(1, k, t, 10 ** 7)

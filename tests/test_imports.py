@@ -1,0 +1,117 @@
+"""What a process loads: lazy re-exports, lazy layers and the first scipy use.
+
+Every check runs in a fresh interpreter, so nothing an earlier test
+imported can hide an eager import.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import heisgeo
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(heisgeo.__file__)))
+SEARCH_LAYERS = ("heisgeo.covering", "heisgeo.ergodic", "heisgeo.separation")
+
+
+def run_fresh(code: str, tmp_path) -> dict:
+    """Run code in a new interpreter; it prints one JSON document last."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["ball", "--n", "1", "--k", "5"],
+    ["folner", "--n", "1", "--k", "4", "--sigma", "e1"],
+    ["boundary", "--n", "1", "--k", "3", "--t", "1"],
+    ["doubling", "--n", "1", "--k-max", "3"],
+])
+def test_lattice_commands_load_no_scipy_and_no_search_layer(argv, tmp_path):
+    doc = run_fresh(f"""
+        import json, sys
+        import heisgeo
+        after_package = sorted(m for m in sys.modules if m.startswith("heisgeo."))
+        import heisgeo.cli
+        code = heisgeo.cli.main({argv!r} + ["--out", "artifact.txt"])
+        loaded = sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m in {SEARCH_LAYERS!r})
+        print(json.dumps({{"code": code, "after_package": after_package,
+                          "loaded": loaded}}))
+    """, tmp_path)
+    assert doc["code"] == 0
+    assert doc["after_package"] == []
+    assert doc["loaded"] == []
+    assert (tmp_path / "artifact.txt").read_text().strip()
+
+
+def test_every_public_name_resolves_and_is_listed(tmp_path):
+    doc = run_fresh("""
+        import json, sys
+        import heisgeo
+        loaded = sorted(m for m in sys.modules if m.startswith("heisgeo."))
+        listed = set(dir(heisgeo))
+        unlisted = [n for n in heisgeo.__all__ if n not in listed]
+        unresolved = []
+        for name in heisgeo.__all__:
+            try:
+                getattr(heisgeo, name)
+            except AttributeError:
+                unresolved.append(name)
+        star = {}
+        exec("from heisgeo import *", star)
+        missing_star = sorted(set(heisgeo.__all__) - set(star))
+        try:
+            heisgeo.no_such_name
+            unknown = "resolved"
+        except AttributeError as exc:
+            unknown = str(exc)
+        print(json.dumps({"loaded": loaded, "count": len(heisgeo.__all__),
+                          "unlisted": unlisted,
+                          "unresolved": unresolved, "missing_star": missing_star,
+                          "unknown": unknown,
+                          "submodule": heisgeo.balls.__name__,
+                          "hasattr": hasattr(heisgeo, "no_such_name")}))
+    """, tmp_path)
+    assert doc["loaded"] == []  # dir() lists names before any submodule loads
+    assert doc["count"] == len(heisgeo.__all__) == 75
+    assert doc["unlisted"] == []
+    assert doc["unresolved"] == []
+    assert doc["missing_star"] == []
+    assert "no_such_name" in doc["unknown"]
+    assert doc["hasattr"] is False
+    assert doc["submodule"] == "heisgeo.balls"
+
+
+FIRST_SCIPY_USE = """
+    import json, sys
+    {preload}
+    from heisgeo import separation as sp
+    from heisgeo.core import ContinuousPoint, continuous_identity, point_to_json
+    before = "scipy.optimize" in sys.modules
+    if {closeball}:
+        res = sp.closeball_witness(ContinuousPoint((30.0 + 0j,), 0.0),
+                                   continuous_identity(1), 0.5, seed=2)
+        result = [point_to_json(res.q), res.verified, res.report]
+    else:
+        # trial 0 of seed 78 reaches the Nelder-Mead polish of the length-3 search
+        result = sp.intersection_search(1, 1e4, trials=1, seed=78)
+    print(json.dumps({{"before": before, "after": "scipy.optimize" in sys.modules,
+                      "result": result}}, sort_keys=True, default=repr))
+"""
+
+
+@pytest.mark.parametrize("closeball", [True, False], ids=["closeball", "intersection"])
+def test_first_scipy_use_matches_preloaded_scipy(closeball, tmp_path):
+    lazy = run_fresh(FIRST_SCIPY_USE.format(preload="", closeball=closeball), tmp_path)
+    eager = run_fresh(FIRST_SCIPY_USE.format(preload="import scipy.optimize",
+                                             closeball=closeball), tmp_path)
+    assert lazy["before"] is False and lazy["after"] is True
+    assert eager["before"] is True
+    assert lazy["result"] == eager["result"]
