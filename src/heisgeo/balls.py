@@ -23,7 +23,8 @@ an exact integer quick-out (triangle inequality: |d(y,x) - r| > t), an
 exact integer quick-in (the dilation witness gives dist <= sqrt|d^2 - r^2|),
 and for the remaining thin shell the certified global minimum of the sphere
 gauge from the spherequad module with a fixed 1e-9 acceptance band, so
-counts are deterministic and reproducible.
+counts are deterministic and reproducible.  The batched test solves the
+gauge once per (|z|^2, |m|) orbit of the ambiguous rows.
 """
 
 from __future__ import annotations
@@ -596,12 +597,15 @@ def _within_sphere_band(coords: np.ndarray, n: int, k: int, t: Radius) -> np.nda
     """Vectorized three-state test: within t of S_k(0), per coordinate row.
 
     Quick screens run exactly: in int64 while every screen term provably
-    fits, in Python integers beyond (as in _halfwidth).  Only the ambiguous
-    band hits the batched certified minimizer, in chunks.
+    fits, in Python integers beyond (as in _halfwidth).  Membership depends
+    on (|z|^2, |m|) alone (U(n) rotations and the flip are isometries fixing
+    the origin, and the gauge solver sees nothing else), so the ambiguous
+    band goes to the batched certified minimizer once per distinct key, in
+    chunks, and the decision is scattered back to every row of the orbit.
     """
     u, v = radius_parts(t)
     V = v * v
-    x_worst = int(np.max(np.abs(coords), initial=0)) ** 2 * 2 * n
+    x_worst = int(np.max(np.abs(coords[:, : 2 * n]), initial=0)) ** 2 * 2 * n
     m_worst = int(np.max(np.abs(coords[:, 2 * n]), initial=0)) if coords.size else 0
     worst = x_worst * x_worst + m_worst * m_worst
     # each screen term 2 U - V x, with U one of (kv -+ u)^2 and k^2 V -+ u^2,
@@ -634,13 +638,22 @@ def _within_sphere_band(coords: np.ndarray, n: int, k: int, t: Radius) -> np.nda
     ambiguous = np.flatnonzero(alive & ~quick_in & ~horizontal)
     if ambiguous.size and u == 0:
         raise AssertionError("t = 0 must be settled exactly by the screens")
+    if not ambiguous.size:
+        return result
+    # one key per (x, |m|) orbit; below 2^62 whenever the screens ran in int64
+    m_abs = abs(m[ambiguous])
+    key = x[ambiguous] * (m_abs.max() + 1) + m_abs
+    _, first, orbit = np.unique(key, return_index=True, return_inverse=True)
+    reps = ambiguous[first]
+    accept = np.empty(reps.size, dtype=bool)
     chunk = 200_000
-    for start in range(0, ambiguous.size, chunk):
-        idx = ambiguous[start: start + chunk]
+    for start in range(0, reps.size, chunk):
+        idx = reps[start: start + chunk]
         z_flat = coords[idx, : 2 * n].astype(float)
         tau = coords[idx, 2 * n].astype(float) / 2.0
         vals = gauge_min_batched(z_flat, tau, float(k), u / v)
-        result[idx] = vals <= 1.0 + 1e-9
+        accept[start: start + chunk] = vals <= 1.0 + 1e-9
+    result[ambiguous] = accept[orbit]
     return result
 
 
@@ -655,7 +668,14 @@ def t_boundary_coords(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> np.n
 
 
 def t_boundary_count(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> int:
-    """# lattice points within t of the sphere S_k(0), certified per point."""
+    """# lattice points within t of the sphere S_k(0), decided once per (|z|^2, |m|) orbit.
+
+    U(n) rotations of z and the flip (z, m) -> (conj z, -m) are isometries
+    fixing the origin, so they map S_k(0) onto itself and preserve the
+    distance to it; the exact screens read only |z|^2 and m^2, and the
+    gauge solver only |z|^2 and |tau|.  So one decision per orbit is the
+    decision of every point in it, bit for bit.
+    """
     return int(t_boundary_coords(n, k, t, cap).shape[0])
 
 

@@ -184,7 +184,8 @@ def ball_label_counts(action: WeightedAction, k: int, cap: int = DEFAULT_CAP) ->
 
     Fibers over each horizontal point are counted by congruence
     arithmetic, so no ball is ever materialized; k = 40 at n = 1 costs
-    a few thousand integer interval counts.
+    a few thousand integer interval counts.  Counts are memoized per
+    (action, k, cap) and every call returns a fresh dict.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -193,6 +194,12 @@ def ball_label_counts(action: WeightedAction, k: int, cap: int = DEFAULT_CAP) ->
         raise ResourceCapError(
             f"ball of {card} points exceeds cap {cap}", predicted=card, cap=cap
         )
+    return dict(_ball_label_counts(action, k, cap))
+
+
+@lru_cache(maxsize=128)
+def _ball_label_counts(action: WeightedAction, k: int, cap: int) -> dict:
+    # actions compare by identity (eq=False), so the cache keys on the object
     ball = FiberSet.ball(action.n, k, cap=cap)
     if action.kind == "quotient":
         # label (a, b, c) mod m with corner c = (m_int + <a,b>)/2

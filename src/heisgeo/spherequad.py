@@ -8,16 +8,30 @@ the centre to the identity, to minimising the gauge
 
 over xi = (a, b) on the unit sphere, with F_t(xi) <= 1 iff the sphere point
 (r a, r^2 b) lies within distance t of y = (z, tau).  F_t is a convex
-quadratic ||M xi - v||^2, and its constrained minimum is a trust-region
-subproblem solved exactly through the secular equation: diagonalise
-P = M^T M, then the multiplier mu < lambda_min solves
+quadratic xi^T P xi + 2 q . xi + c, and its constrained minimum is a
+trust-region subproblem solved exactly through the secular equation: in an
+eigenbasis of P the multiplier mu < lambda_min solves
 
     sum_i  qt_i^2 / (lambda_i - mu)^2 = 1,
 
 monotone on that half-line, with the classical hard case (q orthogonal to
 the bottom eigenspace) handled by padding along the bottom eigenvector.
-Everything here is float numerics; exact integer screens live in the ball
-module and only route the ambiguous band through these solvers.
+The root is found by safeguarded Newton on 1/||xi|| - 1, which is concave
+and nearly linear in mu (More & Sorensen 1983), falling back to bisection
+whenever a step leaves the bracket.
+
+The gauge needs no eigensolver.  With alpha = r/t, beta = r^2/t^2,
+gamma = r|z|/(2t^2) and g = J z/|z| (multiplication by i), P acts as
+alpha^2 on z/|z| and on every direction orthogonal to {z, g, e_tau}, and
+as the 2x2 block [[alpha^2 + gamma^2, beta gamma], [beta gamma, beta^2]]
+on span{g, e_tau}, whose eigenvalues mu_- <= alpha^2 <= mu_+ (product
+alpha^2 beta^2) are closed-form.  q lies in span{z, g, e_tau}, so the
+secular equation has at most three poles and depends on (|z|^2, tau, r, t)
+alone; U(n) rotations and the flip (z, tau) -> (conj z, -tau) leave the
+minimum unchanged.  The generic solver for an arbitrary P diagonalises it
+and shares the same secular root.  Everything here is float numerics;
+exact integer screens live in the ball module and only route the
+ambiguous band through these solvers.
 """
 
 from __future__ import annotations
@@ -29,8 +43,47 @@ import numpy as np
 
 from .core import ContinuousPoint, Point, as_continuous, homogeneous_norm, multiply
 
-_BISECT_STEPS = 96
+_NEWTON_STEPS = 100  # cap; the Newton root converges in a handful of steps
+_NEWTON_RTOL = 4 * np.finfo(float).eps
 _HARD_EPS = 1e-30
+
+
+def _secular_root(gap: np.ndarray, qq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  live: np.ndarray) -> np.ndarray:
+    """s in [lo, hi] with sum_i qq_i / (gap_i + s)^2 = 1, for the live rows.
+
+    psi(s) = 1/||xi(s)|| - 1 is increasing and concave on s > 0, so Newton
+    started below the root climbs monotonically to it.  The start is the
+    best of the lower bounds |q_i| - gap_i and |q| - max gap; a step that
+    leaves the shrinking bracket is replaced by its midpoint.  A row stops
+    once its step or its bracket is below _NEWTON_RTOL relative, so its
+    root does not depend on the other rows of the batch.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    start = np.maximum((np.sqrt(qq) - gap).max(axis=1),
+                       np.sqrt(qq.sum(axis=1)) - gap.max(axis=1))
+    s = np.clip(start, lo, hi)
+    live = live.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if not live.any():
+                break
+            d = gap + s[:, None]
+            w = qq / (d * d)
+            phi = w.sum(axis=1)
+            dphi = (w / d).sum(axis=1)  # -phi'(s) / 2
+            root = np.sqrt(phi)
+            below = root > 1.0
+            lo = np.where(live & below, s, lo)
+            hi = np.where(live & ~below, s, hi)
+            # Newton step psi / psi', with psi' = dphi / phi^(3/2)
+            step = phi * (root - 1.0) / dphi
+            new = s + step
+            done = (np.abs(step) <= _NEWTON_RTOL * s) | (hi - lo <= _NEWTON_RTOL * hi)
+            new = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+            live &= ~done
+            s = np.where(live, new, s)
+    return s
 
 
 def _secular_batched(lam: np.ndarray, qt: np.ndarray, c: np.ndarray):
@@ -42,29 +95,17 @@ def _secular_batched(lam: np.ndarray, qt: np.ndarray, c: np.ndarray):
     lam = np.asarray(lam, dtype=float)
     qt = np.asarray(qt, dtype=float)
     c = np.asarray(c, dtype=float)
-    n, d = lam.shape
     lam1 = lam[:, 0]
     # shift: phi(s) = sum qt_i^2 / (gap_i + s)^2 with gap_i = lam_i - lam1 >= 0,
     # decreasing in s > 0; want phi(s) = 1, i.e. s = lam1 - mu.
     gap = lam - lam1[:, None]
-    qn = np.linalg.norm(qt, axis=1)
+    qq = qt * qt
+    qn = np.sqrt(np.sum(qq, axis=1))
     scale = np.maximum(np.max(gap, axis=1), qn)
     scale = np.maximum(scale, 1e-300)
     s_floor = 1e-18 * scale
-
-    def phi(s):
-        return np.sum(qt * qt / (gap + s[:, None]) ** 2, axis=1)
-
-    hard = phi(s_floor) < 1.0
-    lo = s_floor.copy()
-    hi = np.maximum(qn, s_floor * 2)
-    s = hi.copy()
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        high_phi = phi(mid) > 1.0
-        lo = np.where(high_phi, mid, lo)
-        hi = np.where(high_phi, hi, mid)
-        s = hi
+    hard = np.sum(qq / (gap + s_floor[:, None]) ** 2, axis=1) < 1.0
+    s = _secular_root(gap, qq, s_floor, np.maximum(qn, s_floor * 2), ~hard)
     xi = -qt / (gap + s[:, None])
     if np.any(hard):
         # q has no weight on the bottom eigenspace and the fixed part of xi is
@@ -134,48 +175,77 @@ def gauge_matrix(z_flat: np.ndarray, tau: float, r: float, t: float):
     return M, v
 
 
-def gauge_matrix_batched(z_flat: np.ndarray, tau: np.ndarray, r: float, t: float):
-    """Stacked (M, v) for z_flat (N, 2n), tau (N,)."""
-    z_flat = np.asarray(z_flat, dtype=float)
-    tau = np.asarray(tau, dtype=float)
+def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
+    """Three-pole secular data of the gauge for |z|^2 = x and central tau.
+
+    Returns (lam, qt, c, cs, sn): lam (N, 3) ascending and qt (N, 3) in the
+    basis (e_-, z/|z|, e_+), where e_- = cs g + sn e_tau and
+    e_+ = -sn g + cs e_tau are the eigenvectors of the 2x2 block.
+    """
     if t <= 0:
         raise ValueError("tolerance t must be positive")
-    n_pts, two_n = z_flat.shape
-    n = two_n // 2
-    d = two_n + 1
-    M = np.zeros((n_pts, d, d))
-    idx = np.arange(two_n)
-    M[:, idx, idx] = r / t
-    M[:, two_n, two_n] = r * r / (t * t)
-    M[:, two_n, :n] = -(r / (2 * t * t)) * z_flat[:, n:]
-    M[:, two_n, n:two_n] = (r / (2 * t * t)) * z_flat[:, :n]
-    v = np.concatenate([z_flat / t, (tau / (t * t))[:, None]], axis=1)
-    return M, v
+    zn = np.sqrt(x)
+    alpha = r / t
+    beta = alpha * alpha
+    gamma = (r / (2 * t * t)) * zn
+    a = beta + gamma * gamma  # the block [[a, b], [b, d]] on span{g, e_tau}
+    b = beta * gamma
+    d = beta * beta
+    delta = 0.5 * (d - a)
+    rad = np.hypot(delta, b)
+    mu_hi = 0.5 * (a + d) + rad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu_lo = np.where(mu_hi > 0, (alpha * beta) ** 2 / mu_hi, 0.0)
+    # eigenvector of mu_lo from the row of B - mu_lo I that avoids cancellation
+    v1 = np.where(delta >= 0, delta + rad, b)
+    v2 = np.where(delta >= 0, -b, delta - rad)
+    nv = np.hypot(v1, v2)
+    flat = nv == 0  # B = alpha^2 I: any basis
+    nv = np.where(flat, 1.0, nv)
+    cs = np.where(flat, 1.0, v1 / nv)
+    sn = v2 / nv
+    lam = np.stack([np.minimum(mu_lo, beta), np.full_like(zn, beta), np.maximum(mu_hi, beta)],
+                   axis=1)
+    q_g = -(tau / (t * t)) * gamma
+    q_tau = -(tau / (t * t)) * beta
+    qt = np.stack([cs * q_g + sn * q_tau, -(alpha / t) * zn, cs * q_tau - sn * q_g], axis=1)
+    c = x / (t * t) + (tau / (t * t)) ** 2
+    return lam, qt, c, cs, sn
 
 
-def _quad_from_gauge(M: np.ndarray, v: np.ndarray):
-    if M.ndim == 2:
-        P = M.T @ M
-        q = -M.T @ v
-        c = float(v @ v)
-    else:
-        P = np.einsum("nji,njk->nik", M, M)
-        q = -np.einsum("nji,nj->ni", M, v)
-        c = np.sum(v * v, axis=1)
-    return P, q, c
+def _gauge_solve(z_flat: np.ndarray, tau: np.ndarray, r: float, t: float,
+                 return_argmin: bool):
+    """Batched min of F_t over the unit sphere, and optionally its argmin."""
+    x = np.sum(z_flat * z_flat, axis=1)
+    lam, qt, c, cs, sn = _gauge_secular(x, tau, r, t)
+    values, xi = _secular_batched(lam, qt, c)
+    if not return_argmin:
+        return values
+    n = z_flat.shape[1] // 2
+    zn = np.sqrt(x)
+    z_hat = np.zeros_like(z_flat)
+    z_hat[:, 0] = 1.0  # any unit vector when z = 0
+    np.divide(z_flat, zn[:, None], out=z_hat, where=zn[:, None] > 0)
+    g_hat = np.concatenate([-z_hat[:, n:], z_hat[:, :n]], axis=1)
+    a_g = cs * xi[:, 0] - sn * xi[:, 2]
+    a = xi[:, 1:2] * z_hat + a_g[:, None] * g_hat
+    b = sn * xi[:, 0] + cs * xi[:, 2]
+    return values, np.concatenate([a, b[:, None]], axis=1)
 
 
 def gauge_min(z_flat, tau: float, r: float, t: float, return_argmin: bool = False):
     """min_{||xi||=1} F_t(xi); <= 1 certifies dist((z,tau), S_r(0)) <= t."""
-    M, v = gauge_matrix(z_flat, tau, r, t)
-    P, q, c = _quad_from_gauge(M, v)
-    return min_quadratic_on_sphere(P, q, c, return_argmin=return_argmin)
+    z_flat = np.asarray(z_flat, dtype=float)[None]
+    out = _gauge_solve(z_flat, np.array([float(tau)]), r, t, return_argmin)
+    if return_argmin:
+        return float(out[0][0]), out[1][0]
+    return float(out[0])
 
 
 def gauge_min_batched(z_flat, tau, r: float, t: float):
-    M, v = gauge_matrix_batched(z_flat, tau, r, t)
-    P, q, c = _quad_from_gauge(M, v)
-    return min_quadratic_on_sphere_batched(P, q, c)
+    """gauge_min for stacked z_flat (N, 2n) and tau (N,)."""
+    return _gauge_solve(np.asarray(z_flat, dtype=float), np.asarray(tau, dtype=float),
+                        r, t, False)
 
 
 def sphere_point(r: float, xi: np.ndarray) -> ContinuousPoint:

@@ -441,6 +441,36 @@ class TestTBoundary:
         assert coords.shape[0] == 41653
         assert balls.t_boundary_count(1, 5, t) == int(member.sum()) == 21817
 
+    @pytest.mark.parametrize("k,t", [(30, Fraction(1, 50)), (20, Fraction(1, 100))])
+    def test_small_denominator_band_matches_scalar(self, k, t):
+        # these fit the int64 screens once the bound uses the horizontal columns
+        coords = balls._annulus_coords(1, k, t, 10 ** 7)
+        spec = balls.BallSpec(hg.lattice_identity(1), k, t)
+        want = sum(balls.boundary_contains(hg.LatticePoint((a,), (b,), m), spec).inside
+                   for a, b, m in coords.tolist())
+        assert balls.t_boundary_count(1, k, t) == want
+
+    @pytest.mark.parametrize("k,t", [(2, 1), (3, Fraction(1, 2))])
+    def test_orbit_keys_n2_match_scalar(self, k, t):
+        # U(2) moves z within its sphere |z|^2 = x, which n = 1 cannot show
+        coords = balls._annulus_coords(2, k, t, 10 ** 7)
+        spec = balls.BallSpec(hg.lattice_identity(2), k, t)
+        want = [row for row in coords.tolist() if balls.boundary_contains(
+            hg.LatticePoint(tuple(row[:2]), tuple(row[2:4]), row[4]), spec).inside]
+        solved = []
+
+        def record(z_flat, tau, r, tf):
+            solved.extend(zip(np.sum(z_flat * z_flat, axis=1).tolist(), np.abs(tau).tolist()))
+            return sq.gauge_min_batched(z_flat, tau, r, tf)
+
+        with mock.patch.object(balls, "gauge_min_batched", record):
+            got = balls.t_boundary_coords(2, k, t)
+        assert got.tolist() == want
+        assert solved and len(set(solved)) == len(solved)  # one solve per orbit
+
+    def test_count_at_40(self):
+        assert balls.t_boundary_count(1, 40, 1) == 1300646
+
     def test_scalar_and_batched_paths_agree(self):
         k, t = 3, 1
         coords = balls._annulus_coords(1, k, t, 10 ** 7)

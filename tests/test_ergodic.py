@@ -187,6 +187,18 @@ class TestBallLabelCounts:
         with pytest.raises(ValueError):
             er.ball_label_counts(act, 0)
 
+    def test_memo_hands_out_fresh_dicts(self):
+        for act in (skewed_quotient(), er.make_torus_action(1, (0.375, 0.625), 8)):
+            first = er.ball_label_counts(act, 6)
+            want = dict(first)
+            first[next(iter(first))] += 1
+            first[("not", "a", "label")] = 7
+            assert er.ball_label_counts(act, 6) == want
+            assert er._ball_label_counts.__wrapped__(act, 6, 10 ** 8) == want
+            # the cap refusal runs before the memo is consulted
+            with pytest.raises(ResourceCapError):
+                er.ball_label_counts(act, 6, cap=10)
+
 
 class TestWeightedAverage:
     def test_constant_function_exact(self):

@@ -110,6 +110,70 @@ class TestSphereGauge:
             sq.gauge_matrix(np.zeros(2), 0.0, 1.0, 0.0)
 
 
+def gauge_cases():
+    """Random (z, tau, r, t) for n = 1, 2 plus the degenerate z = 0, tau = 0, r < t."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for i in range(200):
+        n = 1 + i % 2
+        cases.append((rng.standard_normal(2 * n) * 2, float(rng.standard_normal() * 3),
+                      float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.5, 2.0))))
+    for n in (1, 2):
+        z = rng.standard_normal(2 * n)
+        zero = np.zeros(2 * n)
+        cases += [(zero, 1.5, 2.0, 0.7), (zero, -0.4, 0.5, 1.2), (zero, 0.3, 1.0, 1.0),
+                  (zero, 0.0, 1.3, 0.6), (z, 0.0, 1.3, 0.6), (z, 0.0, 0.4, 1.1),
+                  (z, 2.0, 0.3, 1.5), (z * 1e-9, 1e-9, 1.0, 0.5)]
+    return cases
+
+
+class TestStructuredGauge:
+    def test_matches_generic_solver(self):
+        for z, tau, r, t in gauge_cases():
+            M, v = sq.gauge_matrix(z, tau, r, t)
+            want = sq.min_quadratic_on_sphere(M.T @ M, -M.T @ v, float(v @ v))
+            got, xi = sq.gauge_min(z, tau, r, t, return_argmin=True)
+            tol = 1e-12 * max(1.0, abs(want))
+            assert abs(got - want) <= tol, (z, tau, r, t)
+            assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
+            assert abs(float(np.sum((M @ xi - v) ** 2)) - got) <= tol, (z, tau, r, t)
+
+    def test_batched_rows_match_scalar(self):
+        # bit for bit: a row's value does not depend on the rest of its batch
+        for n in (1, 2):
+            rows = [(z, tau) for z, tau, _, _ in gauge_cases() if z.size == 2 * n]
+            zs = np.stack([z for z, _ in rows])
+            got = sq.gauge_min_batched(zs, np.array([tau for _, tau in rows]), 1.3, 0.6)
+            assert got.tolist() == [sq.gauge_min(z, tau, 1.3, 0.6) for z, tau in rows]
+
+    @pytest.mark.parametrize("steps", [1, 3, sq._NEWTON_STEPS])
+    def test_newton_root_stays_in_bracket(self, steps, monkeypatch):
+        capped = steps < sq._NEWTON_STEPS
+        monkeypatch.setattr(sq, "_NEWTON_STEPS", steps)
+        for z, tau, r, t in gauge_cases():
+            lam, qt, _, _, _ = sq._gauge_secular(np.array([z @ z]), np.array([tau]), r, t)
+            gap = lam - lam[:, :1]
+            qq = qt * qt
+            qn = np.sqrt(qq.sum(axis=1))
+            lo = 1e-18 * np.maximum(np.maximum(gap.max(axis=1), qn), 1e-300)
+            hi = np.maximum(qn, 2 * lo)
+            if np.sum(qq / (gap + lo[:, None]) ** 2) < 1.0:
+                continue  # hard case: no root on the bracket
+            s = sq._secular_root(gap, qq, lo, hi, np.ones(1, dtype=bool))
+            assert lo[0] <= s[0] <= hi[0]
+            if not capped:
+                assert np.sum(qq / (gap + s[:, None]) ** 2) == pytest.approx(1.0, rel=1e-12)
+
+    def test_no_eigensolver_on_the_gauge_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
+        sq.gauge_min_batched(np.ones((3, 2)), np.arange(3.0), 1.5, 0.4)
+        sq.sphere_distance(y, 1.5, return_witness=True)
+
+
 class TestSphereDistance:
     def brute(self, y, r, n, rng, samples=3000):
         pts = rng.standard_normal((samples, 2 * n + 1))
