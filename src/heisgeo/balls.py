@@ -10,21 +10,39 @@ origin the fiber over y with X = |y|^2 is
 
 whose bound comes from the one overflow-checked helper _halfwidth.  A
 translate g B or B g moves each fiber as a whole, so balls about any center,
-shifted balls sigma B, the difference B triangle sigma B, the annulus around
-S_k and the shells B_i minus B_(i-1) are all fiber sets built by intersecting,
-subtracting and merging intervals fiber by fiber.  Counts never materialize
-points; enumeration writes each point once, already lex-sorted.  No floating
-point enters any count except through the certified minimizer used for the
-ambiguous band of t-boundary membership.
+shifted balls sigma B, the difference B triangle sigma B and the shells
+B_i minus B_(i-1) are all fiber sets built by intersecting, subtracting and
+merging intervals fiber by fiber.  Counts never materialize points;
+enumeration writes each point once, already lex-sorted.
 
 The t-boundary d_t B_r(x) is the set of points within distance t of the
-metric sphere S_r(x).  Membership is decided by a three-state protocol:
-an exact integer quick-out (triangle inequality: |d(y,x) - r| > t), an
-exact integer quick-in (the dilation witness gives dist <= sqrt|d^2 - r^2|),
-and for the remaining thin shell the certified global minimum of the sphere
-gauge from the spherequad module with a fixed 1e-9 acceptance band, so
-counts are deterministic and reproducible.  The batched test solves the
-gauge once per (|z|^2, |m|) orbit of the ambiguous rows.
+sphere S_r(x).  Exact integer screens settle most points: a quick-out
+(|d(y,x) - r| > t, the triangle inequality) and a quick-in (the dilation
+witness gives dist <= sqrt|d^2 - r^2|).  Between them the certified
+minimum of the sphere gauge (spherequad) decides, accepted up to the fixed
+band _ACCEPT; no other float enters a count.  d_t B_k(0) is a FiberSet,
+since each of its fibers is one band {lo <= |m| <= hi} of one parity class:
+
+  - d is right-invariant, so y is within t of S_k(0) exactly when y = w s
+    with N(w) <= t and N(s) = k.
+  - Fix z = z_y and z_w, so z_s = z - z_w.  The fiber of S_k(0) over z_s is
+    {+-h_k(|z_s|)}, that of B_t(0) over z_w is [-h_t(|z_w|), h_t(|z_w|)],
+    and the product adds the twist (1/2) omega(z_w, z).  So the central
+    values over z are the union of +-h_k(|z - z_w|) + (1/2) omega(z_w, z)
+    + [-h_t, h_t].
+  - For each sign, that union over the convex set {|z_w| <= t,
+    |z - z_w| <= k} is an interval: a continuous image of a connected set.
+  - The flip composed with a U(n) rotation fixes the origin and S_k(0) and
+    maps the fiber over z onto its negative.  A symmetric union of at most
+    two intervals is {lo <= |m| <= hi}.
+
+Along a fiber d^2 grows with |m|.  The quick-in run k^2 - t^2 <= d^2 <=
+k^2 + t^2 lies in the band, or m = 0 does where there is no such run
+(|z|^2 > k^2 + t^2; a horizontal point attains the triangle bound).  So the
+band meets the annulus run below it as a top end and the run above as a
+bottom end, whether or not the quick-in run holds a lattice point, and the
+gauge decides only where those two ends fall, by bisection, once per |z|^2
+and parity.
 """
 
 from __future__ import annotations
@@ -55,6 +73,7 @@ from .errors import ResourceCapError
 from .spherequad import gauge_min, gauge_min_batched, point_to_flat
 
 DEFAULT_CAP = 10 ** 8
+_ACCEPT = 1.0 + 1e-9  # a gauge minimum up to this certifies "within t of the sphere"
 _PAIR_BATCH = 1 << 16  # (fiber, center) pairs per batch of the product count
 
 
@@ -73,23 +92,23 @@ def _count_congruent(lo, hi, residue, modulus):
     return np.maximum((hi - residue) // modulus - (lo - 1 - residue) // modulus, 0)
 
 
-def _halfwidth(u: int, v: int, x: np.ndarray, strict: bool = False) -> np.ndarray:
-    """Largest |m| with d((y, m), 0) <= u/v (< u/v when strict), -1 if none.
+def _halfwidth(p: int, q: int, x: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Largest |m| with d((y, m), 0)^2 <= p/q (< p/q when strict), -1 if none.
 
-    x holds X = |y|^2 for fibers inside the disk X <= (u/v)^2.  The bound is
-    4 u^2 v^2 X + v^4 m^2 <= 4 u^4, every term of which is at most 4 u^4, so
-    int64 is exact while 4 max(u, v)^4 <= 2^62; beyond that the arithmetic
-    runs in Python integers.
+    x holds X = |y|^2 and p >= 0.  As d^2 = (X + sqrt(X^2 + m^2)) / 2, the
+    bound is X <= p/q and q^2 m^2 <= 4 p (p - q X), with terms at most
+    4 p max(p, q X) (4 u^4 for a ball of radius u/v): int64 while that is at
+    most 2^62, Python integers beyond.
     """
-    if 4 * max(u, v) ** 4 <= 2 ** 62:
+    if 4 * p * max(p, q * int(np.max(x, initial=0))) <= 2 ** 62:
         isqrt = _isqrt_vec
     else:
         x = np.asarray(x).astype(object)
         isqrt = np.frompyfunc(math.isqrt, 1, 1)
-    t = 4 * u * u * (u * u - v * v * x)
+    t = 4 * p * (p - q * x)
     if strict:
-        return np.where(t > 0, isqrt(np.maximum(t - 1, 0)) // (v * v), -1)
-    return np.where(t >= 0, isqrt(np.maximum(t, 0)) // (v * v), -1)
+        return np.where(t > 0, isqrt(np.maximum(t - 1, 0)) // q, -1)
+    return np.where(p - q * x >= 0, isqrt(np.maximum(t, 0)) // q, -1)
 
 
 def _disk(n: int, u: int, v: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +169,7 @@ class FiberSet:
         """Fibers of B_r(0), the open ball when strict; B_r(c) is ball(...).translate(c)."""
         u, v = radius_parts(r)
         y, x = _disk(n, u, v, cap)
-        w = _halfwidth(u, v, x, strict)
+        w = _halfwidth(u * u, v * v, x, strict)
         hull = w - (w - np.sum(y[:n] * y[n:], axis=0)) % 2
         keep = hull >= 0
         return cls(np.compress(keep, y, axis=1), -hull[keep], hull[keep])
@@ -255,6 +274,10 @@ class FiberSet:
         fiber[order] = np.cumsum(new_fiber)
         first, top = _merge_runs(fiber, lo, np.concatenate([self.hi, other.hi]))
         return FiberSet(y.take(first, axis=1), lo[first], top)
+
+    def symmetric_difference(self, other: "FiberSet") -> "FiberSet":
+        """self ^ other; both have one entry per fiber."""
+        return self.difference(other).union(other.difference(self))
 
     def corner_counts(self, modulus: int) -> np.ndarray:
         """(entries, modulus) counts of points by matrix corner (m + <a,b>)/2 mod modulus."""
@@ -365,7 +388,7 @@ def ball_cardinality(n: int, r: Radius) -> int:
     if u == 0:
         return 1
     H = _horizontal_hist(n, u, v)
-    M = _halfwidth(u, v, np.arange(H.shape[0], dtype=np.int64))
+    M = _halfwidth(u * u, v * v, np.arange(H.shape[0], dtype=np.int64))
     total = 0
     for p in (0, 1):
         total += int(np.sum(H[:, p] * _count_congruent(-M, M, p, 2)))
@@ -442,7 +465,7 @@ def product_ball_cardinality(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
         s2 = sum((w[j][None, :] - ys[j][:, None]) ** 2 for j in range(2 * n))
         im = ys[:n].T @ w[n:] - ys[n:].T @ w[:n]  # Im<z_y, z_w>
         iy, iw = np.nonzero(s2 <= k * k)
-        W = _halfwidth(k, 1, s2[iy, iw])
+        W = _halfwidth(k * k, 1, s2[iy, iw])
         im = im[iy, iw]
         parity = (np.sum(ys[:n] * ys[n:], axis=0) % 2)[iy]
         keep = (W >= 1) | ((im + pw[iw]) % 2 == parity)
@@ -500,8 +523,7 @@ def symmetric_difference_coords(
 ) -> np.ndarray:
     """All points of B_k(0) triangle sigma B_k(0) as lex-sorted coordinate rows."""
     ball = FiberSet.ball(n, k, cap=cap)
-    shifted = ball.translate(sigma, left=True)
-    return ball.difference(shifted).union(shifted.difference(ball)).rows()
+    return ball.symmetric_difference(ball.translate(sigma, left=True)).rows()
 
 
 # --- thickened boundaries ---------------------------------------------------
@@ -562,7 +584,7 @@ def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:
             return BoundaryResult(True, "exact-in")
         z_flat, tau = point_to_flat(reduced)
         val = gauge_min(z_flat, tau, float(rf), float(tf))
-        return BoundaryResult(bool(val <= 1.0 + 1e-9), "minimizer-in" if val <= 1.0 + 1e-9 else "minimizer-out")
+        return BoundaryResult(bool(val <= _ACCEPT), "minimizer-in" if val <= _ACCEPT else "minimizer-out")
     cy = as_continuous(y)
     cc = as_continuous(spec.center)
     reduced = multiply(cy, inverse(cc))
@@ -576,107 +598,84 @@ def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:
         return BoundaryResult(True, "exact-in")
     z_flat, tau = point_to_flat(reduced)
     val = gauge_min(z_flat, tau, rf, tf)
-    inside = bool(val <= 1.0 + 1e-9)
+    inside = bool(val <= _ACCEPT)
     return BoundaryResult(inside, "minimizer-in" if inside else "minimizer-out")
 
 
-def _annulus_coords(n: int, k: int, t: Radius, cap: int) -> np.ndarray:
-    """Lattice points with k - t <= d(y, 0) <= k + t, the boundary superset."""
-    t = Fraction(*radius_parts(t))
-    shell = FiberSet.ball(n, k + t, cap=cap).difference(
-        FiberSet.ball(n, max(k - t, 0), cap=cap, strict=True))
-    count = shell.count()
-    if count > cap:
-        raise ResourceCapError(
-            f"annulus of {count} points exceeds cap {cap}", predicted=count, cap=cap
-        )
-    return shell.rows()
-
-
-def _within_sphere_band(coords: np.ndarray, n: int, k: int, t: Radius) -> np.ndarray:
-    """Vectorized three-state test: within t of S_k(0), per coordinate row.
-
-    Quick screens run exactly: in int64 while every screen term provably
-    fits, in Python integers beyond (as in _halfwidth).  Membership depends
-    on (|z|^2, |m|) alone (U(n) rotations and the flip are isometries fixing
-    the origin, and the gauge solver sees nothing else), so the ambiguous
-    band goes to the batched certified minimizer once per distinct key, in
-    chunks, and the decision is scattered back to every row of the orbit.
-    """
+def _t_boundary(n: int, k: int, t: Radius, cap: int) -> FiberSet:
+    """The fibers of d_t B_k(0), each one band lo <= |m| <= hi (module docstring)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     u, v = radius_parts(t)
-    V = v * v
-    x_worst = int(np.max(np.abs(coords[:, : 2 * n]), initial=0)) ** 2 * 2 * n
-    m_worst = int(np.max(np.abs(coords[:, 2 * n]), initial=0)) if coords.size else 0
-    worst = x_worst * x_worst + m_worst * m_worst
-    # each screen term 2 U - V x, with U one of (kv -+ u)^2 and k^2 V -+ u^2,
-    # is at most 2 (kv + u)^2 + V x in size; it is squared and compared with
-    # V^2 |y|^4 <= V^2 worst
-    screen = 2 * (k * v + u) ** 2 + V * x_worst
-    x = np.sum(coords[:, : 2 * n] * coords[:, : 2 * n], axis=1)
-    m = coords[:, 2 * n]
-    if max(worst * V * V, screen * screen) > 2 ** 62:
-        x, m = x.astype(object), m.astype(object)
-    norm_sq = x * x + m * m
-    # quick-out: lam^2 outside [(k-t)^2, (k+t)^2]
-    U2 = (k * v + u) ** 2
-    out_hi = (2 * U2 - V * x < 0) | (V * V * norm_sq > (2 * U2 - V * x) ** 2)
-    if k * v > u:
-        U1 = (k * v - u) ** 2
-        out_lo = (2 * U1 - V * x > 0) & (V * V * norm_sq < (2 * U1 - V * x) ** 2)
-    else:
-        out_lo = np.zeros(coords.shape[0], dtype=bool)
-    result = np.zeros(coords.shape[0], dtype=bool)
-    alive = ~(out_hi | out_lo)
-    # horizontal rows realize the triangle bound, so alive means member
-    horizontal = m == 0
-    result[alive & horizontal] = True
-    # quick-in: (k^2 - t^2) <= lam^2 <= (k^2 + t^2), the dilation witness band
-    A = 2 * (k * k * V - u * u) - V * x
-    B = 2 * (k * k * V + u * u) - V * x
-    quick_in = ((A <= 0) | (A * A <= V * V * norm_sq)) & (B >= 0) & (V * V * norm_sq <= B * B)
-    result[alive & quick_in] = True
-    ambiguous = np.flatnonzero(alive & ~quick_in & ~horizontal)
-    if ambiguous.size and u == 0:
-        raise AssertionError("t = 0 must be settled exactly by the screens")
-    if not ambiguous.size:
-        return result
-    # one key per (x, |m|) orbit; below 2^62 whenever the screens ran in int64
-    m_abs = abs(m[ambiguous])
-    key = x[ambiguous] * (m_abs.max() + 1) + m_abs
-    _, first, orbit = np.unique(key, return_index=True, return_inverse=True)
-    reps = ambiguous[first]
-    accept = np.empty(reps.size, dtype=bool)
-    chunk = 200_000
-    for start in range(0, reps.size, chunk):
-        idx = reps[start: start + chunk]
-        z_flat = coords[idx, : 2 * n].astype(float)
-        tau = coords[idx, 2 * n].astype(float) / 2.0
-        vals = gauge_min_batched(z_flat, tau, float(k), u / v)
-        accept[start: start + chunk] = vals <= 1.0 + 1e-9
-    result[ambiguous] = accept[orbit]
-    return result
+    V, K = v * v, k * k * v * v
+    y, x = _disk(n, *radius_parts(k + Fraction(u, v)), cap)
+    par = np.sum(y[:n] * y[n:], axis=0) % 2
+    # one group per occurring (|y|^2, parity); any of its fibers stands for it
+    group = np.full((int(x.max()) + 1, 2), -1)
+    group[x, par] = np.arange(x.size)
+    gx, gp = np.nonzero(group >= 0)
+    z = np.tile(y[:, group[gx, gp]].T.astype(float), (2, 1))
+    group[gx, gp] = np.arange(gx.size)
+
+    def least(p):  # least |m| of the class with lam^2 >= p / V
+        b = _halfwidth(p, V, gx, strict=True).astype(np.int64) + 1
+        return b + (b - gp) % 2
+
+    def most(p):  # greatest |m| of the class with lam^2 <= p / V
+        b = _halfwidth(p, V, gx).astype(np.int64)
+        return b - (b - gp) % 2
+
+    a_lo, a_hi = least(max(k * v - u, 0) ** 2), most((k * v + u) ** 2)
+    q_lo, q_hi = least(max(K - u * u, 0)), most(K + u * u)
+    # the annulus runs below and above the quick-in band, walked away from it, hold
+    # their members first: bisect their member counts in lockstep, one call a step
+    start = np.concatenate([np.minimum(a_hi, q_lo - 2), np.maximum(a_lo, q_hi + 2)])
+    end = np.concatenate([a_lo, a_hi])
+    step = np.repeat([-2, 2], gx.size)
+    size = np.maximum((end - start) // step + 1, 0)
+    # m = 0 is a member without a call (the triangle bound is attained): it
+    # settles a run below the band and starts one above it
+    found = np.minimum(size, np.where(end == 0, size, start == 0))
+    bound = size.copy()
+    while True:
+        live = np.flatnonzero(found < bound)
+        if not live.size:
+            break
+        mid = (found[live] + bound[live] + 1) // 2
+        tau = (start[live] + step[live] * (mid - 1)) / 2.0
+        inside = gauge_min_batched(z[live], tau, float(k), u / v) <= _ACCEPT
+        found[live] = np.where(inside, mid, found[live])
+        bound[live] = np.where(inside, bound[live], mid - 1)
+    edge = start + step * found  # the first non-member of each run
+    g = group[x, par]
+    lo = np.maximum(a_lo, edge[:gx.size] + 2)[g]
+    hi = np.minimum(a_hi, edge[gx.size:] - 2)[g]
+    keep = lo <= hi
+    y, lo, hi = np.compress(keep, y, axis=1), lo[keep], hi[keep]
+    return FiberSet(y, -hi, -lo).union(FiberSet(y, lo, hi))
 
 
 def t_boundary_coords(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Coordinate rows of all lattice points within t of the sphere S_k(0), lex-sorted."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    coords = _annulus_coords(n, k, t, cap)
-    if coords.shape[0] == 0:
-        return coords
-    return coords[_within_sphere_band(coords, n, k, t)]
+    band = _t_boundary(n, k, t, cap)
+    count = band.count()
+    if count > cap:
+        raise ResourceCapError(
+            f"t-boundary of {count} points exceeds cap {cap}", predicted=count, cap=cap
+        )
+    return band.rows()
 
 
 def t_boundary_count(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> int:
-    """# lattice points within t of the sphere S_k(0), decided once per (|z|^2, |m|) orbit.
+    """# lattice points within t of the sphere S_k(0), summed over fiber bands.
 
-    U(n) rotations of z and the flip (z, m) -> (conj z, -m) are isometries
-    fixing the origin, so they map S_k(0) onto itself and preserve the
-    distance to it; the exact screens read only |z|^2 and m^2, and the
-    gauge solver only |z|^2 and |tau|.  So one decision per orbit is the
-    decision of every point in it, bit for bit.
+    Each fiber is one band of |m| (module docstring).  The gauge decides
+    only the two ends of each band, by bisection, once per |z|^2 and parity
+    for all fibers that share them: U(n) rotations and the flip fix the
+    origin and the sphere, and the gauge reads only |z|^2 and |tau|.  No
+    point is materialized; cap bounds the horizontal grid of B_(k+t).
     """
-    return int(t_boundary_coords(n, k, t, cap).shape[0])
+    return _t_boundary(n, k, t, cap).count()
 
 
 def sphere_cardinality(n: int, k: int) -> int:

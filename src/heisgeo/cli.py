@@ -421,10 +421,10 @@ def build_parser() -> Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
-    def common(p, *, seed=False, trials=None, fmt="plain"):
+    def common(p, *, seed=False, trials=None, fmt="plain", cap_help=None):
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--format", choices=("plain", "csv", "json"), default=fmt)
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if trials is not None:
@@ -454,7 +454,8 @@ def build_parser() -> Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", type=_fraction, required=True)
-    common(p)
+    common(p, cap_help="largest horizontal fiber grid of B_(k+t), in cells; "
+                       "the points are counted per fiber, not enumerated")
     p.set_defaults(func=cmd_boundary)
 
     p = sub.add_parser("net", help="greedy rho/2-net of the unit ball")

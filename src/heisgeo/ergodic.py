@@ -23,9 +23,8 @@ from .balls import (
     FiberSet,
     _count_congruent,  # the congruence count behind corner_counts, importable here
     _lattice_points,
+    _t_boundary,
     ball_cardinality,
-    symmetric_difference_coords,
-    t_boundary_coords,
 )
 from .core import LatticePoint, Radius, generator, inverse, multiply
 from .errors import ResourceCapError
@@ -200,38 +199,22 @@ def ball_label_counts(action: WeightedAction, k: int, cap: int = DEFAULT_CAP) ->
 @lru_cache(maxsize=128)
 def _ball_label_counts(action: WeightedAction, k: int, cap: int) -> dict:
     # actions compare by identity (eq=False), so the cache keys on the object
-    ball = FiberSet.ball(action.n, k, cap=cap)
+    return _label_counts(action, FiberSet.ball(action.n, k, cap=cap))
+
+
+def _label_counts(action: WeightedAction, fibers: FiberSet) -> dict:
+    """{label: #points of the fiber set with that label}, by congruence counts per entry."""
     if action.kind == "quotient":
         # label (a, b, c) mod m with corner c = (m_int + <a,b>)/2
         m = action.spec["m"]
-        counts = ball.corner_counts(m)
-        digits = np.vstack([np.repeat(ball.y % m, m, axis=1), np.tile(np.arange(m), ball.lo.size)])
+        counts = fibers.corner_counts(m)
+        digits = np.vstack([np.repeat(fibers.y % m, m, axis=1), np.tile(np.arange(m), fibers.lo.size)])
         return _label_histogram(digits, counts.ravel(), m)
     if action.kind == "torus":
         L = action.spec["resolution"]
         shifts = np.array(action.spec["shifts"], dtype=np.int64)
-        return _label_histogram((ball.y * shifts[:, None]) % L, ball.sizes(), L)
+        return _label_histogram((fibers.y * shifts[:, None]) % L, fibers.sizes(), L)
     raise ValueError(f"unknown action kind {action.kind!r}")
-
-
-def _coords_label_counts(action: WeightedAction, coords: np.ndarray) -> dict:
-    """Label histogram of explicit coordinate rows (vectorized)."""
-    n = action.n
-    if coords.shape[0] == 0:
-        return {}
-    if action.kind == "quotient":
-        m = action.spec["m"]
-        s = np.sum(coords[:, :n] * coords[:, n:2 * n], axis=1)
-        c = ((coords[:, 2 * n] + s) // 2) % m
-        digits = np.vstack([coords[:, :2 * n].T % m, c])
-        base = m
-    elif action.kind == "torus":
-        base = action.spec["resolution"]
-        shifts = np.array(action.spec["shifts"], dtype=np.int64)
-        digits = (coords[:, :2 * n] * shifts).T % base
-    else:
-        raise ValueError(f"unknown action kind {action.kind!r}")
-    return _label_histogram(digits, np.ones(coords.shape[0], dtype=np.int64), base)
 
 
 def _weighted_sums(action: WeightedAction, counts: dict, func, x):
@@ -266,9 +249,9 @@ def weighted_average(action: WeightedAction, f, k: int, x,
 def nsfc_ratio(action: WeightedAction, k: int, sigma: LatticePoint, x,
                cap: int = DEFAULT_CAP) -> Fraction:
     """Non-singular Folner ratio over B_k triangle sigma B_k, exact."""
-    delta = symmetric_difference_coords(action.n, k, sigma, cap)
-    _, num = _weighted_sums(action, _coords_label_counts(action, delta),
-                            None, x)
+    ball = FiberSet.ball(action.n, k, cap=cap)
+    delta = ball.symmetric_difference(ball.translate(sigma, left=True))
+    _, num = _weighted_sums(action, _label_counts(action, delta), None, x)
     _, den = _weighted_sums(action, ball_label_counts(action, k, cap), None, x)
     return num / den
 
@@ -276,9 +259,8 @@ def nsfc_ratio(action: WeightedAction, k: int, sigma: LatticePoint, x,
 def boundary_weight_ratio(action: WeightedAction, k: int, t: Radius, x,
                           cap: int = DEFAULT_CAP) -> Fraction:
     """(sum_{t-boundary of B_k} w_g(x)) / (sum_{B_k} w_g(x)), exact."""
-    coords = t_boundary_coords(action.n, k, t, cap)
-    _, num = _weighted_sums(action, _coords_label_counts(action, coords),
-                            None, x)
+    band = _t_boundary(action.n, k, t, cap)
+    _, num = _weighted_sums(action, _label_counts(action, band), None, x)
     _, den = _weighted_sums(action, ball_label_counts(action, k, cap), None, x)
     return num / den
 

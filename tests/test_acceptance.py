@@ -167,13 +167,22 @@ def _rows_subset(sub, sup):
     """Each row of sub appears among the rows of sup (both int64, 2D)."""
     if len(sub) == 0:
         return True
-    a = np.ascontiguousarray(sub).view([("", sub.dtype)] * sub.shape[1]).ravel()
-    b = np.ascontiguousarray(sup).view([("", sup.dtype)] * sup.shape[1]).ravel()
-    b = np.sort(b)
-    idx = np.searchsorted(b, a)
-    ok = idx < len(b)
-    ok[ok] = b[idx[ok]] == a[ok]
-    return bool(np.all(ok))
+    if len(sup) == 0:
+        return False
+    # one mixed-radix key per row over the box both sets span; keys keep rows distinct
+    low = np.minimum(sub.min(axis=0), sup.min(axis=0))
+    radix = np.maximum(sub.max(axis=0), sup.max(axis=0)) - low + 1
+    assert np.prod(radix.astype(float)) < 2.0 ** 63
+
+    def keys(rows):
+        key = np.zeros(len(rows), dtype=np.int64)
+        for j in range(rows.shape[1]):
+            key = key * radix[j] + (rows[:, j] - low[j])
+        return key
+
+    a, b = keys(sub), np.sort(keys(sup))
+    idx = np.minimum(np.searchsorted(b, a), len(b) - 1)
+    return bool(np.all(b[idx] == a))
 
 
 def test_criterion_4_folner_decay_and_boundary_containment():

@@ -46,6 +46,19 @@ def candidate_box(center, r):
             for m in range(m0 - M, m0 + M + 1) if (m - a * b) % 2 == 0]
 
 
+def annulus_rows(n, k, t):
+    """Rows of the annulus k - t <= d(y, 0) <= k + t, the t-boundary's superset."""
+    t = Fraction(t)
+    outer = balls.FiberSet.ball(n, k + t)
+    return outer.difference(balls.FiberSet.ball(n, max(k - t, 0), strict=True)).rows()
+
+
+def band_membership(coords, n, k, t):
+    """Per row of coords: is it a row of t_boundary_coords(n, k, t)?"""
+    band = {tuple(r) for r in balls.t_boundary_coords(n, k, t).tolist()}
+    return np.array([tuple(r) in band for r in coords.tolist()], dtype=bool)
+
+
 def oracle_sphere_dist(p, r, rng, starts=6):
     """Multistart downhill minimization of d(p, .) over the dilated sphere."""
     y = hg.as_continuous(p)
@@ -188,7 +201,7 @@ class TestFiberSet:
                    if hg.dist_le_exact(p, e, k + t)
                    and not (inner > 0 and hg.dist_le_exact(p, e, inner)
                             and not hg.dist_eq_exact(p, e, inner))}
-        assert self.point_set(balls._annulus_coords(1, k, t, 10 ** 6)) == annulus
+        assert self.point_set(annulus_rows(1, k, t)) == annulus
 
         with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort called")):
             table = balls.enumerate_ball(1, k, center)
@@ -283,8 +296,7 @@ class TestFolner:
         # with t = d(sigma, 0) the difference hugs the sphere
         for k in (2, 5, 10):
             coords = balls.symmetric_difference_coords(1, k, E1)
-            member = balls._within_sphere_band(coords, 1, k, 1)
-            assert member.all()
+            assert band_membership(coords, 1, k, 1).all()
 
     def test_folner_csv_golden(self):
         rows = [balls.FolnerRow(k, *balls.symmetric_difference_cardinality(1, k, E1))
@@ -423,7 +435,7 @@ class TestTBoundary:
     @pytest.mark.parametrize("k,t", [(1, Fraction(50001, 10000)), (5, Fraction(1, 10 ** 5))])
     def test_screens_beyond_int64_match_scalar(self, k, t):
         # their screen terms exceed int64, which the batched path once refused
-        coords = balls._annulus_coords(1, k, t, 10 ** 7)
+        coords = annulus_rows(1, k, t)
         spec = balls.BallSpec(hg.lattice_identity(1), k, t)
         want = sum(balls.boundary_contains(hg.LatticePoint((a,), (b,), m), spec).inside
                    for a, b, m in coords.tolist())
@@ -433,8 +445,8 @@ class TestTBoundary:
         # the scalar boundary_contains accepts 21817 of the 41653 annulus rows
         # (a 55 s pass); every 40th row is rechecked here
         t = Fraction(50001, 10000)
-        coords = balls._annulus_coords(1, 5, t, 10 ** 7)
-        member = balls._within_sphere_band(coords, 1, 5, t)
+        coords = annulus_rows(1, 5, t)
+        member = band_membership(coords, 1, 5, t)
         spec = balls.BallSpec(hg.lattice_identity(1), 5, t)
         for (a, b, m), got in zip(coords[::40].tolist(), member[::40].tolist()):
             assert balls.boundary_contains(hg.LatticePoint((a,), (b,), m), spec).inside == got
@@ -444,7 +456,7 @@ class TestTBoundary:
     @pytest.mark.parametrize("k,t", [(30, Fraction(1, 50)), (20, Fraction(1, 100))])
     def test_small_denominator_band_matches_scalar(self, k, t):
         # these fit the int64 screens once the bound uses the horizontal columns
-        coords = balls._annulus_coords(1, k, t, 10 ** 7)
+        coords = annulus_rows(1, k, t)
         spec = balls.BallSpec(hg.lattice_identity(1), k, t)
         want = sum(balls.boundary_contains(hg.LatticePoint((a,), (b,), m), spec).inside
                    for a, b, m in coords.tolist())
@@ -453,28 +465,50 @@ class TestTBoundary:
     @pytest.mark.parametrize("k,t", [(2, 1), (3, Fraction(1, 2))])
     def test_orbit_keys_n2_match_scalar(self, k, t):
         # U(2) moves z within its sphere |z|^2 = x, which n = 1 cannot show
-        coords = balls._annulus_coords(2, k, t, 10 ** 7)
+        coords = annulus_rows(2, k, t)
         spec = balls.BallSpec(hg.lattice_identity(2), k, t)
         want = [row for row in coords.tolist() if balls.boundary_contains(
             hg.LatticePoint(tuple(row[:2]), tuple(row[2:4]), row[4]), spec).inside]
-        solved = []
+        solved, probes = [], []
 
         def record(z_flat, tau, r, tf):
             solved.extend(zip(np.sum(z_flat * z_flat, axis=1).tolist(), np.abs(tau).tolist()))
+            probes.extend(hg.LatticePoint(tuple(map(int, z[:2])), tuple(map(int, z[2:])), round(2 * m))
+                          for z, m in zip(z_flat.tolist(), tau.tolist()))
             return sq.gauge_min_batched(z_flat, tau, r, tf)
 
         with mock.patch.object(balls, "gauge_min_batched", record):
             got = balls.t_boundary_coords(2, k, t)
         assert got.tolist() == want
-        assert solved and len(set(solved)) == len(solved)  # one solve per orbit
+        assert solved and len(set(solved)) == len(solved)  # each (|z|^2, |tau|) at most once
+        # the solver sees only points the exact screens leave open
+        assert all(balls.boundary_contains(p, spec).route.startswith("minimizer") for p in probes)
 
     def test_count_at_40(self):
         assert balls.t_boundary_count(1, 40, 1) == 1300646
 
+    def test_cap_bounds_grid_for_count_and_points_for_coords(self):
+        # the horizontal grid of B_11 has 23^2 = 529 cells; the band has 20506 points
+        assert balls.t_boundary_count(1, 10, 1, cap=529) == 20506
+        with pytest.raises(ResourceCapError):
+            balls.t_boundary_count(1, 10, 1, cap=528)
+        with pytest.raises(ResourceCapError):
+            balls.t_boundary_coords(1, 10, 1, cap=20505)
+        assert balls.t_boundary_coords(1, 10, 1, cap=20506).shape[0] == 20506
+
+    def test_boundary_share_decays_like_one_over_k(self):
+        # Hochman's ratio theorem needs |d_t B_k| / |B_k| -> 0; here it is ~4.86 / k,
+        # counted up to k = 200 (an annulus of ~2.7e8 points) without materializing one
+        ks = [20, 50, 100, 200]
+        with mock.patch.object(balls.FiberSet, "rows", side_effect=AssertionError("rows called")):
+            shares = [balls.t_boundary_count(1, k, 1) / balls.ball_cardinality(1, k) for k in ks]
+        slope = np.polyfit(np.log(ks), np.log(shares), 1)[0]
+        assert -1.05 <= slope <= -0.95
+
     def test_scalar_and_batched_paths_agree(self):
         k, t = 3, 1
-        coords = balls._annulus_coords(1, k, t, 10 ** 7)
-        member = balls._within_sphere_band(coords, 1, k, t)
+        coords = annulus_rows(1, k, t)
+        member = band_membership(coords, 1, k, t)
         spec = balls.BallSpec(hg.lattice_identity(1), k, t)
         for row, got in zip(coords.tolist(), member.tolist()):
             y = hg.LatticePoint((row[0],), (row[1],), row[2])
