@@ -15,7 +15,7 @@ _EXPORTS = {
         "as_continuous", "continuous_identity", "dilate", "dist_eq_exact",
         "dist_le_exact", "generator", "homogeneous_norm", "imag_inner",
         "inverse", "isometry_flip", "isometry_rotate", "lattice_identity",
-        "lattice_rotate_quarter", "metric_d", "multiply", "norm_sq_exact",
+        "lattice_rotate_quarter", "metric_d", "multiply", "offset_exact",
         "point_from_json", "point_to_json", "project_unit_sphere",
     ),
     "covering": (

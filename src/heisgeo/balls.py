@@ -20,8 +20,11 @@ sphere S_r(x).  Exact integer screens settle most points: a quick-out
 (|d(y,x) - r| > t, the triangle inequality) and a quick-in (the dilation
 witness gives dist <= sqrt|d^2 - r^2|).  Between them the certified
 minimum of the sphere gauge (spherequad) decides, accepted up to the fixed
-band _ACCEPT; no other float enters a count.  d_t B_k(0) is a FiberSet,
-since each of its fibers is one band {lo <= |m| <= hi} of one parity class:
+band _ACCEPT; no other float enters a count.  In boundary_contains the
+exact-* routes are integer decisions on the exact offset y x^-1
+(core.offset_exact) for every input, the minimizer-* routes the gauge's.
+d_t B_k(0) is a FiberSet, since each of its fibers is one band
+{lo <= |m| <= hi} of one parity class:
 
   - d is right-invariant, so y is within t of S_k(0) exactly when y = w s
     with N(w) <= t and N(s) = k.
@@ -58,15 +61,14 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .core import (
-    ContinuousPoint,
     LatticePoint,
     Point,
     Radius,
-    as_continuous,
     inverse,
     lattice_identity,
-    metric_d,
     multiply,
+    offset_cmp,
+    offset_exact,
     radius_parts,
 )
 from .errors import ResourceCapError
@@ -299,10 +301,9 @@ class BallSpec:
     thickening: Union[int, float, Fraction] = 0
 
     def __post_init__(self) -> None:
-        if not float(self.radius) > 0:
+        if radius_parts(self.radius)[0] == 0:
             raise ValueError("radius must be positive")
-        if float(self.thickening) < 0:
-            raise ValueError("thickening must be nonnegative")
+        radius_parts(self.thickening)  # ValueError unless finite and nonnegative
 
 
 def _lattice_points(n: int, coords: np.ndarray, cap: int) -> list[LatticePoint]:
@@ -539,65 +540,32 @@ class BoundaryResult:
         return self.inside
 
 
-def _lam_sq_cmp(x: int, m: int, rho: Fraction) -> int:
-    """sign(d(y,0)^2 - rho) for a lattice offset with X = x, doubled tau = m."""
-    # d^2 = (X + sqrt(X^2 + m^2)) / 2, so compare sqrt(X^2+m^2) with 2 rho - X
-    rhs = 2 * rho - x
-    lhs_sq = x * x + m * m
-    if rhs < 0:
-        return 1
-    diff = lhs_sq - rhs * rhs
-    return (diff > 0) - (diff < 0)
-
-
 def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:
     """Is y within spec.thickening of the sphere of radius spec.radius?
 
-    Exact integer screens settle almost every query; only points whose
-    distance to the sphere is sandwiched between the triangle lower bound
-    and the dilation-witness upper bound go to the certified minimizer.
+    Exact integer screens settle almost every query, for every input; only
+    points whose distance to the sphere is sandwiched between the triangle
+    lower bound and the dilation-witness upper bound go to the certified
+    minimizer.
     """
-    r, t = spec.radius, spec.thickening
-    exact = (
-        isinstance(y, LatticePoint)
-        and isinstance(spec.center, LatticePoint)
-        and not isinstance(r, float)
-        and not isinstance(t, float)
-    )
-    if exact:
-        reduced = multiply(y, inverse(spec.center))
-        x = sum(a * a + b * b for a, b in zip(reduced.a, reduced.b))
-        m = reduced.m
-        rf, tf = Fraction(r), Fraction(t)
-        # quick-out: |lam - r| > t, i.e. lam^2 outside [(r-t)^2, (r+t)^2]
-        if _lam_sq_cmp(x, m, (rf + tf) ** 2) > 0:
-            return BoundaryResult(False, "exact-out")
-        if rf > tf and _lam_sq_cmp(x, m, (rf - tf) ** 2) < 0:
-            return BoundaryResult(False, "exact-out")
-        # horizontal offsets realize the triangle bound, dist = |lam - r|,
-        # so surviving the quick-out screens already certifies membership
-        if m == 0:
-            return BoundaryResult(True, "exact-in")
-        # quick-in: dilation witness sqrt|lam^2 - r^2| <= t
-        if (_lam_sq_cmp(x, m, rf * rf - tf * tf) >= 0
-                and _lam_sq_cmp(x, m, rf * rf + tf * tf) <= 0):
-            return BoundaryResult(True, "exact-in")
-        z_flat, tau = point_to_flat(reduced)
-        val = gauge_min(z_flat, tau, float(rf), float(tf))
-        return BoundaryResult(bool(val <= _ACCEPT), "minimizer-in" if val <= _ACCEPT else "minimizer-out")
-    cy = as_continuous(y)
-    cc = as_continuous(spec.center)
-    reduced = multiply(cy, inverse(cc))
-    lam = metric_d(reduced, ContinuousPoint((0j,) * cy.n, 0.0))
-    rf, tf = float(r), float(t)
-    if abs(lam - rf) > tf:
+    off = offset_exact(y, spec.center)
+    (ru, rv), (tu, tv) = radius_parts(spec.radius), radius_parts(spec.thickening)
+    w = math.lcm(rv, tv)
+    r, t, w2 = ru * (w // rv), tu * (w // tv), w * w  # radius r/w, thickening t/w
+    # quick-out: |lam - r| > t, i.e. lam^2 outside [(r-t)^2, (r+t)^2]
+    if offset_cmp(off, (r + t) ** 2, w2) > 0:
         return BoundaryResult(False, "exact-out")
-    if reduced.tau == 0.0:
+    if r > t and offset_cmp(off, (r - t) ** 2, w2) < 0:
+        return BoundaryResult(False, "exact-out")
+    # horizontal offsets (M = 0) realize the triangle bound, dist = |lam - r|,
+    # so surviving the quick-out screens already certifies membership
+    if off[1] == 0:
         return BoundaryResult(True, "exact-in")
-    if math.sqrt(abs(lam * lam - rf * rf)) <= tf:
+    # quick-in: dilation witness sqrt|lam^2 - r^2| <= t
+    if offset_cmp(off, r * r - t * t, w2) >= 0 and offset_cmp(off, r * r + t * t, w2) <= 0:
         return BoundaryResult(True, "exact-in")
-    z_flat, tau = point_to_flat(reduced)
-    val = gauge_min(z_flat, tau, rf, tf)
+    z_flat, tau = point_to_flat(multiply(y, inverse(spec.center)))
+    val = gauge_min(z_flat, tau, float(spec.radius), float(spec.thickening))
     inside = bool(val <= _ACCEPT)
     return BoundaryResult(inside, "minimizer-in" if inside else "minimizer-out")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -82,6 +83,13 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {text!r}: {exc}") from None
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")  # argparse reports it as usage
+    return value
 
 
 def _config_of(args) -> dict:
@@ -460,7 +468,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("net", help="greedy rho/2-net of the unit ball")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=_finite, required=True)
     common(p)
     p.set_defaults(func=cmd_net)
 
@@ -489,26 +497,26 @@ def build_parser() -> Parser:
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--delta", type=_fraction, required=True)
     p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--R", type=float, default=2.0)
+    p.add_argument("--R", type=_finite, default=2.0)
     common(p)
     p.set_defaults(func=cmd_height)
 
     p = sub.add_parser("lss", help="shell separation gap over random configs")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--R", type=float, default=1e4)
+    p.add_argument("--R", type=_finite, default=1e4)
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     common(p, seed=True, trials=100, fmt="json")
     p.set_defaults(func=cmd_lss)
 
     p = sub.add_parser("closeball", help="equidistant witness construction")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--r", type=float, default=0.5)
+    p.add_argument("--r", type=_finite, default=0.5)
     common(p, seed=True, trials=20, fmt="json")
     p.set_defaults(func=cmd_closeball)
 
     p = sub.add_parser("intersect", help="incident sphere chain search")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--R", type=float, default=1e4)
+    p.add_argument("--R", type=_finite, default=1e4)
     p.add_argument("--max-chain", type=int, default=3)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     common(p, seed=True, trials=100, fmt="json")

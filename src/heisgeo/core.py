@@ -18,8 +18,11 @@ lambda^2 tau), and satisfies the closed form
     d(p, q)^2 = (|z-w|^2 + sqrt(|z-w|^4 + 4 D^2)) / 2,
     D = tau - sigma - Im<z, w>/2.
 
-Ball membership for lattice points and rational radii reduces to an integer
-comparison, so counting never touches floating point.
+Comparing a distance with a radius reduces to an integer comparison for
+every point type: a float is a dyadic rational, so offset_exact scales the
+offset p q^-1 by a power-of-two dilation to integer coordinates, and
+offset_cmp compares its squared distance with a rational.  Counting never
+touches floating point.
 """
 
 from __future__ import annotations
@@ -189,50 +192,96 @@ def homogeneous_norm(p: Point) -> float:
     return metric_d(cp, continuous_identity(cp.n))
 
 
-def _ball_lhs_scaled(p: LatticePoint, q: LatticePoint) -> tuple[int, int]:
-    """Return (X, t2) with X = |z_p - z_q|^2 and t2 = 2*Delta, both integers."""
-    x = sum((xa - ua) ** 2 + (yb - vb) ** 2 for xa, yb, ua, vb in zip(p.a, p.b, q.a, q.b))
-    two_delta = p.m - q.m - sum(xa * vb - yb * ua for xa, yb, ua, vb in zip(p.a, p.b, q.a, q.b))
-    return x, two_delta
-
-
-def radius_parts(r: Radius) -> tuple[int, int]:
-    """Numerator/denominator of a nonnegative int or Fraction radius."""
+def radius_parts(r: Union[Radius, float]) -> tuple[int, int]:
+    """Numerator/denominator of a finite nonnegative radius (int, Fraction or float)."""
     if isinstance(r, int):
         if r < 0:
             raise ValueError("radius must be nonnegative")
         return r, 1
+    if isinstance(r, float) and not math.isfinite(r):
+        raise ValueError("radius must be finite")
     frac = Fraction(r)
     if frac < 0:
         raise ValueError("radius must be nonnegative")
-    return frac.numerator, frac.denominator
+    return int(frac.numerator), int(frac.denominator)  # a Fraction keeps NumPy ints fixed-width
 
 
-def dist_le_exact(p: LatticePoint, q: LatticePoint, r: Radius) -> bool:
-    """d(p, q) <= r decided in integers.
+def _dyadic(p: Point) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """(A, B, T, e): p = delta_(2^-e) of the point (A + iB, T/2) with integer
+    coordinates.
 
-    Membership in the closed ball of radius u/v is
-    4 u^2 v^2 |z-w|^2 + v^4 (2 Delta)^2 <= 4 u^4.
+    A float is a dyadic rational, so e is the least exponent that clears
+    every denominator: 2^e for the horizontal coordinates, 2 * 4^e for tau.
     """
+    if isinstance(p, LatticePoint):
+        return p.a, p.b, p.m, 0
+    nums, ks = [], []
+    for c in [w.real for w in p.z] + [w.imag for w in p.z] + [p.tau]:
+        if not math.isfinite(c):
+            raise ValueError("point coordinates must be finite")
+        num, den = c.as_integer_ratio()
+        nums.append(num)
+        ks.append(den.bit_length() - 1)
+    tk = ks.pop()
+    e = max(max(ks), tk // 2)
+    h = [num << (e - k) for num, k in zip(nums, ks)]
+    return tuple(h[:p.n]), tuple(h[p.n:]), nums[-1] << (2 * e + 1 - tk), e
+
+
+def offset_exact(p: Point, q: Point) -> tuple[int, int, int]:
+    """(X, M, e) for the offset p q^-1, exactly, for any two points.
+
+    The offset scaled by delta_(2^e) has |z|^2 = X and doubled central
+    coordinate M, so d(p, q)^2 = (X + sqrt(X^2 + M^2)) / (2 * 4^e); e = 0
+    when both points are lattice points.  Non-finite coordinates raise
+    ValueError.
+    """
+    ap, bp, tp, ep = _dyadic(p)
+    aq, bq, tq, eq = _dyadic(q)
+    if len(ap) != len(aq):
+        raise ValueError("rank mismatch")
+    e = max(ep, eq)
+    sp, sq = e - ep, e - eq  # bring both points to the finer scale
+    x, m = 0, (tp << 2 * sp) - (tq << 2 * sq)
+    for s, t, u, v in zip(ap, bp, aq, bq):
+        s, t, u, v = s << sp, t << sp, u << sq, v << sq
+        x += (s - u) ** 2 + (t - v) ** 2
+        m -= s * v - t * u
+    return x, m, e
+
+
+def offset_cmp(offset: tuple[int, int, int], p: int, q: int) -> int:
+    """sign(d^2 - p/q) for an offset (X, M, e) of offset_exact and q > 0.
+
+    With U = p 4^e: d^2 > p/q when U < q X, since d^2 >= |z|^2; otherwise
+    the sign is that of q^2 M^2 - 4 U (U - q X).
+    """
+    x, m, e = offset
+    u = p << 2 * e
+    if u < q * x:
+        return 1
+    diff = q * q * m * m - 4 * u * (u - q * x)
+    return (diff > 0) - (diff < 0)
+
+
+def dist_cmp(p: Point, q: Point, r: Union[Radius, float]) -> int:
+    """sign(d(p, q) - r), exact for any two points and any finite r >= 0."""
     u, v = radius_parts(r)
-    if u == 0:
+    return offset_cmp(offset_exact(p, q), u * u, v * v)
+
+
+def dist_le_exact(p: Point, q: Point, r: Union[Radius, float]) -> bool:
+    """d(p, q) <= r decided in integers, for any two points and finite r > 0."""
+    if r == 0:
         raise ValueError("radius must be positive")
-    x, two_delta = _ball_lhs_scaled(p, q)
-    return 4 * u * u * v * v * x + v ** 4 * two_delta * two_delta <= 4 * u ** 4
+    return dist_cmp(p, q, r) <= 0
 
 
-def dist_eq_exact(p: LatticePoint, q: LatticePoint, r: Radius) -> bool:
-    """d(p, q) == r decided in integers (sphere membership)."""
-    u, v = radius_parts(r)
-    if u == 0:
+def dist_eq_exact(p: Point, q: Point, r: Union[Radius, float]) -> bool:
+    """d(p, q) == r decided in integers (sphere membership), for any two points."""
+    if r == 0:
         raise ValueError("radius must be positive")
-    x, two_delta = _ball_lhs_scaled(p, q)
-    return 4 * u * u * v * v * x + v ** 4 * two_delta * two_delta == 4 * u ** 4
-
-
-def norm_sq_exact(p: LatticePoint) -> tuple[int, int]:
-    """(|z|^2, m) for d(p,0): d^2 = (|z|^2 + sqrt(|z|^4 + m^2)) / 2."""
-    return sum(x * x + y * y for x, y in zip(p.a, p.b)), p.m
+    return dist_cmp(p, q, r) == 0
 
 
 def project_unit_sphere(p: Point) -> SphereCoords:

@@ -4,10 +4,10 @@ The pieces fit together in two staged recursions: a single-scale one that
 extracts a well-separated sphere family capturing more than half of a
 discrete measure, and a multi-scale one that chains such families across
 kappa rounds until it either certifies a mass bound or emits a candidate
-chain for the intersection-dimension test.  All hypothesis checks run in
-exact rational arithmetic whenever the inputs are lattice points with
-rational radii; only sphere-to-sphere distances fall back to a certified
-numeric minimization.
+chain for the intersection-dimension test.  Every distance-against-radius
+check is exact (core.dist_cmp), for lattice and continuous points and for
+int, Fraction and float radii alike; only sphere-to-sphere distances fall
+back to a certified numeric minimization.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .core import (
     LatticePoint,
     Point,
     as_continuous,
-    dist_eq_exact,
-    dist_le_exact,
+    dist_cmp,
     metric_d,
     multiply,
     point_to_json,
@@ -55,31 +54,13 @@ def point_key(p: Point):
     )
 
 
-def _exact_pair(p: Point, q: Point, w: Num) -> bool:
-    return (
-        isinstance(p, LatticePoint)
-        and isinstance(q, LatticePoint)
-        and not isinstance(w, float)
-    )
-
-
 def _dist_le(p: Point, q: Point, w: Num) -> bool:
-    """d(p, q) <= w; exact on rational lattice data, float otherwise."""
-    if w < 0:
-        return False
-    if _exact_pair(p, q, w):
-        if w == 0:
-            return p == q
-        return dist_le_exact(p, q, Fraction(w))
-    return metric_d(p, q) <= float(w)
+    """d(p, q) <= w, exact for every point type and radius."""
+    return w >= 0 and dist_cmp(p, q, w) <= 0
 
 
 def _dist_lt(p: Point, q: Point, w: Num) -> bool:
-    if w <= 0:
-        return False
-    if _exact_pair(p, q, w):
-        return dist_le_exact(p, q, Fraction(w)) and not dist_eq_exact(p, q, Fraction(w))
-    return metric_d(p, q) < float(w)
+    return w > 0 and dist_cmp(p, q, w) < 0
 
 
 def _num_doc(x: Num):

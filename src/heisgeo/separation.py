@@ -28,7 +28,6 @@ import numpy as np
 from .balls import BallSpec, boundary_contains
 from .core import (
     ContinuousPoint,
-    LatticePoint,
     Point,
     as_continuous,
     continuous_identity,
@@ -37,6 +36,7 @@ from .core import (
     inverse,
     isometry_flip,
     isometry_rotate,
+    lattice_identity,
     metric_d,
     multiply,
     point_to_json,
@@ -48,12 +48,6 @@ from .spherequad import point_to_flat, sphere_point
 # generous margins over the observed feasibility thresholds
 DEFAULT_CLOSEBALL_R = 8.0
 DEFAULT_CLOSEBALL_C = 2.0
-
-
-def _identity_like(p: Point) -> Point:
-    if isinstance(p, LatticePoint):
-        return LatticePoint((0,) * p.n, (0,) * p.n, 0)
-    return continuous_identity(p.n)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -106,11 +100,9 @@ def lss_check(p: Point, q: Point, t: float, t_tilde: float, r: float,
     lam_q = homogeneous_norm(q)
     if lam_p == 0.0 or lam_q == 0.0:
         raise HypothesisViolation("nonzero", "p and q must differ from the identity")
-    zero = _identity_like(p)
-    if not boundary_contains(zero, BallSpec(p, r, t)):
+    if not boundary_contains(lattice_identity(p.n), BallSpec(p, r, t)):
         raise HypothesisViolation("origin_shell_p", "origin not within t of the sphere of p")
-    zero_q = _identity_like(q)
-    if not boundary_contains(zero_q, BallSpec(q, r_tilde, t_tilde)):
+    if not boundary_contains(lattice_identity(q.n), BallSpec(q, r_tilde, t_tilde)):
         raise HypothesisViolation("origin_shell_q", "origin not within t_tilde of the sphere of q")
     if not boundary_contains(q, BallSpec(p, r, t)):
         raise HypothesisViolation("q_shell_p", "q not within t of the sphere of p")

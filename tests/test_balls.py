@@ -358,6 +358,28 @@ class TestBoundaryContains:
         off = hg.ContinuousPoint((3.0 + 0j,), 0.0)
         assert not balls.boundary_contains(off, balls.BallSpec(center, 1.0, 0.5)).inside
 
+    def test_non_finite_input_refused(self):
+        e = hg.lattice_identity(1)
+        for r, t in ((math.inf, 1), (math.nan, 1), (2, math.inf), (2, math.nan), (2, -1)):
+            with pytest.raises(ValueError):
+                balls.BallSpec(e, r, t)
+        spec = balls.BallSpec(e, 2, 1)
+        for y in (hg.ContinuousPoint((1 + 0j,), math.nan), hg.ContinuousPoint((math.inf,), 0.0)):
+            with pytest.raises(ValueError):
+                balls.boundary_contains(y, spec)
+            with pytest.raises(ValueError):
+                hg.dist_le_exact(y, e, 2)
+        with pytest.raises(ValueError):
+            hg.dist_le_exact(e, e, math.inf)
+
+    def test_numpy_scalar_radii(self):
+        e = hg.lattice_identity(1)
+        for row in annulus_rows(1, 5, Fraction(1, 2)).tolist()[::7]:
+            y = hg.LatticePoint((row[0],), (row[1],), row[2])
+            want = balls.boundary_contains(y, balls.BallSpec(e, 5, Fraction(1, 2)))
+            got = balls.boundary_contains(y, balls.BallSpec(e, np.int64(5), np.float64(0.5)))
+            assert got == want
+
     def test_agrees_with_independent_minimizer(self):
         rng = np.random.default_rng(9)
         center = hg.lattice_identity(1)
@@ -510,6 +532,11 @@ class TestTBoundary:
         coords = annulus_rows(1, k, t)
         member = band_membership(coords, 1, k, t)
         spec = balls.BallSpec(hg.lattice_identity(1), k, t)
+        spec_c = balls.BallSpec(hg.continuous_identity(1), float(k), float(t))
         for row, got in zip(coords.tolist(), member.tolist()):
             y = hg.LatticePoint((row[0],), (row[1],), row[2])
-            assert balls.boundary_contains(y, spec).inside == got
+            res = balls.boundary_contains(y, spec)
+            assert res.inside == got
+            # the continuous twin takes the same exact screens and gauge input
+            assert balls.boundary_contains(hg.as_continuous(y), spec) == res
+            assert balls.boundary_contains(hg.as_continuous(y), spec_c) == res

@@ -122,6 +122,16 @@ class TestExitCodes:
         code, _, _ = run(capsys, "ball", "--n", "1", "--k", "40", "--cap", "7")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("lss", "--R", "inf", "--trials", "1"),
+        ("intersect", "--R", "nan", "--trials", "1"),
+        ("net", "--n", "1", "--rho", "inf"),
+    ])
+    def test_non_finite_value_is_usage(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 64
+        assert "finite" in err
+
     def test_value_error_is_usage(self, capsys):
         code, _, _ = run(capsys, "intersect", "--R", "0.5", "--trials", "1")
         assert code == 64

@@ -158,6 +158,79 @@ class TestMetric:
         assert len(on) > 0
 
 
+def fraction_offset(p, q):
+    """(|z|^2, 2 tau) of p q^-1 in Fraction arithmetic, from the group law."""
+    def parts(x):
+        if isinstance(x, hg.LatticePoint):
+            return [Fraction(c) for c in x.a + x.b], Fraction(x.m, 2)
+        return [Fraction(w.real) for w in x.z] + [Fraction(w.imag) for w in x.z], Fraction(x.tau)
+
+    (hp, tp), (hq, tq) = parts(p), parts(q)
+    n = len(hp) // 2
+    x = sum((s - u) ** 2 for s, u in zip(hp, hq))
+    twist = sum(hp[j] * hq[n + j] - hp[n + j] * hq[j] for j in range(n))
+    return x, 2 * tp - 2 * tq - twist
+
+
+def pythagorean_points():
+    """(y, p): y = (u^2 - v^2, tau = p q) with p = u^2 + v^2, q = 2uv, so d(y, 0) = p.
+
+    (u^2 - v^2)^4 + 4 p^2 q^2 = (p^2 + q^2)^2, so d(y, 0)^2 = p^2 exactly;
+    p q < 2^53 keeps tau an exact float.
+    """
+    for u in range(12000, 90001, 1950):
+        for v in range(1, 41):
+            p, q = u * u + v * v, 2 * u * v
+            if p * q < 2 ** 53:
+                yield hg.ContinuousPoint((complex(u * u - v * v),), float(p * q)), p
+
+
+class TestExactComparison:
+    def test_offset_matches_fraction_arithmetic(self):
+        rng = random.Random(41)
+        special = [5e-324, 1e300, -0.0, 0.0, -1e300, 2.0 ** -600, 0.1]
+
+        def coord():
+            if rng.random() < 0.3:
+                return rng.choice(special)
+            return rng.uniform(-10, 10) * 10.0 ** rng.randint(-6, 6)
+
+        def point(n):
+            if rng.random() < 0.3:
+                a = tuple(rng.randint(-9, 9) for _ in range(n))
+                b = tuple(rng.randint(-9, 9) for _ in range(n))
+                return hg.LatticePoint(a, b, sum(x * y for x, y in zip(a, b)) + 2 * rng.randint(-9, 9))
+            return hg.ContinuousPoint(tuple(complex(coord(), coord()) for _ in range(n)), coord())
+
+        for _ in range(600):
+            n = rng.choice((1, 2))
+            p, q = point(n), point(n)
+            x, m, e = hg.offset_exact(p, q)
+            assert (Fraction(x, 4 ** e), Fraction(m, 4 ** e)) == fraction_offset(p, q)
+            if isinstance(p, hg.LatticePoint) and isinstance(q, hg.LatticePoint):
+                assert e == 0
+        with pytest.raises(ValueError):
+            hg.offset_exact(hg.lattice_identity(1), hg.continuous_identity(2))
+
+    def test_pythagorean_distances_are_exact(self):
+        from heisgeo import balls, covering
+
+        origin = hg.continuous_identity(1)
+        count = 0
+        for y, p in pythagorean_points():
+            twin = hg.LatticePoint((int(y.z[0].real),), (0,), 2 * int(y.tau))
+            for point in (y, twin):
+                assert hg.dist_eq_exact(point, origin, p)
+                assert hg.dist_le_exact(point, origin, p)
+                assert not hg.dist_le_exact(point, origin, Fraction(2 * p - 1, 2))
+                assert covering._dist_le(point, origin, p)
+                assert not covering._dist_lt(point, origin, p)
+                res = balls.boundary_contains(point, balls.BallSpec(origin, p, 0))
+                assert res.inside and res.route.startswith("exact-")
+            count += 1
+        assert count > 1000
+
+
 class TestIsometries:
     def test_flip_is_automorphism_and_isometry(self):
         rng = random.Random(23)
