@@ -195,15 +195,17 @@ def homogeneous_norm(p: Point) -> float:
 def radius_parts(r: Union[Radius, float]) -> tuple[int, int]:
     """Numerator/denominator of a finite nonnegative radius (int, Fraction or float)."""
     if isinstance(r, int):
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        return r, 1
-    if isinstance(r, float) and not math.isfinite(r):
-        raise ValueError("radius must be finite")
-    frac = Fraction(r)
-    if frac < 0:
+        num, den = r, 1
+    elif isinstance(r, float):  # np.float64 included
+        if not math.isfinite(r):
+            raise ValueError("radius must be finite")
+        num, den = r.as_integer_ratio()
+    else:  # a Fraction built from NumPy ints keeps them fixed-width
+        frac = r if isinstance(r, Fraction) else Fraction(r)
+        num, den = int(frac.numerator), int(frac.denominator)
+    if num < 0:
         raise ValueError("radius must be nonnegative")
-    return int(frac.numerator), int(frac.denominator)  # a Fraction keeps NumPy ints fixed-width
+    return num, den
 
 
 def _dyadic(p: Point) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:

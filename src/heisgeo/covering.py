@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .balls import BallSpec, boundary_contains
+from .balls import DEFAULT_CAP, BallSpec, boundary_contains
 from .core import (
     ContinuousPoint,
     LatticePoint,
@@ -32,7 +32,7 @@ from .core import (
     multiply,
     point_to_json,
 )
-from .errors import HypothesisViolation
+from .errors import HypothesisViolation, ResourceCapError
 from .spherequad import project_to_sphere, sphere_point
 
 Num = Union[int, float, Fraction]
@@ -380,41 +380,99 @@ def _metric_d_rows(rows: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(0.5 * (x + np.hypot(x, two_delta)))
 
 
+def _net_reach(h: float, half: float, n: int) -> tuple[int, ...]:
+    """Cells per axis, each way, that can hold a point within half of a center.
+
+    d >= |dz|, so every horizontal coordinate lies within half of the
+    center's.  d^2 >= |2 Delta| / 2 with 2 Delta = 2 dtau - twist, and
+    |twist| = |omega(dz, c_z)| <= |dz| |c_z| <= half for a center in the
+    unit ball, so |dtau| <= half^2 + half / 2.  One extra cell on each
+    side absorbs rounding.
+    """
+    horizontal = math.ceil(half / h) + 1
+    return (horizontal,) * (2 * n) + (math.ceil((half * half + half / 2.0) / h) + 1,)
+
+
+def _clear_near(mask: np.ndarray, grid: np.ndarray, at: tuple, half: float, n: int,
+                reach: Sequence[int]) -> None:
+    """Clear every set cell of mask within half of the grid cell at, scanning
+    only the cells within reach of it."""
+    box = tuple(slice(max(i - w, 0), i + w + 1) for i, w in zip(at, reach))
+    window = mask[box]
+    # The center's own cell (d = 0) joins the rows, so a block with any other
+    # cell has two rows or more: NumPy evaluates a one-row `rows @ q` with
+    # another routine than a longer block, and for n >= 2 the two round the
+    # twist differently.
+    pick = window.copy()
+    pick[tuple(i - s.start for i, s in zip(at, box))] = True
+    near = _metric_d_rows(grid[box][pick], grid[at], n) <= half
+    window[pick] &= ~near
+
+
 def covering_net(n: int, rho: float) -> tuple[int, list[ContinuousPoint]]:
     """Greedy rho/2-net of the unit ball, sampled on a grid of step rho/8.
 
     The unit ball of the metric is the Euclidean unit ball, so the sample
-    is every grid point of step rho/8 inside it; sweeping origin-first and
-    keeping any point not yet within rho/2 of a center guarantees every
-    sample point is covered.
+    is every grid point of step rho/8 inside it.  The greedy order is the
+    origin first, then the grid in C order, which is lexicographic in
+    (Re z | Im z | tau); a point becomes a center when it is more than
+    rho/2 from every earlier center, so every sample point is covered.
+
+    The sweep keeps a mask of the sample points no center covers yet.
+    Each new center clears the masked cells within rho/2 of it, looking
+    only inside the window of `_net_reach`, and the next center is the
+    first masked cell after it: every cell before it is a center or
+    covered already.  That picks exactly the centers of the plain greedy
+    loop, which keeps a point iff min_j d(c_j, point) > rho/2.
+    `_metric_d_rows` with the cell and the center swapped gives
+    bit-identical values: dz and 2 Delta are only negated exactly (each
+    twist term is the same dot product either way), and neither |dz|^2
+    nor the hypot sees the sign.  Coverage is then checked again from the
+    final centers alone, with a fresh mask.
+
+    A grid of more than balls.DEFAULT_CAP cells raises ResourceCapError
+    before anything is allocated.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     h = float(rho) / 8.0
-    span = int(math.floor(1.0 / h))
+    # a subnormal rho makes h = 0 or 1/h = inf: the grid is past the cap
+    span = int(math.floor(1.0 / h)) if h * DEFAULT_CAP >= 1.0 else DEFAULT_CAP
+    dim = 2 * n + 1
+    cells = (2 * span + 1) ** dim
+    if cells > DEFAULT_CAP:
+        raise ResourceCapError(
+            f"net grid of {cells} cells exceeds cap {DEFAULT_CAP}",
+            predicted=cells, cap=DEFAULT_CAP)
     axis = np.arange(-span, span + 1, dtype=float) * h
-    grid = np.stack(np.meshgrid(*([axis] * (2 * n + 1)), indexing="ij"), axis=-1)
-    grid = grid.reshape(-1, 2 * n + 1)
-    grid = grid[np.einsum("ij,ij->i", grid, grid) <= 1.0 + 1e-12]
-    order = np.lexsort(grid.T[::-1])
-    grid = grid[order]
-    at_origin = int(np.flatnonzero(np.all(grid == 0.0, axis=1))[0])
-    grid = np.concatenate([grid[at_origin : at_origin + 1], np.delete(grid, at_origin, axis=0)])
+    grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
+    flat_grid = grid.reshape(-1, dim)
+    in_ball = np.einsum("ij,ij->i", flat_grid, flat_grid) <= 1.0 + 1e-12
+    in_ball = in_ball.reshape(grid.shape[:-1])
     half = float(rho) / 2.0
-    centers = np.empty((0, 2 * n + 1))
-    for row in grid:
-        if centers.shape[0] == 0 or float(np.min(_metric_d_rows(centers, row, n))) > half:
-            centers = np.vstack([centers, row])
-    uncovered = [
-        row for row in grid if float(np.min(_metric_d_rows(centers, row, n))) > half
-    ]
-    if uncovered:
+    reach = _net_reach(h, half, n)
+
+    uncovered = in_ball.copy()
+    flat = uncovered.reshape(-1)
+    centers, pos = [cells // 2], 0  # the origin is the middle cell
+    while True:
+        at = np.unravel_index(centers[-1], uncovered.shape)
+        _clear_near(uncovered, grid, at, half, n, reach)
+        pos += int(np.argmax(flat[pos:]))
+        if not flat[pos]:
+            break
+        centers.append(pos)
+
+    left = in_ball.copy()
+    for at in zip(*np.unravel_index(centers, left.shape)):
+        _clear_near(left, grid, at, half, n, reach)
+    if left.any():
         raise RuntimeError("net left a grid point uncovered; grid resolution bug")
     points = [
         ContinuousPoint(
             tuple(complex(row[j], row[n + j]) for j in range(n)), float(row[2 * n])
         )
-        for row in centers
+        for row in flat_grid[centers]
     ]
     return len(points), points
 

@@ -5,9 +5,11 @@ worked examples are pinned byte-for-byte, and the reproducibility
 contract is checked on actual artifact files.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,6 +124,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "ball", "--n", "1", "--k", "40", "--cap", "7")
         assert code == 3
 
+    def test_oversize_net_is_3(self, capsys):
+        # a 321^5-cell grid is refused before any array is allocated
+        import heisgeo.covering  # noqa: F401  (keep import costs out of the peak)
+
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "net", "--n", "2", "--rho", "0.05")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "cap" in err
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("argv", [
         ("lss", "--R", "inf", "--trials", "1"),
         ("intersect", "--R", "nan", "--trials", "1"),
@@ -201,6 +217,14 @@ class TestReproducibility:
         run(capsys, "colour", "--trials", "4", "--count", "20", "--seed", "2",
             "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
+
+    def test_net_artifact_pinned(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        code, _, _ = run(capsys, "net", "--n", "1", "--rho", "0.5",
+                         "--format", "json", "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a1633ec079139c497dfb4aaa3a2cf1a02ab56b3ba859eb9df37a51b12489cd3d")
 
     def test_out_file_silences_stdout(self, capsys, tmp_path):
         path = tmp_path / "x.txt"

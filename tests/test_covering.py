@@ -5,7 +5,9 @@ computations; the staged routines are checked on hand-traceable synthetic
 instances whose memberships all resolve on the exact integer path.
 """
 
+import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 import heisgeo as hg
 from heisgeo import covering as cv
 from heisgeo.balls import BallSpec, boundary_contains
-from heisgeo.errors import HypothesisViolation
+from heisgeo.errors import HypothesisViolation, ResourceCapError
 
 # empirical Besicovitch multiplicity on random carpets peaks at 5; any
 # regression past this generous ceiling means the selection rule broke
@@ -222,6 +224,40 @@ class TestColouring:
             cv.colour_partition([BallSpec(axis(0), 1)], chi=0)
 
 
+def center_rows(pts):
+    """Net centers as flat rows (Re z | Im z | tau)."""
+    return np.array([[*(w.real for w in p.z), *(w.imag for w in p.z), p.tau]
+                     for p in pts])
+
+
+def plain_greedy_net(n, rho):
+    """The greedy net as one plain loop: origin first, then every in-ball
+    grid row in lexicographic order, kept when it is more than rho/2 from
+    every center so far."""
+    def dist_rows(rows, q):
+        dz = rows[:, : 2 * n] - q[: 2 * n]
+        x = np.einsum("ij,ij->i", dz, dz)
+        twist = rows[:, :n] @ q[n : 2 * n] - rows[:, n : 2 * n] @ q[:n]
+        two_delta = 2.0 * (rows[:, 2 * n] - q[2 * n]) - twist
+        return np.sqrt(0.5 * (x + np.hypot(x, two_delta)))
+
+    h = float(rho) / 8.0
+    span = int(math.floor(1.0 / h))
+    axis = np.arange(-span, span + 1, dtype=float) * h
+    grid = np.stack(np.meshgrid(*([axis] * (2 * n + 1)), indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, 2 * n + 1)
+    grid = grid[np.einsum("ij,ij->i", grid, grid) <= 1.0 + 1e-12]
+    grid = grid[np.lexsort(grid.T[::-1])]
+    at_origin = int(np.flatnonzero(np.all(grid == 0.0, axis=1))[0])
+    grid = np.concatenate([grid[at_origin : at_origin + 1], np.delete(grid, at_origin, axis=0)])
+    half = float(rho) / 2.0
+    centers = np.empty((0, 2 * n + 1))
+    for row in grid:
+        if centers.shape[0] == 0 or float(np.min(dist_rows(centers, row))) > half:
+            centers = np.vstack([centers, row])
+    return centers
+
+
 class TestCoveringNet:
     def test_wide_radius_single_center(self):
         n, pts = cv.covering_net(1, 2.0)
@@ -241,6 +277,58 @@ class TestCoveringNet:
         for p in pts:
             flat = [p.z[0].real, p.z[0].imag, p.tau]
             assert sum(v * v for v in flat) <= 1 + 1e-9
+
+    @pytest.mark.parametrize("n, rho", [(1, 0.5), (1, 0.7), (1, 0.9), (2, 2.0)])
+    def test_matches_plain_greedy_loop(self, n, rho):
+        # non-dyadic rho exercises the rounding of rho / 8 in the grid step
+        _, pts = cv.covering_net(n, rho)
+        assert np.array_equal(center_rows(pts), plain_greedy_net(n, rho))
+
+    @pytest.mark.parametrize("n, rho", [(1, 0.5), (1, 0.7), (2, 1.4)])
+    def test_window_is_conservative(self, n, rho):
+        # clearing inside the window leaves the same cells as clearing
+        # over the whole grid, for centers across the ball and on its rim,
+        # where the twist bound is tightest
+        h, half = rho / 8.0, rho / 2.0
+        span = int(math.floor(1.0 / h))
+        axis = np.arange(-span, span + 1, dtype=float) * h
+        grid = np.stack(np.meshgrid(*([axis] * (2 * n + 1)), indexing="ij"), axis=-1)
+        norm = np.einsum("...j,...j->...", grid, grid)
+        inside = np.argwhere(norm <= 1.0 + 1e-12)
+        rim = np.argwhere((norm <= 1.0 + 1e-12) & (norm > 0.8))
+        picks = [tuple(at) for cells in (inside, rim) for at in cells[:: len(cells) // 40]]
+        reach = cv._net_reach(h, half, n)
+        assert reach[0] == 5
+        whole = (len(axis),) * (2 * n + 1)
+        for at in picks:
+            windowed = np.ones(grid.shape[:-1], dtype=bool)
+            everywhere = windowed.copy()
+            cv._clear_near(windowed, grid, at, half, n, reach)
+            cv._clear_near(everywhere, grid, at, half, n, whole)
+            assert np.array_equal(windowed, everywhere), at
+            assert not windowed[at]
+
+    @pytest.mark.parametrize("n, rho, count, digest", [
+        (1, 0.3, 6453, "f983bbba642629c2d5345925a5356a5f9047f3294be54104c4d766665060e307"),
+        (2, 1.0, 649, "85924fe9d33812747256c2255bd8e98a13e984cb63143859b5a1bbf9e1cecde4"),
+    ])
+    def test_pinned_centers(self, n, rho, count, digest):
+        # both pins were taken from the plain greedy loop
+        got, pts = cv.covering_net(n, rho)
+        assert got == count
+        rows = np.ascontiguousarray(center_rows(pts), dtype="<f8")
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+    def test_oversize_grid_refused(self):
+        with pytest.raises(ResourceCapError) as info:
+            cv.covering_net(2, 0.05)
+        assert info.value.predicted == 321 ** 5
+        for rho in (5e-324, 1e-300):
+            with pytest.raises(ResourceCapError):
+                cv.covering_net(1, rho)
+        for rho in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cv.covering_net(1, rho)
 
 
 class TestStackHeight:
