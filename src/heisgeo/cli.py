@@ -200,7 +200,7 @@ def cmd_boundary(args) -> int:
 def cmd_net(args) -> int:
     from . import covering as cv
 
-    count, centers = cv.covering_net(args.n, args.rho)
+    count, centers = cv.covering_net(args.n, args.rho, args.cap)
     if args.format == "json":
         pts = [{"z": [[c.real, c.imag] for c in p.z], "tau": p.tau}
                for p in centers]

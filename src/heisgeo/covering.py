@@ -409,7 +409,7 @@ def _clear_near(mask: np.ndarray, grid: np.ndarray, at: tuple, half: float, n: i
     window[pick] &= ~near
 
 
-def covering_net(n: int, rho: float) -> tuple[int, list[ContinuousPoint]]:
+def covering_net(n: int, rho: float, cap: int = DEFAULT_CAP) -> tuple[int, list[ContinuousPoint]]:
     """Greedy rho/2-net of the unit ball, sampled on a grid of step rho/8.
 
     The unit ball of the metric is the Euclidean unit ball, so the sample
@@ -430,20 +430,19 @@ def covering_net(n: int, rho: float) -> tuple[int, list[ContinuousPoint]]:
     nor the hypot sees the sign.  Coverage is then checked again from the
     final centers alone, with a fresh mask.
 
-    A grid of more than balls.DEFAULT_CAP cells raises ResourceCapError
-    before anything is allocated.
+    A grid of more than cap cells raises ResourceCapError before anything
+    is allocated.
     """
     if not 0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
     h = float(rho) / 8.0
     # a subnormal rho makes h = 0 or 1/h = inf: the grid is past the cap
-    span = int(math.floor(1.0 / h)) if h * DEFAULT_CAP >= 1.0 else DEFAULT_CAP
+    span = int(math.floor(1.0 / h)) if h * cap >= 1.0 else cap
     dim = 2 * n + 1
     cells = (2 * span + 1) ** dim
-    if cells > DEFAULT_CAP:
+    if cells > cap:
         raise ResourceCapError(
-            f"net grid of {cells} cells exceeds cap {DEFAULT_CAP}",
-            predicted=cells, cap=DEFAULT_CAP)
+            f"net grid of {cells} cells exceeds cap {cap}", predicted=cells, cap=cap)
     axis = np.arange(-span, span + 1, dtype=float) * h
     grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
     flat_grid = grid.reshape(-1, dim)

@@ -11,6 +11,7 @@ group-dependent quantity factors through that finite image.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -22,11 +23,11 @@ from .balls import (
     DEFAULT_CAP,
     FiberSet,
     _count_congruent,  # the congruence count behind corner_counts, importable here
-    _lattice_points,
+    _isqrt_vec,
     _t_boundary,
     ball_cardinality,
 )
-from .core import LatticePoint, Radius, generator, inverse, multiply
+from .core import LatticePoint, Radius, generator, inverse
 from .errors import ResourceCapError
 
 Rational = Union[int, Fraction]
@@ -217,18 +218,54 @@ def _label_counts(action: WeightedAction, fibers: FiberSet) -> dict:
     raise ValueError(f"unknown action kind {action.kind!r}")
 
 
-def _weighted_sums(action: WeightedAction, counts: dict, func, x):
-    """(sum ghat-f, sum ghat-1) over a label histogram, exact."""
-    mx = action.mass[x]
-    num = Fraction(0)
-    den = Fraction(0)
-    for lab, cnt in counts.items():
-        y = action.act_label(lab, x)
-        w = action.mass[y] / mx
-        den += cnt * w
-        if func is not None:
-            num += cnt * w * Fraction(func(y))
-    return num, den
+def _common_denominator(vals: list) -> tuple[list, int]:
+    """Integer numerators of the Fractions vals over their least common denominator."""
+    scale = math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (scale // v.denominator) for v in vals], scale
+
+
+@lru_cache(maxsize=32)
+def _tables(action: WeightedAction) -> tuple[dict, np.ndarray, list]:
+    """(index, act, wt) of an action, built once: state positions, the act
+    table act[l, x] = position of act_label(states[l], states[x]), and the
+    masses' numerators over their least common denominator.
+
+    Both actions label the acting quotient by the same tuples as their
+    states (H_n(Z/mZ) acting on itself, a shift of the 2n-torus grid), and
+    the states are that digit grid in C order.  act_label is integer
+    arithmetic on the digits, so one call on broadcast digit columns acts
+    with every label on every state, and the images' grid positions are
+    their state indices.
+    """
+    states = action.states
+    digits = np.array(states, dtype=np.int64).T
+    images = action.act_label(tuple(digits[:, :, None]), tuple(digits[:, None, :]))
+    act = np.ravel_multi_index(images, tuple(digits.max(axis=1) + 1))
+    wt, _ = _common_denominator([action.mass[x] for x in states])
+    return {x: i for i, x in enumerate(states)}, act, wt
+
+
+def _weighted_sums(action: WeightedAction, counts: dict, func=lambda y: 1):
+    """(sum_g f(g x) w_g(x), sum_g w_g(x)) for every state x, exact.
+
+    g runs over the label histogram counts.  With masses wt / W (_tables)
+    and f = fnum / F over least common denominators, the sums are
+    num / (F wt(x)) and den / wt(x) for integers that one pass over the act
+    table gives for all states: int64 while sum(counts) max(wt)
+    max(|fnum|, 1) <= 2^62 bounds every term and partial sum, Python
+    integers beyond.
+    """
+    index, act, wt = _tables(action)
+    fnum, scale = _common_denominator([Fraction(func(y)) for y in action.states])
+    bound = max(sum(counts.values()), 1) * max(wt) * max([1, *map(abs, fnum)])
+    dtype = np.int64 if bound <= 2 ** 62 else object
+    cnt = np.zeros(len(wt), dtype=dtype)
+    cnt[[index[lab] for lab in counts]] = list(counts.values())
+    moved = np.array(wt, dtype=dtype)[act]
+    num = (cnt @ (moved * np.array(fnum, dtype=dtype)[act])).tolist()
+    den = (cnt @ moved).tolist()
+    return ([Fraction(nu, scale * w) for nu, w in zip(num, wt)],
+            [Fraction(de, w) for de, w in zip(den, wt)])
 
 
 class AverageResult(NamedTuple):
@@ -241,9 +278,9 @@ class AverageResult(NamedTuple):
 def weighted_average(action: WeightedAction, f, k: int, x,
                      cap: int = DEFAULT_CAP) -> AverageResult:
     """Exact (sum_{B_k} f(gx) w_g(x)) / (sum_{B_k} w_g(x))."""
-    counts = ball_label_counts(action, k, cap)
-    num, den = _weighted_sums(action, counts, _as_function(f), x)
-    return AverageResult(k, num / den, num, den)
+    num, den = _weighted_sums(action, ball_label_counts(action, k, cap), _as_function(f))
+    i = action.states.index(x)
+    return AverageResult(k, num[i] / den[i], num[i], den[i])
 
 
 def nsfc_ratio(action: WeightedAction, k: int, sigma: LatticePoint, x,
@@ -251,18 +288,20 @@ def nsfc_ratio(action: WeightedAction, k: int, sigma: LatticePoint, x,
     """Non-singular Folner ratio over B_k triangle sigma B_k, exact."""
     ball = FiberSet.ball(action.n, k, cap=cap)
     delta = ball.symmetric_difference(ball.translate(sigma, left=True))
-    _, num = _weighted_sums(action, _label_counts(action, delta), None, x)
-    _, den = _weighted_sums(action, ball_label_counts(action, k, cap), None, x)
-    return num / den
+    _, num = _weighted_sums(action, _label_counts(action, delta))
+    _, den = _weighted_sums(action, ball_label_counts(action, k, cap))
+    i = action.states.index(x)
+    return num[i] / den[i]
 
 
 def boundary_weight_ratio(action: WeightedAction, k: int, t: Radius, x,
                           cap: int = DEFAULT_CAP) -> Fraction:
     """(sum_{t-boundary of B_k} w_g(x)) / (sum_{B_k} w_g(x)), exact."""
     band = _t_boundary(action.n, k, t, cap)
-    _, num = _weighted_sums(action, _label_counts(action, band), None, x)
-    _, den = _weighted_sums(action, ball_label_counts(action, k, cap), None, x)
-    return num / den
+    _, num = _weighted_sums(action, _label_counts(action, band))
+    _, den = _weighted_sums(action, ball_label_counts(action, k, cap))
+    i = action.states.index(x)
+    return num[i] / den[i]
 
 
 def convergence_rows(action: WeightedAction, f, ks: Sequence[int],
@@ -272,10 +311,9 @@ def convergence_rows(action: WeightedAction, f, ks: Sequence[int],
     ref = integral(action, f)
     rows = []
     for k in ks:
-        counts = ball_label_counts(action, k, cap)
-        for x_id, x in enumerate(action.states):
-            num, den = _weighted_sums(action, counts, func, x)
-            val = num / den
+        num, den = _weighted_sums(action, ball_label_counts(action, k, cap), func)
+        for x_id, (nu, de) in enumerate(zip(num, den)):
+            val = nu / de
             rows.append((k, x_id, val, abs(val - ref)))
     return rows
 
@@ -310,19 +348,26 @@ def orbit_transitive(action: WeightedAction) -> bool:
 
 # --- maximal inequality ------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _shell_points(n: int, i: int, cap: int) -> tuple:
-    """Points of B_i minus B_{i-1} (all of B_1), cached across repeated checks."""
-    shell = FiberSet.ball(n, i, cap=cap)
-    if i > 1:
-        shell = shell.difference(FiberSet.ball(n, i - 1, cap=cap))
-    return tuple(_lattice_points(n, shell.rows(), cap))
-
-
 class MaximalCheck(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     holds: bool
+
+
+def _first_radii(x: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
+    """max(1, ceil d) for lattice offsets (X, M) of core.offset_exact; k + 1 where d > k.
+
+    d^2 = (X + sqrt T) / 2 with T = X^2 + M^2, and 2 i^2 - X is an integer,
+    so d <= i exactly when i^2 >= V = ceil((X + ceil sqrt T) / 2): the
+    first radius is ceil sqrt V, from two exact integer square roots.
+    Offsets with X > k^2 or |M| > 2 k^2 have d > k (d^2 >= X and
+    d^2 >= |M| / 2); the others keep T <= 5 k^4.
+    """
+    far = (x > k * k) | (abs(m) > 2 * k * k)
+    x, m = np.where(far, 0, x), np.where(far, 0, m)
+    isqrt = np.frompyfunc(math.isqrt, 1, 1) if x.dtype == object else _isqrt_vec
+    v = (x + isqrt(np.maximum(x * x + m * m - 1, 0)) + 2) // 2
+    return np.where(far, k + 1, np.minimum(isqrt(v - 1) + 1, k + 1))
 
 
 def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
@@ -330,9 +375,29 @@ def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
                            cap: int = DEFAULT_CAP) -> MaximalCheck:
     """BCP maximal bound ||a||_1 >= eps C^{-1} sum_{h in H} b(h), exact.
 
-    s_i a(h) = sum_{g in B_i} a(gh) accumulates shell by shell; H
-    collects every h whose running average ratio exceeds eps at any
-    radius i <= k (strict inequality, matching the lemma).
+    s_i a(h) = sum_{g in B_i} a(gh); H collects every h with
+    s_i a(h) > eps s_i b(h) at some radius i <= k (strict inequality,
+    matching the lemma).  Only h in supp(b) move the right side, and the
+    sums are read off first radii, so no ball is built:
+
+      - an atom s enters s_i a(h) (and s_i b(h)) through g = s h^-1, and
+        g lies in B_i exactly when d(s, h) = N(s h^-1) <= i, since d is
+        right invariant;
+      - so s enters at the first radius i(h, s) = max(1, ceil d(s, h)) and
+        stays for every larger i, and never enters when that exceeds k;
+        _first_radii finds it from the integer offset (X, M) of s h^-1.
+
+    Per h, the atoms sorted by first radius give s_i a(h) and s_i b(h) as
+    running sums of integer numerators over one common denominator per
+    side (D_a, D_b), read at the last atom of each radius.  With eps = p/q
+    the test is q D_b s_i a > p D_a s_i b.  With B the largest atom
+    coordinate, |X| and |M| are at most 8 n B^2; int64 holds while that,
+    the radius test's 5 k^4 and these products stay within 2^62, Python
+    integers beyond.
+
+    Atoms are the keys of a and b and must be lattice points of rank n
+    (ValueError).  The work is |supp b| * |supp a u supp b| first radii;
+    more than cap raises ResourceCapError before anything is allocated.
     """
     eps = Fraction(eps)
     c_emp = Fraction(c_emp)
@@ -344,23 +409,37 @@ def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
         raise ValueError("k must be >= 1")
     if any(v < 0 for v in b.values()):
         raise ValueError("b must be nonnegative")
-    sa: dict = {}
-    sb: dict = {}
-    H: set = set()
-    for i in range(1, k + 1):
-        for g in _shell_points(n, i, cap):
-            ginv = inverse(g)
-            for s_pt, val in a.items():
-                h = multiply(ginv, s_pt)
-                sa[h] = sa.get(h, Fraction(0)) + val
-            for s_pt, val in b.items():
-                h = multiply(ginv, s_pt)
-                sb[h] = sb.get(h, Fraction(0)) + val
-        for h, val in sa.items():
-            if h not in H and val > eps * sb.get(h, Fraction(0)):
-                H.add(h)
+    for s in itertools.chain(a, b):
+        if not isinstance(s, LatticePoint) or s.n != n:
+            raise ValueError(f"atom {s!r} is not a lattice point of rank {n}")
+    centers = [h for h, v in b.items() if v]
+    atoms = list(dict.fromkeys([s for s, v in a.items() if v] + centers))
+    work = len(centers) * len(atoms)
+    if work > cap:
+        raise ResourceCapError(f"{work} first radii exceed cap {cap}", predicted=work, cap=cap)
+    hit = [False] * len(centers)
+    if centers and any(a.values()):
+        pa, da = _common_denominator([Fraction(a.get(s, 0)) for s in atoms])
+        pb, db = _common_denominator([Fraction(b.get(s, 0)) for s in atoms])
+        wa, wb = eps.denominator * db, eps.numerator * da
+        big = max(abs(c) for s in atoms for c in s.a + s.b + (s.m,))
+        bound = max(8 * n * big * big, 5 * k ** 4, wa * sum(map(abs, pa)), wb * sum(pb))
+        dtype = np.int64 if bound <= 2 ** 62 else object
+        s_pts = np.array([s.a + s.b + (s.m,) for s in atoms], dtype=dtype)[None]
+        h_pts = np.array([h.a + h.b + (h.m,) for h in centers], dtype=dtype)[:, None]
+        dz = s_pts[..., :2 * n] - h_pts[..., :2 * n]
+        twist = s_pts[..., :n] * h_pts[..., n:2 * n] - s_pts[..., n:2 * n] * h_pts[..., :n]
+        first = _first_radii(np.sum(dz * dz, axis=2),
+                             s_pts[..., -1] - h_pts[..., -1] - np.sum(twist, axis=2), k)
+        order = np.argsort(first, axis=1, kind="stable")
+        r = np.take_along_axis(first, order, axis=1)
+        sa = np.cumsum(np.array(pa, dtype=dtype)[order], axis=1)
+        sb = np.cumsum(np.array(pb, dtype=dtype)[order], axis=1)
+        last = np.ones(r.shape, dtype=bool)  # last atom of its radius
+        last[:, :-1] = r[:, 1:] != r[:, :-1]
+        hit = np.any(last & (r <= k) & (wa * sa > wb * sb), axis=1).tolist()
     lhs = sum((abs(v) for v in a.values()), Fraction(0))
-    rhs = eps / c_emp * sum((v for h, v in b.items() if h in H), Fraction(0))
+    rhs = eps / c_emp * sum((b[h] for h, ok in zip(centers, hit) if ok), Fraction(0))
     return MaximalCheck(lhs, rhs, lhs >= rhs)
 
 
@@ -377,20 +456,19 @@ def maximal_inequality_experiment(action: WeightedAction, f, eps: Rational,
     """mu(sup_{k <= k_max} |A_k f| > eps) against (C D / eps) ||f||_1.
 
     D is measured as the largest |B_2k| / |B_k| over the swept range;
-    C defaults to the certified colouring bound of the covering module.
+    C defaults to 12, the palette size chi of the colouring runs (the
+    `colour` command's default); nothing in covering certifies it.
     """
     func = _as_function(f)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     exceeding = Fraction(0)
-    counts = {k: ball_label_counts(action, k, cap) for k in range(1, k_max + 1)}
-    for x in action.states:
-        for k in range(1, k_max + 1):
-            num, den = _weighted_sums(action, counts[k], func, x)
-            if abs(num / den) > eps:
-                exceeding += action.mass[x]
-                break
+    counts = [ball_label_counts(action, k, cap) for k in range(1, k_max + 1)]
+    sums = [_weighted_sums(action, cnt, func) for cnt in counts]
+    for i, x in enumerate(action.states):
+        if any(abs(num[i] / den[i]) > eps for num, den in sums):
+            exceeding += action.mass[x]
     d_emp = max(
         Fraction(ball_cardinality(action.n, 2 * k), ball_cardinality(action.n, k))
         for k in range(1, k_max + 1)

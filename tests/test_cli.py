@@ -138,6 +138,14 @@ class TestExitCodes:
         assert "cap" in err
         assert peak < 1 << 20
 
+    def test_net_cap_is_3(self, capsys):
+        # the 33^3-cell grid of rho = 0.5 is over --cap 10, and only just fits 35937
+        code, out, err = run(capsys, "net", "--n", "1", "--rho", "0.5", "--cap", "10")
+        assert code == 3
+        assert "cap" in err and out == ""
+        code, out, _ = run(capsys, "net", "--n", "1", "--rho", "0.5", "--cap", "35937")
+        assert code == 0 and int(out) == 960
+
     @pytest.mark.parametrize("argv", [
         ("lss", "--R", "inf", "--trials", "1"),
         ("intersect", "--R", "nan", "--trials", "1"),

@@ -330,6 +330,14 @@ class TestCoveringNet:
             with pytest.raises(ValueError):
                 cv.covering_net(1, rho)
 
+    def test_cap_argument(self):
+        with pytest.raises(ResourceCapError) as info:
+            cv.covering_net(1, 0.5, cap=35936)
+        assert (info.value.predicted, info.value.cap) == (33 ** 3, 35936)
+        assert cv.covering_net(1, 0.5, cap=33 ** 3)[0] == 960
+        with pytest.raises(ResourceCapError):
+            cv.covering_net(1, 1e-300, cap=10)
+
 
 class TestStackHeight:
     def test_hand_values(self):

@@ -6,19 +6,31 @@ coboundary display are then verified as exact rational identities.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisgeo import ergodic as er
-from heisgeo.balls import ball_cardinality, enumerate_ball, folner_ratio, symmetric_difference_coords
+from heisgeo.balls import (
+    FiberSet,
+    ball_cardinality,
+    enumerate_ball,
+    folner_ratio,
+    symmetric_difference_coords,
+)
 from heisgeo.core import (
+    ContinuousPoint,
     LatticePoint,
+    dist_cmp,
     dist_le_exact,
     generator,
     inverse,
     lattice_identity,
     multiply,
+    offset_exact,
 )
 from heisgeo.errors import ResourceCapError
 
@@ -200,7 +212,47 @@ class TestBallLabelCounts:
                 er.ball_label_counts(act, 6, cap=10)
 
 
+def per_state_sums(action, counts, func, x):
+    """The per-state Fraction loop that the all-state integer sums replaced."""
+    mx = action.mass[x]
+    num = den = Fraction(0)
+    for lab, cnt in counts.items():
+        y = action.act_label(lab, x)
+        w = action.mass[y] / mx
+        den += cnt * w
+        if func is not None:
+            num += cnt * w * Fraction(func(y))
+    return num, den
+
+
 class TestWeightedAverage:
+    def test_act_table_matches_act_label(self):
+        for act in (uniform_quotient(), er.make_quotient_action(2, 2),
+                    er.make_torus_action(1, (0.375, 0.625), 8)):
+            index, table, _ = er._tables(act)
+            for lab in act.states:
+                for x in act.states:
+                    y = act.act_label(lab, x)
+                    assert act.states[table[index[lab], index[x]]] == y
+
+    def test_all_state_sums_match_per_state_loop(self):
+        # masses near 2^80 over their common denominator take the
+        # Python-integer path, the others int64
+        heavy = er.make_quotient_action(
+            1, 2, [Fraction(2 ** 80 + i, 8 * 2 ** 80 + 28) for i in range(8)])
+        actions = (uniform_quotient(), skewed_quotient(), heavy,
+                   er.make_torus_action(1, (0.375, 0.625), 8))
+        rng = np.random.default_rng(13)
+        for act in actions:
+            f = {x: Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 4)))
+                 for x in act.states}
+            for k in (1, 3, 6):
+                counts = er.ball_label_counts(act, k)
+                num, den = er._weighted_sums(act, counts, f.get)
+                want = [per_state_sums(act, counts, f.get, x) for x in act.states]
+                assert list(zip(num, den)) == want
+                assert er._weighted_sums(act, counts)[1] == den
+
     def test_constant_function_exact(self):
         act = skewed_quotient()
         c = Fraction(3, 7)
@@ -217,10 +269,9 @@ class TestWeightedAverage:
         counts = er.ball_label_counts(act, 40)
         worst = Fraction(0)
         for target in act.states:
-            f = indicator(target)
-            for x in act.states:
-                num, den = er._weighted_sums(act, counts, f, x)
-                worst = max(worst, abs(num / den - Fraction(1, 27)))
+            num, den = er._weighted_sums(act, counts, indicator(target))
+            for nu, de in zip(num, den):
+                worst = max(worst, abs(nu / de - Fraction(1, 27)))
         assert worst <= Fraction(2, 100)
 
     def test_monotone_error_decay(self):
@@ -230,10 +281,9 @@ class TestWeightedAverage:
             counts = er.ball_label_counts(act, k)
             w = Fraction(0)
             for target in act.states:
-                f = indicator(target)
-                for x in act.states:
-                    num, den = er._weighted_sums(act, counts, f, x)
-                    w = max(w, abs(num / den - Fraction(1, 27)))
+                num, den = er._weighted_sums(act, counts, indicator(target))
+                for nu, de in zip(num, den):
+                    w = max(w, abs(nu / de - Fraction(1, 27)))
             worst[k] = w
         assert worst[40] < worst[5]
 
@@ -244,7 +294,7 @@ class TestWeightedAverage:
         h_map = {x: Fraction((i * i) % 11, 7) for i, x in enumerate(act.states)}
         om = {x: er.rn_derivative(act, sigma, x) for x in act.states}
         f = lambda y: Fraction(2, 5) + h_map[y] - h_map[act.act(sigma, y)] * om[y]
-        val = er.weighted_average(act, f, k, x0).value
+        res = er.weighted_average(act, f, k, x0)
         delta = symmetric_difference_coords(1, k, sigma)
         pts = [LatticePoint(tuple(r[:1]), tuple(r[1:2]), int(r[2]))
                for r in delta.tolist()]
@@ -256,8 +306,8 @@ class TestWeightedAverage:
                 pos += term  # g in B_k minus sigma B_k
             else:
                 neg += term  # g in sigma B_k minus B_k
-        _, den = er._weighted_sums(act, er.ball_label_counts(act, k), None, x0)
-        assert val - Fraction(2, 5) == (pos - neg) / den
+        # the denominator is sum_{B_k} w_g(x0)
+        assert res.value - Fraction(2, 5) == (pos - neg) / res.denominator
 
 
 class TestNsfcRatio:
@@ -283,6 +333,63 @@ class TestNsfcRatio:
                     ns = er.nsfc_ratio(act, k, E1, x)
                     bd = er.boundary_weight_ratio(act, k, 1, x)
                     assert ns <= bd
+
+
+@lru_cache(maxsize=None)
+def shell(n, i):
+    """Points of B_i not in B_(i-1) (all of B_1), from the enumeration."""
+    inner = set(enumerate_ball(n, i - 1).points()) if i > 1 else set()
+    return tuple(g for g in enumerate_ball(n, i).points() if g not in inner)
+
+
+def shell_loop_check(a, b, k, eps, c_emp, n=1):
+    return shell_loop_checks(a, b, k, [eps], c_emp, n)[0]
+
+
+def shell_loop_checks(a, b, k, eps_list, c_emp, n=1):
+    """The shell-by-shell loop of group products that the engine replaced.
+
+    s_i a(h) gains a(s) at h = g^-1 s for each g of the i-th shell; H
+    takes every h whose running sums ever satisfy s_i a > eps s_i b.  One
+    pass serves every eps of eps_list.
+    """
+    eps_list, c_emp = [Fraction(e) for e in eps_list], Fraction(c_emp)
+    sa, sb, Hs = {}, {}, [set() for _ in eps_list]
+    for i in range(1, k + 1):
+        for g in shell(n, i):
+            ginv = inverse(g)
+            for s_pt, val in a.items():
+                h = multiply(ginv, s_pt)
+                sa[h] = sa.get(h, Fraction(0)) + val
+            for s_pt, val in b.items():
+                h = multiply(ginv, s_pt)
+                sb[h] = sb.get(h, Fraction(0)) + val
+        for eps, H in zip(eps_list, Hs):
+            for h, val in sa.items():
+                if h not in H and val > eps * sb.get(h, Fraction(0)):
+                    H.add(h)
+    lhs = sum((abs(v) for v in a.values()), Fraction(0))
+    out = []
+    for eps, H in zip(eps_list, Hs):
+        rhs = eps / c_emp * sum((v for h, v in b.items() if h in H), Fraction(0))
+        out.append(er.MaximalCheck(lhs, rhs, lhs >= rhs))
+    return out
+
+
+def random_weights(rng, pool, size, overlap):
+    """a with signed values, b with some zero values, supports sharing `overlap` atoms."""
+    idx = rng.choice(len(pool), size=2 * size - overlap, replace=False)
+    a = {pool[i]: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+         for i in idx[:size]}
+    b = {pool[i]: Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 5)))
+         for i in idx[size - overlap:]}
+    return a, b
+
+
+small_atoms = st.builds(
+    lambda x, y, j: LatticePoint((x,), (y,), x * y + 2 * j),
+    st.integers(-4, 4), st.integers(-4, 4), st.integers(-8, 8))
+small_values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 class TestDiscreteMaximal:
@@ -316,6 +423,136 @@ class TestDiscreteMaximal:
         b = {lattice_identity(1): Fraction(1)}
         out = er.discrete_maximal_check(a, b, 2, Fraction(1, 2), Fraction(1, 100))
         assert not out.holds
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_shell_loop(self, k):
+        rng = np.random.default_rng([5, k])
+        pool = enumerate_ball(1, 6).points()
+        for size, overlap in ((12, 0), (12, 4), (10, 10)):
+            a, b = random_weights(rng, pool, size, overlap)
+            epss = (Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(3))
+            for eps, want in zip(epss, shell_loop_checks(a, b, k, epss, 12)):
+                assert er.discrete_maximal_check(a, b, k, eps, 12) == want, (size, overlap, eps)
+
+    def test_matches_shell_loop_edge_supports(self):
+        rng = np.random.default_rng(6)
+        pool = enumerate_ball(1, 5).points()
+        a, b = random_weights(rng, pool, 8, 3)
+        zero_b = {h: Fraction(0) for h in b}
+        cases = [
+            ({}, b), (a, {}), ({}, {}), (a, zero_b),
+            ({s: -abs(v) - 1 for s, v in a.items()}, b),  # only negative values
+            (a, {**b, **{s: Fraction(1) for s in a}}),    # b covers supp(a)
+        ]
+        epss = (Fraction(1, 10), Fraction(1))
+        for a_case, b_case in cases:
+            for k in (1, 3):
+                wants = shell_loop_checks(a_case, b_case, k, epss, 12)
+                for eps, want in zip(epss, wants):
+                    assert er.discrete_maximal_check(a_case, b_case, k, eps, 12) == want
+
+    def test_matches_shell_loop_n2(self):
+        rng = np.random.default_rng(8)
+        pool = enumerate_ball(2, 3).points()
+        for k in (1, 2):
+            a, b = random_weights(rng, pool, 8, 3)
+            assert er.discrete_maximal_check(a, b, k, Fraction(1, 2), 12, n=2) == \
+                shell_loop_check(a, b, k, Fraction(1, 2), 12, n=2)
+
+    @given(st.dictionaries(small_atoms, small_values, max_size=6),
+           st.dictionaries(small_atoms, small_values.map(abs), max_size=6),
+           st.integers(1, 3),
+           st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_shell_loop(self, a, b, k, eps):
+        assert er.discrete_maximal_check(a, b, k, eps, 12) == shell_loop_check(a, b, k, eps, 12)
+
+    def test_right_translation_invariance_past_int64(self):
+        # d is right invariant, so moving every atom by one far g keeps H;
+        # coordinates near 2^40 and denominators near 2^70 leave int64
+        rng = np.random.default_rng(9)
+        a, b = random_weights(rng, enumerate_ball(1, 6).points(), 12, 4)
+        want = shell_loop_check(a, b, 3, Fraction(1, 2), 12)
+        g = LatticePoint((2 ** 40 + 3,), (-(2 ** 41),), 2 ** 63 + 2)
+        far_a = {multiply(s, g): v for s, v in a.items()}
+        far_b = {multiply(h, g): v for h, v in b.items()}
+        assert er.discrete_maximal_check(far_a, far_b, 3, Fraction(1, 2), 12) == want
+        tiny = Fraction(1, 2 ** 70)
+        a_t = {s: v * tiny for s, v in a.items()}
+        b_t = {h: v * tiny for h, v in b.items()}
+        assert er.discrete_maximal_check(a_t, b_t, 3, Fraction(1, 2), 12) == \
+            shell_loop_check(a_t, b_t, 3, Fraction(1, 2), 12)
+
+    def test_builds_no_ball(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ball was built")
+
+        rng = np.random.default_rng(10)
+        a, b = random_weights(rng, enumerate_ball(1, 6).points(), 12, 4)
+        want = shell_loop_check(a, b, 3, Fraction(1, 2), 12)
+        monkeypatch.setattr(FiberSet, "ball", refuse)
+        monkeypatch.setattr(FiberSet, "rows", refuse)
+        assert er.discrete_maximal_check(a, b, 3, Fraction(1, 2), 12) == want
+
+    def test_cap_bounds_pairs(self):
+        # 2 centers times 3 atoms: zero values are outside both supports;
+        # every pair lies within 2, so k = 40 gives the sums of k = 2
+        p = [LatticePoint((i,), (0,), 0) for i in range(4)]
+        a = {p[0]: Fraction(1), p[1]: Fraction(2), p[3]: Fraction(0)}
+        b = {p[1]: Fraction(1), p[2]: Fraction(3), p[3]: Fraction(0)}
+        with pytest.raises(ResourceCapError) as info:
+            er.discrete_maximal_check(a, b, 40, Fraction(1, 2), 12, cap=5)
+        assert (info.value.predicted, info.value.cap) == (6, 5)
+        out = er.discrete_maximal_check(a, b, 40, Fraction(1, 2), 12, cap=6)
+        assert out == shell_loop_check(a, b, 2, Fraction(1, 2), 12)
+
+    def test_atoms_must_be_lattice_points_of_rank_n(self):
+        p2 = LatticePoint((1, 0), (0, 0), 0)
+        with pytest.raises(ValueError):
+            er.discrete_maximal_check({p2: Fraction(1)}, {}, 2, Fraction(1), 12)
+        with pytest.raises(ValueError):
+            er.discrete_maximal_check({}, {E1: Fraction(1)}, 2, Fraction(1), 12, n=2)
+        with pytest.raises(ValueError):
+            er.discrete_maximal_check({ContinuousPoint((0.5j,), 0.0): Fraction(1)},
+                                      {E1: Fraction(1)}, 2, Fraction(1), 12)
+
+    def test_first_radii_exact(self):
+        rng = np.random.default_rng(11)
+        pts = [rand_lat(rng, span=20) for _ in range(300)]
+        pairs = [(pts[i], pts[j]) for i, j in rng.integers(0, 300, size=(2000, 2))]
+        # d = 1 (a generator) and d = j (the central element (0, j^2)) exactly
+        pairs += [(p, multiply(generator(1, 0), p)) for p in pts[:50]]
+        pairs += [(p, multiply(LatticePoint((0,), (0,), 2 * j * j), p))
+                  for j in range(1, 6) for p in pts[:20]]
+        x, m, _ = np.array([offset_exact(s, h) for s, h in pairs]).T
+        for k, dtype in ((1, np.int64), (4, np.int64), (30, np.int64), (4, object)):
+            radii = er._first_radii(x.astype(dtype), m.astype(dtype), k).tolist()
+            for (s, h), r in zip(pairs, radii):
+                assert 1 <= r <= k + 1
+                assert r == k + 1 or dist_cmp(s, h, r) <= 0
+                assert r == 1 or dist_cmp(s, h, r - 1) > 0
+
+    @pytest.mark.slow
+    def test_thousand_atoms_at_k20(self):
+        # fixed seeds [97, trial]; 500 atoms in a, 500 in b, drawn from B_20
+        support = enumerate_ball(1, 20).points()
+        ratios = []
+        for trial in range(3):
+            rng = np.random.default_rng([97, trial])
+            idx = rng.choice(len(support), size=1000, replace=False)
+            a = {support[i]: Fraction(int(rng.integers(0, 12)), 5) for i in idx[:500]}
+            b = {support[i]: Fraction(int(rng.integers(1, 12)), 5) for i in idx[500:]}
+            out = er.discrete_maximal_check(a, b, 20, Fraction(1, 2), 12)
+            atoms, centers = list(a) + list(b), list(b)
+            picks = rng.integers(0, [len(centers), len(atoms)], size=(2000, 2))
+            sampled = [(atoms[j], centers[i]) for i, j in picks]
+            x, m, _ = np.array([offset_exact(s, h) for s, h in sampled]).T
+            for (s, h), r in zip(sampled, er._first_radii(x, m, 20).tolist()):
+                assert r == 21 or dist_cmp(s, h, r) <= 0
+                assert r == 1 or dist_cmp(s, h, r - 1) > 0
+            assert out.holds, f"trial {trial}: {out}"
+            ratios.append(float(out.lhs / out.rhs) if out.rhs else float("inf"))
+        print(f"k = 20, 1000 atoms, C = 12: worst lhs/rhs {min(ratios):.2f} of {ratios}")
 
     def test_validation(self):
         with pytest.raises(ValueError):
