@@ -274,7 +274,7 @@ def sphere_pair_distance(b1: BallSpec, b2: BallSpec, rounds: int = 80) -> float:
     return best
 
 
-def is_sphere_separated(balls: Sequence[BallSpec], tol: float = _SPHERE_SEP_TOL) -> bool:
+def is_sphere_separated(balls: Sequence[BallSpec]) -> bool:
     """Pairwise sphere-to-sphere distances all reach the smallest radius."""
     if not balls:
         raise ValueError("empty ball collection")
@@ -288,7 +288,7 @@ def is_sphere_separated(balls: Sequence[BallSpec], tol: float = _SPHERE_SEP_TOL)
                 continue
             if _sphere_gap_certified(bi, bj, rmin):
                 continue
-            if sphere_pair_distance(bi, bj) < float(rmin) - tol:
+            if sphere_pair_distance(bi, bj) < float(rmin) - _SPHERE_SEP_TOL:
                 return False
     return True
 
@@ -726,9 +726,11 @@ class Chain:
     """Candidate chain for the intersection-dimension test.
 
     x sits in every thickened sphere; points[i] is the i-th sphere's
-    center, drawn from F_{i-1}.  conditions records the (a), (b), (c)
-    clauses of the intersection-dimension definition, re-certified with
-    the exact boundary test.
+    center, drawn from F_{i-1}.  conditions is separation.certify_chain's
+    record of the intersection-dimension clauses, re-certified with the
+    exact boundary test: thickness_floor (a: every t_i >= 1), radius_scale
+    (b: r_i >= R t_1 ... t_i), memberships (c: each center lies in every
+    earlier thickened sphere) and witness_in_all (x lies in all of them).
     """
 
     x: Point
@@ -756,6 +758,8 @@ def maintech_chain(
     the staged machinery can be exercised on instances small enough to
     build; the emitted chain's conditions are still re-certified honestly.
     """
+    from .separation import ChainConfig, certify_chain  # `heisgeo net` loads covering alone
+
     heights = stack_height(params)
     cache: dict = {}
     F_pts = sorted({point_key(p): p for p in F}.values(), key=point_key)
@@ -841,22 +845,6 @@ def maintech_chain(
         )
         centers.append(ball.center)
         radii.append(ball.radius)
-    cond_a = all(Fraction(ti) >= 1 for ti in thicks)
-    scale = Fraction(params.R)
-    cond_b = True
-    for i in range(params.kappa):
-        scale *= Fraction(thicks[i])
-        if Fraction(radii[i]) < scale:
-            cond_b = False
-    cond_chain = all(
-        _shell_contains(centers[i], BallSpec(centers[j], radii[j]), thicks[j], cache)
-        for i in range(params.kappa)
-        for j in range(i)
-    )
-    cond_common = all(
-        _shell_contains(x, BallSpec(centers[i], radii[i]), thicks[i], cache)
-        for i in range(params.kappa)
-    )
     report = dict(
         base_report,
         outcome="chain",
@@ -866,19 +854,8 @@ def maintech_chain(
             for c, r, ti in zip(centers, radii, thicks)
         ],
     )
-    return Chain(
-        x,
-        tuple(centers),
-        tuple(radii),
-        tuple(thicks),
-        {
-            "t_at_least_one": cond_a,
-            "radii_scale": cond_b,
-            "chain_memberships": cond_chain,
-            "common_point_in_all": cond_common,
-        },
-        report,
-    )
+    config = ChainConfig(tuple(centers), tuple(radii), tuple(thicks), params.R)
+    return Chain(x, config.points, config.radii, config.thicks, certify_chain(config, x), report)
 
 
 # --- synthetic instances -----------------------------------------------------------

@@ -19,14 +19,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .balls import (
-    DEFAULT_CAP,
-    FiberSet,
-    _count_congruent,  # the congruence count behind corner_counts, importable here
-    _isqrt_vec,
-    _t_boundary,
-    ball_cardinality,
-)
+from .balls import DEFAULT_CAP, FiberSet, _isqrt_vec, _t_boundary, ball_cardinality
 from .core import LatticePoint, Radius, generator, inverse
 from .errors import ResourceCapError
 
@@ -39,7 +32,9 @@ class WeightedAction:
 
     ``states`` lists the points of X; ``label_of`` is the homomorphism
     onto the acting quotient, and every group-dependent quantity factors
-    through it, which is what makes exact ball aggregation possible.
+    through it, which is what makes exact ball aggregation possible.  The
+    acting quotient is X itself (H_n(Z/mZ) acting on itself, a shift of
+    the 2n-torus grid), so ``label_mul`` is also the action on states.
     """
 
     kind: str
@@ -49,10 +44,9 @@ class WeightedAction:
     spec: dict
     label_of: Callable[[LatticePoint], tuple] = field(repr=False)
     label_mul: Callable[[tuple, tuple], tuple] = field(repr=False)
-    act_label: Callable[[tuple, tuple], tuple] = field(repr=False)
 
     def act(self, g: LatticePoint, x):
-        return self.act_label(self.label_of(g), x)
+        return self.label_mul(self.label_of(g), x)
 
 
 def _validated_masses(states, masses) -> dict:
@@ -103,8 +97,7 @@ def make_quotient_action(n: int, m: int, masses=None) -> WeightedAction:
 
     spec = {"type": "quotient", "n": n, "m": m,
             "masses": [str(mass[x]) for x in states]}
-    return WeightedAction("quotient", n, states, mass, spec,
-                          label_of, label_mul, label_mul)
+    return WeightedAction("quotient", n, states, mass, spec, label_of, label_mul)
 
 
 def make_torus_action(n: int, alpha: Sequence[float], resolution: int) -> WeightedAction:
@@ -132,8 +125,7 @@ def make_torus_action(n: int, alpha: Sequence[float], resolution: int) -> Weight
 
     spec = {"type": "torus", "n": n, "alpha": [float(a) for a in alpha],
             "resolution": L, "shifts": shifts}
-    return WeightedAction("torus", n, states, mass, spec,
-                          label_of, label_mul, label_mul)
+    return WeightedAction("torus", n, states, mass, spec, label_of, label_mul)
 
 
 def action_from_spec(spec: dict) -> WeightedAction:
@@ -166,27 +158,24 @@ def _as_function(f) -> Callable:
 
 # --- exact ball aggregation --------------------------------------------------
 
-def _label_histogram(digits: np.ndarray, counts: np.ndarray, base: int) -> dict:
-    """{label: total count}; column i of digits is entry i's label in the given base."""
-    width = digits.shape[0]
-    idx = np.zeros(digits.shape[1], dtype=np.int64)
-    for j in range(width):
-        idx = idx * base + digits[j]
-    hist = np.zeros(base ** width, dtype=np.int64)
-    np.add.at(hist, idx, counts)
-    nz = np.flatnonzero(hist)
-    labels = np.stack(np.unravel_index(nz, (base,) * width), axis=1)
-    return {tuple(lab): c for lab, c in zip(labels.tolist(), hist[nz].tolist())}
-
-
 def ball_label_counts(action: WeightedAction, k: int, cap: int = DEFAULT_CAP) -> dict:
     """#{g in B_k : label(g) = l} for every acting label l, exactly.
 
     Fibers over each horizontal point are counted by congruence
     arithmetic, so no ball is ever materialized; k = 40 at n = 1 costs
     a few thousand integer interval counts.  Counts are memoized per
-    (action, k, cap) and every call returns a fresh dict.
+    (action, k, cap); every call returns a fresh dict of the nonzero
+    counts in state order.
     """
+    counts = _ball_counts(action, k, cap)
+    nz = np.flatnonzero(counts)
+    return {action.states[i]: c for i, c in zip(nz.tolist(), counts[nz].tolist())}
+
+
+@lru_cache(maxsize=128)
+def _ball_counts(action: WeightedAction, k: int, cap: int) -> np.ndarray:
+    """Read-only _label_counts of B_k; a refusal raises and is never cached."""
+    # actions compare by identity (eq=False), so the cache keys on the object
     if k < 1:
         raise ValueError("k must be >= 1")
     card = ball_cardinality(action.n, k)
@@ -194,28 +183,29 @@ def ball_label_counts(action: WeightedAction, k: int, cap: int = DEFAULT_CAP) ->
         raise ResourceCapError(
             f"ball of {card} points exceeds cap {cap}", predicted=card, cap=cap
         )
-    return dict(_ball_label_counts(action, k, cap))
+    counts = _label_counts(action, FiberSet.ball(action.n, k, cap=cap))
+    counts.flags.writeable = False
+    return counts
 
 
-@lru_cache(maxsize=128)
-def _ball_label_counts(action: WeightedAction, k: int, cap: int) -> dict:
-    # actions compare by identity (eq=False), so the cache keys on the object
-    return _label_counts(action, FiberSet.ball(action.n, k, cap=cap))
-
-
-def _label_counts(action: WeightedAction, fibers: FiberSet) -> dict:
-    """{label: #points of the fiber set with that label}, by congruence counts per entry."""
+def _label_counts(action: WeightedAction, fibers: FiberSet) -> np.ndarray:
+    """#points of the fiber set per label, by congruence counts per entry, as
+    an int64 vector indexed like action.states: labels and states are one
+    digit grid in C order, so a label's ravelled digits are its state index."""
     if action.kind == "quotient":
         # label (a, b, c) mod m with corner c = (m_int + <a,b>)/2
-        m = action.spec["m"]
-        counts = fibers.corner_counts(m)
-        digits = np.vstack([np.repeat(fibers.y % m, m, axis=1), np.tile(np.arange(m), fibers.lo.size)])
-        return _label_histogram(digits, counts.ravel(), m)
-    if action.kind == "torus":
-        L = action.spec["resolution"]
-        shifts = np.array(action.spec["shifts"], dtype=np.int64)
-        return _label_histogram((fibers.y * shifts[:, None]) % L, fibers.sizes(), L)
-    raise ValueError(f"unknown action kind {action.kind!r}")
+        base = action.spec["m"]
+        sizes = fibers.corner_counts(base).ravel()
+        digits = np.vstack([np.repeat(fibers.y % base, base, axis=1), np.tile(np.arange(base), fibers.lo.size)])
+    elif action.kind == "torus":
+        base = action.spec["resolution"]
+        sizes = fibers.sizes()
+        digits = (fibers.y * np.array(action.spec["shifts"], dtype=np.int64)[:, None]) % base
+    else:
+        raise ValueError(f"unknown action kind {action.kind!r}")
+    counts = np.zeros(len(action.states), dtype=np.int64)
+    np.add.at(counts, np.ravel_multi_index(tuple(digits), (base,) * len(digits)), sizes)
+    return counts
 
 
 def _common_denominator(vals: list) -> tuple[list, int]:
@@ -225,42 +215,39 @@ def _common_denominator(vals: list) -> tuple[list, int]:
 
 
 @lru_cache(maxsize=32)
-def _tables(action: WeightedAction) -> tuple[dict, np.ndarray, list]:
-    """(index, act, wt) of an action, built once: state positions, the act
-    table act[l, x] = position of act_label(states[l], states[x]), and the
-    masses' numerators over their least common denominator.
+def _tables(action: WeightedAction) -> tuple[np.ndarray, list]:
+    """(act, wt) of an action, built once: the act table act[l, x] = index
+    of label_mul(states[l], states[x]), and the masses' numerators over
+    their least common denominator.
 
-    Both actions label the acting quotient by the same tuples as their
-    states (H_n(Z/mZ) acting on itself, a shift of the 2n-torus grid), and
-    the states are that digit grid in C order.  act_label is integer
-    arithmetic on the digits, so one call on broadcast digit columns acts
-    with every label on every state, and the images' grid positions are
-    their state indices.
+    The states are the labels' digit grid in C order, and label_mul is
+    integer arithmetic on the digits, so one call on broadcast digit
+    columns acts with every label on every state, and the images' grid
+    positions are their state indices.
     """
     states = action.states
     digits = np.array(states, dtype=np.int64).T
-    images = action.act_label(tuple(digits[:, :, None]), tuple(digits[:, None, :]))
+    images = action.label_mul(tuple(digits[:, :, None]), tuple(digits[:, None, :]))
     act = np.ravel_multi_index(images, tuple(digits.max(axis=1) + 1))
     wt, _ = _common_denominator([action.mass[x] for x in states])
-    return {x: i for i, x in enumerate(states)}, act, wt
+    return act, wt
 
 
-def _weighted_sums(action: WeightedAction, counts: dict, func=lambda y: 1):
+def _weighted_sums(action: WeightedAction, counts: np.ndarray, func=lambda y: 1):
     """(sum_g f(g x) w_g(x), sum_g w_g(x)) for every state x, exact.
 
-    g runs over the label histogram counts.  With masses wt / W (_tables)
-    and f = fnum / F over least common denominators, the sums are
+    g runs over the label counts (_label_counts).  With masses wt / W
+    (_tables) and f = fnum / F over least common denominators, the sums are
     num / (F wt(x)) and den / wt(x) for integers that one pass over the act
     table gives for all states: int64 while sum(counts) max(wt)
     max(|fnum|, 1) <= 2^62 bounds every term and partial sum, Python
     integers beyond.
     """
-    index, act, wt = _tables(action)
+    act, wt = _tables(action)
     fnum, scale = _common_denominator([Fraction(func(y)) for y in action.states])
-    bound = max(sum(counts.values()), 1) * max(wt) * max([1, *map(abs, fnum)])
+    bound = max(int(counts.sum()), 1) * max(wt) * max([1, *map(abs, fnum)])
     dtype = np.int64 if bound <= 2 ** 62 else object
-    cnt = np.zeros(len(wt), dtype=dtype)
-    cnt[[index[lab] for lab in counts]] = list(counts.values())
+    cnt = counts.astype(dtype)
     moved = np.array(wt, dtype=dtype)[act]
     num = (cnt @ (moved * np.array(fnum, dtype=dtype)[act])).tolist()
     den = (cnt @ moved).tolist()
@@ -278,7 +265,7 @@ class AverageResult(NamedTuple):
 def weighted_average(action: WeightedAction, f, k: int, x,
                      cap: int = DEFAULT_CAP) -> AverageResult:
     """Exact (sum_{B_k} f(gx) w_g(x)) / (sum_{B_k} w_g(x))."""
-    num, den = _weighted_sums(action, ball_label_counts(action, k, cap), _as_function(f))
+    num, den = _weighted_sums(action, _ball_counts(action, k, cap), _as_function(f))
     i = action.states.index(x)
     return AverageResult(k, num[i] / den[i], num[i], den[i])
 
@@ -289,7 +276,7 @@ def nsfc_ratio(action: WeightedAction, k: int, sigma: LatticePoint, x,
     ball = FiberSet.ball(action.n, k, cap=cap)
     delta = ball.symmetric_difference(ball.translate(sigma, left=True))
     _, num = _weighted_sums(action, _label_counts(action, delta))
-    _, den = _weighted_sums(action, ball_label_counts(action, k, cap))
+    _, den = _weighted_sums(action, _ball_counts(action, k, cap))
     i = action.states.index(x)
     return num[i] / den[i]
 
@@ -299,7 +286,7 @@ def boundary_weight_ratio(action: WeightedAction, k: int, t: Radius, x,
     """(sum_{t-boundary of B_k} w_g(x)) / (sum_{B_k} w_g(x)), exact."""
     band = _t_boundary(action.n, k, t, cap)
     _, num = _weighted_sums(action, _label_counts(action, band))
-    _, den = _weighted_sums(action, ball_label_counts(action, k, cap))
+    _, den = _weighted_sums(action, _ball_counts(action, k, cap))
     i = action.states.index(x)
     return num[i] / den[i]
 
@@ -311,7 +298,7 @@ def convergence_rows(action: WeightedAction, f, ks: Sequence[int],
     ref = integral(action, f)
     rows = []
     for k in ks:
-        num, den = _weighted_sums(action, ball_label_counts(action, k, cap), func)
+        num, den = _weighted_sums(action, _ball_counts(action, k, cap), func)
         for x_id, (nu, de) in enumerate(zip(num, den)):
             val = nu / de
             rows.append((k, x_id, val, abs(val - ref)))
@@ -339,7 +326,7 @@ def orbit_transitive(action: WeightedAction) -> bool:
     while frontier:
         x = frontier.pop()
         for lab in labels:
-            y = action.act_label(lab, x)
+            y = action.label_mul(lab, x)
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
@@ -464,8 +451,8 @@ def maximal_inequality_experiment(action: WeightedAction, f, eps: Rational,
     if eps <= 0:
         raise ValueError("eps must be positive")
     exceeding = Fraction(0)
-    counts = [ball_label_counts(action, k, cap) for k in range(1, k_max + 1)]
-    sums = [_weighted_sums(action, cnt, func) for cnt in counts]
+    sums = [_weighted_sums(action, _ball_counts(action, k, cap), func)
+            for k in range(1, k_max + 1)]
     for i, x in enumerate(action.states):
         if any(abs(num[i] / den[i]) > eps for num, den in sums):
             exceeding += action.mass[x]

@@ -41,11 +41,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ContinuousPoint, Point, as_continuous, homogeneous_norm, multiply
+from .core import ContinuousPoint, Point, as_continuous, homogeneous_norm, inverse, multiply
 
 _NEWTON_STEPS = 100  # cap; the Newton root converges in a handful of steps
 _NEWTON_RTOL = 4 * np.finfo(float).eps
 _HARD_EPS = 1e-30
+_DIST_RTOL = 1e-12  # sphere_distance bisects to this fraction of max(bracket, 1)
 
 
 def _secular_root(gap: np.ndarray, qq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -263,9 +264,7 @@ def point_to_flat(p: Point):
     return z_flat, cp.tau
 
 
-def sphere_distance(
-    y: Point, r: float, *, rel_tol: float = 1e-12, return_witness: bool = False
-):
+def sphere_distance(y: Point, r: float, *, return_witness: bool = False):
     """dist(y, S_r(0)) by bisection on the certified membership predicate.
 
     The predicate t -> (min F_t <= 1) is monotone; the bracket is the exact
@@ -290,7 +289,7 @@ def sphere_distance(
         hi = lo
     span = max(hi, 1.0)
     witness_xi: Optional[np.ndarray] = None
-    while hi - lo > rel_tol * span:
+    while hi - lo > _DIST_RTOL * span:
         mid = 0.5 * (lo + hi)
         if mid <= 0.0:
             break
@@ -304,7 +303,7 @@ def sphere_distance(
     if not return_witness:
         return dist
     if witness_xi is None:
-        _, witness_xi = gauge_min(z_flat, tau, r, max(hi, rel_tol), return_argmin=True)
+        _, witness_xi = gauge_min(z_flat, tau, r, max(hi, _DIST_RTOL), return_argmin=True)
     return dist, sphere_point(r, witness_xi)
 
 
@@ -312,11 +311,7 @@ def project_to_sphere(y: Point, center: Point, r: float) -> tuple[float, Continu
     """Nearest point of S_r(center) to y, via right translation to the origin."""
     cy = as_continuous(y)
     cc = as_continuous(center)
-    reduced = ContinuousPoint(
-        tuple(a - b for a, b in zip(cy.z, cc.z)),
-        cy.tau - cc.tau - 0.5 * sum((w.conjugate() * u).imag for w, u in zip(cy.z, cc.z)),
-    )
-    # reduced = y * center^{-1}; right invariance moves the sphere to origin
-    dist, w0 = sphere_distance(reduced, r, return_witness=True)
+    # right invariance moves the sphere to the origin
+    dist, w0 = sphere_distance(multiply(cy, inverse(cc)), r, return_witness=True)
     w = multiply(w0, cc)
     return dist, w

@@ -550,6 +550,16 @@ class TestMaintech:
         assert res.report["forced"] is True
         assert len(res.points) == len(res.radii) == len(res.thicks)
 
+    def test_forced_chain_conditions_are_certify_chain(self):
+        from heisgeo import separation as sp
+
+        nu, F, stack, params, t = cv.synthetic_maintech_instance()
+        res = cv.maintech_chain(nu, F, stack, params, t, force=True)
+        config = sp.ChainConfig(res.points, res.radii, res.thicks, params.R)
+        assert res.conditions == sp.certify_chain(config, res.x)
+        assert list(res.conditions) == ["thickness_floor", "radius_scale",
+                                        "memberships", "witness_in_all"]
+
     def test_forced_chain_memberships_recheck(self):
         nu, F, stack, params, t = cv.synthetic_maintech_instance()
         res = cv.maintech_chain(nu, F, stack, params, t, force=True)

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from heisgeo import ergodic as er
 from heisgeo.balls import (
+    DEFAULT_CAP,
     FiberSet,
+    _count_congruent,
     ball_cardinality,
     enumerate_ball,
     folner_ratio,
@@ -65,7 +67,7 @@ class TestCountCongruent:
             mod = int(rng.integers(2, 9))
             r = int(rng.integers(0, mod))
             brute = sum(1 for x in range(lo, hi + 1) if x % mod == r)
-            assert er._count_congruent(lo, hi, r, mod) == brute
+            assert _count_congruent(lo, hi, r, mod) == brute
 
 
 class TestQuotientAction:
@@ -106,7 +108,7 @@ class TestQuotientAction:
     def test_translations_are_bijections(self):
         act = uniform_quotient()
         for lab in (act.label_of(E1), act.label_of(rand_lat(np.random.default_rng(5)))):
-            image = {act.act_label(lab, x) for x in act.states}
+            image = {act.label_mul(lab, x) for x in act.states}
             assert image == set(act.states)
 
     def test_uniform_masses_measure_preserving(self):
@@ -203,11 +205,14 @@ class TestBallLabelCounts:
         for act in (skewed_quotient(), er.make_torus_action(1, (0.375, 0.625), 8)):
             first = er.ball_label_counts(act, 6)
             want = dict(first)
+            assert list(want) == [x for x in act.states if x in want]  # state order
             first[next(iter(first))] += 1
             first[("not", "a", "label")] = 7
             assert er.ball_label_counts(act, 6) == want
-            assert er._ball_label_counts.__wrapped__(act, 6, 10 ** 8) == want
-            # the cap refusal runs before the memo is consulted
+            fresh = er._ball_counts.__wrapped__(act, 6, 10 ** 8)
+            assert {x: c for x, c in zip(act.states, fresh.tolist()) if c} == want
+            assert not er._ball_counts(act, 6, DEFAULT_CAP).flags.writeable
+            # a smaller cap is its own memo key, so a hit never skips the refusal
             with pytest.raises(ResourceCapError):
                 er.ball_label_counts(act, 6, cap=10)
 
@@ -217,7 +222,7 @@ def per_state_sums(action, counts, func, x):
     mx = action.mass[x]
     num = den = Fraction(0)
     for lab, cnt in counts.items():
-        y = action.act_label(lab, x)
+        y = action.label_mul(lab, x)
         w = action.mass[y] / mx
         den += cnt * w
         if func is not None:
@@ -226,14 +231,14 @@ def per_state_sums(action, counts, func, x):
 
 
 class TestWeightedAverage:
-    def test_act_table_matches_act_label(self):
+    def test_act_table_matches_label_mul(self):
         for act in (uniform_quotient(), er.make_quotient_action(2, 2),
                     er.make_torus_action(1, (0.375, 0.625), 8)):
-            index, table, _ = er._tables(act)
+            table, _ = er._tables(act)
             for lab in act.states:
                 for x in act.states:
-                    y = act.act_label(lab, x)
-                    assert act.states[table[index[lab], index[x]]] == y
+                    y = act.label_mul(lab, x)
+                    assert act.states[table[act.states.index(lab), act.states.index(x)]] == y
 
     def test_all_state_sums_match_per_state_loop(self):
         # masses near 2^80 over their common denominator take the
@@ -248,10 +253,22 @@ class TestWeightedAverage:
                  for x in act.states}
             for k in (1, 3, 6):
                 counts = er.ball_label_counts(act, k)
-                num, den = er._weighted_sums(act, counts, f.get)
+                vec = er._ball_counts(act, k, DEFAULT_CAP)
+                num, den = er._weighted_sums(act, vec, f.get)
                 want = [per_state_sums(act, counts, f.get, x) for x in act.states]
                 assert list(zip(num, den)) == want
-                assert er._weighted_sums(act, counts)[1] == den
+                assert er._weighted_sums(act, vec)[1] == den
+
+    def test_memo_hit_skips_the_cap_count(self, monkeypatch):
+        act = uniform_quotient()
+        f, x = indicator(act.states[4]), act.states[11]
+        warm = er.weighted_average(act, f, 40, x)
+
+        def refuse(*args):
+            raise AssertionError("ball_cardinality called on a memo hit")
+
+        monkeypatch.setattr(er, "ball_cardinality", refuse)
+        assert er.weighted_average(act, f, 40, x) == warm
 
     def test_constant_function_exact(self):
         act = skewed_quotient()
@@ -266,7 +283,7 @@ class TestWeightedAverage:
     def test_equidistribution_at_40(self):
         # calibrated: worst basis-indicator error is ~3e-5, frozen bound 0.02
         act = uniform_quotient()
-        counts = er.ball_label_counts(act, 40)
+        counts = er._ball_counts(act, 40, DEFAULT_CAP)
         worst = Fraction(0)
         for target in act.states:
             num, den = er._weighted_sums(act, counts, indicator(target))
@@ -278,7 +295,7 @@ class TestWeightedAverage:
         act = uniform_quotient()
         worst = {}
         for k in (5, 40):
-            counts = er.ball_label_counts(act, k)
+            counts = er._ball_counts(act, k, DEFAULT_CAP)
             w = Fraction(0)
             for target in act.states:
                 num, den = er._weighted_sums(act, counts, indicator(target))

@@ -51,6 +51,18 @@ def test_lattice_commands_load_no_scipy_and_no_search_layer(argv, tmp_path):
     assert (tmp_path / "artifact.txt").read_text().strip()
 
 
+def test_net_command_loads_covering_but_no_separation(tmp_path):
+    doc = run_fresh("""
+        import json, sys
+        import heisgeo.cli
+        code = heisgeo.cli.main(["net", "--n", "1", "--rho", "0.9", "--out", "artifact.txt"])
+        print(json.dumps({"code": code, "covering": "heisgeo.covering" in sys.modules,
+                          "separation": "heisgeo.separation" in sys.modules}))
+    """, tmp_path)
+    assert doc == {"code": 0, "covering": True, "separation": False}
+    assert (tmp_path / "artifact.txt").read_text().strip()
+
+
 def test_every_public_name_resolves_and_is_listed(tmp_path):
     doc = run_fresh("""
         import json, sys

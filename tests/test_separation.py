@@ -295,7 +295,7 @@ class TestIntersectionSearch:
         points = [point_from_json(s) for s in cert["points"]]
         y = point_from_json(cert["witness"])
         for x, r, t in zip(points, cert["radii"], cert["thicks"]):
-            d = sphere_distance(multiply(y, inverse(x)), r, rel_tol=1e-12)
+            d = sphere_distance(multiply(y, inverse(x)), r)
             assert d <= t + 1e-6
 
     def test_scale_condition_exact(self):
