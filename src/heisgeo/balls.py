@@ -56,7 +56,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -115,6 +115,8 @@ def _halfwidth(p: int, q: int, x: np.ndarray, strict: bool = False) -> np.ndarra
 
 def _disk(n: int, u: int, v: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Horizontal points with |y| <= u/v as lex-sorted columns (2n, N), and X = |y|^2."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     side = 2 * (u // v) + 1
     cells = side ** (2 * n)
     if cells > cap:
@@ -334,19 +336,6 @@ class BallTable:
     def points(self, cap: int = 10 ** 6) -> list[LatticePoint]:
         return _lattice_points(self.n, self.coords, cap)
 
-    def __contains__(self, p: LatticePoint) -> bool:
-        if p.n != self.n:
-            return False
-        row = np.array(p.a + p.b + (p.m,), dtype=np.int64)
-        return bool(np.any(np.all(self.coords == row, axis=1)))
-
-
-def _lexsort_rows(coords: np.ndarray) -> np.ndarray:
-    if coords.shape[0] == 0:
-        return coords
-    order = np.lexsort(tuple(coords[:, j] for j in range(coords.shape[1] - 1, -1, -1)))
-    return coords[order]
-
 
 def _pair_hist(u: int, v: int) -> np.ndarray:
     """h[s, p] = #{(a, b) in Z^2 : a^2 + b^2 = s <= (u/v)^2, ab = p (mod 2)}."""
@@ -385,6 +374,8 @@ def _horizontal_hist(n: int, u: int, v: int) -> np.ndarray:
 
 def ball_cardinality(n: int, r: Radius) -> int:
     """|B_r(0)| in H^n, exactly, without materializing points."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     u, v = radius_parts(r)
     if u == 0:
         return 1
@@ -406,8 +397,6 @@ def enumerate_ball(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     card = ball_cardinality(n, k)
     if card > cap:
         raise ResourceCapError(
@@ -422,19 +411,6 @@ def enumerate_ball(
             f"histogram count ({card})"
         )
     return BallTable(n=n, k=k, center=center, coords=fibers.rows())
-
-
-def product_set(
-    A: Iterable[LatticePoint], B: Iterable[LatticePoint], cap: int = DEFAULT_CAP
-) -> set[LatticePoint]:
-    """{a * b : a in A, b in B}, deduplicated exactly."""
-    A, B = list(A), list(B)
-    if len(A) * len(B) > cap:
-        raise ResourceCapError(
-            f"{len(A)}*{len(B)} pairwise products exceed cap {cap}",
-            predicted=len(A) * len(B), cap=cap,
-        )
-    return {multiply(a, b) for a in A for b in B}
 
 
 def product_ball_cardinality(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
@@ -649,27 +625,6 @@ def t_boundary_count(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> int:
 def sphere_cardinality(n: int, k: int) -> int:
     """# lattice points with d(p, 0) = k exactly (the t = 0 boundary)."""
     return t_boundary_count(n, k, 0)
-
-
-# --- symmetry checks --------------------------------------------------------
-
-def table_closed_under_symmetries(table: BallTable) -> bool:
-    """Flip and quarter-turn closure of an origin-centred table."""
-    if table.center != lattice_identity(table.n):
-        raise ValueError("symmetry closure applies to origin-centred tables")
-    n = table.n
-    ref = table.coords
-    flip = ref.copy()
-    flip[:, n:2 * n] *= -1
-    flip[:, 2 * n] *= -1
-    if not np.array_equal(_lexsort_rows(flip), ref):
-        return False
-    for j in range(n):
-        rot = ref.copy()
-        rot[:, j], rot[:, n + j] = -ref[:, n + j], ref[:, j]
-        if not np.array_equal(_lexsort_rows(rot), ref):
-            return False
-    return True
 
 
 # --- tabular output ---------------------------------------------------------

@@ -366,7 +366,6 @@ def cmd_intersect(args) -> int:
     report = sp.intersection_search(args.n, args.R, args.trials,
                                     max_chain=args.max_chain, seed=args.seed,
                                     workers=args.workers)
-    report.pop("workers", None)  # scheduling detail, kept out of artifacts
     _emit_json(args, "intersect", report)
     return 0
 

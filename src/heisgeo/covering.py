@@ -433,6 +433,8 @@ def covering_net(n: int, rho: float, cap: int = DEFAULT_CAP) -> tuple[int, list[
     A grid of more than cap cells raises ResourceCapError before anything
     is allocated.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
     h = float(rho) / 8.0
@@ -917,75 +919,3 @@ def synthetic_boundgen_instance(
     )
     delta = Fraction(9, 10) * nu_F / nu.total
     return nu, tuple(pts), Stack(carpets), Fraction(1, 4), delta, t
-
-
-def synthetic_massbound_instance(t: int = 2):
-    """Fully hypothesis-satisfying squared-growth instance.
-
-    Shell atoms hold almost all the mass, so nu(F) <= delta nu(M) and the
-    chain construction certifies the mass bound outright.  Radii square
-    per level (top coordinate near 1e188), which keeps every membership on
-    the exact integer path.
-
-    Returns (nu, F, stack, params, t).
-    """
-    params = HeightParams(
-        chi=1, kappa=1, eps=Fraction(1, 2), delta=Fraction(1, 2), R=2.0
-    )
-    q = stack_height(params).q
-    pts = [_axis_point(0), _axis_point(1)]
-    weights: dict[Point, Fraction] = {p: Fraction(1) for p in pts}
-    nu_F = Fraction(len(pts))
-    radii = []
-    r = 7 * max(t, 2) + 1
-    for _ in range(q):
-        radii.append(r)
-        r = 2 * r * r + 1
-    acc = Fraction(0)
-    for i, R in enumerate(radii):
-        a = nu_F + acc + 1  # strict majority of the ball it sits on
-        weights[_axis_point(R)] = a
-        acc += a
-    nu = DiscreteMeasure(weights)
-    carpets = tuple(Carpet(tuple(BallSpec(p, R) for p in pts)) for R in radii)
-    return nu, tuple(pts), Stack(carpets), params, t
-
-
-def synthetic_maintech_instance(t: int = 2, shell_points: int = 5):
-    """Small kappa=1 instance for the forced chain path.
-
-    Radii double rather than square, so the squared-growth hypothesis
-    fails by design and the instance only runs under force=True; the
-    geometry still drives each staged selection to a clean exit and the
-    emitted chain satisfies the re-certified conditions.
-
-    Returns (nu, F, stack, params, t).
-    """
-    params = HeightParams(
-        chi=1, kappa=1, eps=Fraction(1, 2), delta=Fraction(1, 2), R=1.0001
-    )
-    q = stack_height(params).q
-    radii = []
-    r = 7 * max(t, 2) + 1
-    for _ in range(q):
-        radii.append(r)
-        r = 2 * r + 1
-    top = radii[-1]
-    pts = [_axis_point(0)] + [_axis_point(top - s) for s in range(1, shell_points + 1)]
-    weights: dict[Point, Fraction] = {p: Fraction(1) for p in pts}
-    nu = DiscreteMeasure(weights)
-    carpets = tuple(Carpet(tuple(BallSpec(p, R) for p in pts)) for R in radii)
-    return nu, tuple(pts), Stack(carpets), params, t
-
-
-# --- reports ------------------------------------------------------------------------
-
-def covering_report_json(report: dict) -> str:
-    """Deterministic JSON for a covering run report."""
-
-    def fallback(x):
-        if isinstance(x, Fraction):
-            return str(x)
-        raise TypeError(f"unserializable {type(x)!r}")
-
-    return json.dumps(report, sort_keys=True, indent=2, default=fallback)

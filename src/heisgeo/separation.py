@@ -611,7 +611,6 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
         "trials": trials,
         "seed": seed,
         "max_chain": max_chain,
-        "workers": workers,
         "longest_chain_found": longest,
         "length_counts": counts,
         "certificates": certificates[:3],

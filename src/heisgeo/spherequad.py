@@ -28,10 +28,9 @@ on span{g, e_tau}, whose eigenvalues mu_- <= alpha^2 <= mu_+ (product
 alpha^2 beta^2) are closed-form.  q lies in span{z, g, e_tau}, so the
 secular equation has at most three poles and depends on (|z|^2, tau, r, t)
 alone; U(n) rotations and the flip (z, tau) -> (conj z, -tau) leave the
-minimum unchanged.  The generic solver for an arbitrary P diagonalises it
-and shares the same secular root.  Everything here is float numerics;
-exact integer screens live in the ball module and only route the
-ambiguous band through these solvers.
+minimum unchanged.  Everything here is float numerics; exact integer
+screens live in the ball module and only route the ambiguous band through
+this solver.
 """
 
 from __future__ import annotations
@@ -124,58 +123,6 @@ def _secular_batched(lam: np.ndarray, qt: np.ndarray, c: np.ndarray):
     return values, xi
 
 
-def min_quadratic_on_sphere_batched(
-    P: np.ndarray, q: np.ndarray, c: np.ndarray, return_argmin: bool = False
-):
-    """Global min of xi^T P xi + 2 q . xi + c over ||xi||=1 for stacked inputs.
-
-    P: (N, d, d) symmetric, q: (N, d), c: (N,).
-    """
-    lam, vecs = np.linalg.eigh(P)
-    qt = np.einsum("nij,ni->nj", vecs, np.asarray(q, dtype=float))
-    values, xi_t = _secular_batched(lam, qt, np.asarray(c, dtype=float))
-    if not return_argmin:
-        return values
-    xi = np.einsum("nij,nj->ni", vecs, xi_t)
-    return values, xi
-
-
-def min_quadratic_on_sphere(P, q, c: float = 0.0, return_argmin: bool = False):
-    """Scalar wrapper around the batched secular solver."""
-    P = np.asarray(P, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = min_quadratic_on_sphere_batched(P[None], q[None], np.array([c]), return_argmin)
-    if return_argmin:
-        values, xi = out
-        return float(values[0]), xi[0]
-    return float(out[0])
-
-
-def gauge_matrix(z_flat: np.ndarray, tau: float, r: float, t: float):
-    """(M, v) with F_t(xi) = ||M xi - v||^2 for y = (z, tau) against S_r(0).
-
-    z_flat is the horizontal part as a real vector (Re z_1..n, Im z_1..n).
-    Row layout: 2n rows match the horizontal offset, the last row carries the
-    central offset including the twist term (r/2) Im<a, z>, whose gradient in
-    a is (z_im, -z_re).
-    """
-    z_flat = np.asarray(z_flat, dtype=float)
-    if t <= 0:
-        raise ValueError("tolerance t must be positive")
-    two_n = z_flat.shape[0]
-    n = two_n // 2
-    d = two_n + 1
-    M = np.zeros((d, d))
-    v = np.zeros(d)
-    M[:two_n, :two_n] = (r / t) * np.eye(two_n)
-    v[:two_n] = z_flat / t
-    M[two_n, two_n] = r * r / (t * t)
-    M[two_n, :n] = -(r / (2 * t * t)) * z_flat[n:]
-    M[two_n, n:two_n] = (r / (2 * t * t)) * z_flat[:n]
-    v[two_n] = tau / (t * t)
-    return M, v
-
-
 def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
     """Three-pole secular data of the gauge for |z|^2 = x and central tau.
 
@@ -183,7 +130,7 @@ def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
     basis (e_-, z/|z|, e_+), where e_- = cs g + sn e_tau and
     e_+ = -sn g + cs e_tau are the eigenvectors of the 2x2 block.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("tolerance t must be positive")
     zn = np.sqrt(x)
     alpha = r / t
@@ -273,8 +220,8 @@ def sphere_distance(y: Point, r: float, *, return_witness: bool = False):
     """
     cp = as_continuous(y)
     lam = homogeneous_norm(cp)
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= r < math.inf:
+        raise ValueError("radius must be nonnegative and finite")
     if r == 0.0 or lam == 0.0:
         dist = abs(lam - r)
         if return_witness:

@@ -159,6 +159,9 @@ class TestExitCodes:
     def test_value_error_is_usage(self, capsys):
         code, _, _ = run(capsys, "intersect", "--R", "0.5", "--trials", "1")
         assert code == 64
+        code, out, err = run(capsys, "ball", "--n", "0", "--k", "2")
+        assert (code, out) == (64, "")
+        assert "n must be >= 1" in err
 
 
 class TestDocumentShape:

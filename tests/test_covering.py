@@ -329,6 +329,9 @@ class TestCoveringNet:
         for rho in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 cv.covering_net(1, rho)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                cv.covering_net(n, 0.5)
 
     def test_cap_argument(self):
         with pytest.raises(ResourceCapError) as info:
@@ -519,15 +522,62 @@ class TestBoundgen:
         r1 = cv.boundgen_select(nu, F, stack, eps, delta, t, chi=4)
         r2 = cv.boundgen_select(nu, F, stack, eps, delta, t, chi=4)
         assert r1.report["input_digest"] == r2.report["input_digest"]
-        assert cv.covering_report_json(r1.report) == cv.covering_report_json(r2.report)
-        json.loads(cv.covering_report_json(r1.report))  # valid JSON
+        assert json.dumps(r1.report, sort_keys=True) == json.dumps(r2.report, sort_keys=True)
+
+
+def axis_stack(points, radii):
+    return cv.Stack(tuple(cv.Carpet(tuple(BallSpec(p, R) for p in points)) for R in radii))
+
+
+@pytest.fixture
+def massbound_instance():
+    """Fully hypothesis-satisfying squared-growth instance.
+
+    Shell atoms hold almost all the mass, so nu(F) <= delta nu(M) and the
+    chain construction certifies the mass bound outright.  Radii square
+    per level (top coordinate near 1e188), which keeps every membership on
+    the exact integer path.  Returns (nu, F, stack, params, t).
+    """
+    params = cv.HeightParams(chi=1, kappa=1, eps=Fraction(1, 2), delta=Fraction(1, 2), R=2.0)
+    pts = [axis(0), axis(1)]
+    weights = {p: Fraction(1) for p in pts}
+    t = 2
+    radii, r, acc = [], 7 * t + 1, Fraction(0)
+    for _ in range(cv.stack_height(params).q):
+        radii.append(r)
+        a = len(pts) + acc + 1  # strict majority of the ball it sits on
+        weights[axis(r)] = a
+        acc += a
+        r = 2 * r * r + 1
+    return cv.DiscreteMeasure(weights), tuple(pts), axis_stack(pts, radii), params, t
+
+
+@pytest.fixture
+def maintech_instance():
+    """Small kappa=1 instance for the forced chain path.
+
+    Radii double rather than square, so the squared-growth hypothesis
+    fails by design and the instance only runs under force=True; the
+    geometry still drives each staged selection to a clean exit and the
+    emitted chain satisfies the re-certified conditions.  Returns
+    (nu, F, stack, params, t).
+    """
+    params = cv.HeightParams(chi=1, kappa=1, eps=Fraction(1, 2), delta=Fraction(1, 2), R=1.0001)
+    t = 2
+    radii, r = [], 7 * t + 1
+    for _ in range(cv.stack_height(params).q):
+        radii.append(r)
+        r = 2 * r + 1
+    pts = [axis(0)] + [axis(radii[-1] - s) for s in range(1, 6)]
+    nu = cv.DiscreteMeasure({p: Fraction(1) for p in pts})
+    return nu, tuple(pts), axis_stack(pts, radii), params, t
 
 
 class TestMaintech:
-    def test_mass_bound_honest_path(self):
+    def test_mass_bound_honest_path(self, massbound_instance):
         # every hypothesis holds on the squared-growth instance and the
         # base mass already sits below the target fraction
-        nu, F, stack, params, t = cv.synthetic_massbound_instance()
+        nu, F, stack, params, t = massbound_instance
         res = cv.maintech_chain(nu, F, stack, params, t)
         assert isinstance(res, cv.MassBound)
         assert res.nu_F <= res.bound
@@ -535,14 +585,14 @@ class TestMaintech:
         assert res.report["forced"] is False
         assert res.report["q"] == 8
 
-    def test_unforced_growth_check_rejects_doubling_radii(self):
-        nu, F, stack, params, t = cv.synthetic_maintech_instance()
+    def test_unforced_growth_check_rejects_doubling_radii(self, maintech_instance):
+        nu, F, stack, params, t = maintech_instance
         with pytest.raises(HypothesisViolation) as exc:
             cv.maintech_chain(nu, F, stack, params, t)
         assert exc.value.clause == "radii_growth_squared"
 
-    def test_forced_chain_extraction(self):
-        nu, F, stack, params, t = cv.synthetic_maintech_instance()
+    def test_forced_chain_extraction(self, maintech_instance):
+        nu, F, stack, params, t = maintech_instance
         res = cv.maintech_chain(nu, F, stack, params, t, force=True)
         assert isinstance(res, cv.Chain)
         assert all(res.conditions.values())
@@ -550,24 +600,24 @@ class TestMaintech:
         assert res.report["forced"] is True
         assert len(res.points) == len(res.radii) == len(res.thicks)
 
-    def test_forced_chain_conditions_are_certify_chain(self):
+    def test_forced_chain_conditions_are_certify_chain(self, maintech_instance):
         from heisgeo import separation as sp
 
-        nu, F, stack, params, t = cv.synthetic_maintech_instance()
+        nu, F, stack, params, t = maintech_instance
         res = cv.maintech_chain(nu, F, stack, params, t, force=True)
         config = sp.ChainConfig(res.points, res.radii, res.thicks, params.R)
         assert res.conditions == sp.certify_chain(config, res.x)
         assert list(res.conditions) == ["thickness_floor", "radius_scale",
                                         "memberships", "witness_in_all"]
 
-    def test_forced_chain_memberships_recheck(self):
-        nu, F, stack, params, t = cv.synthetic_maintech_instance()
+    def test_forced_chain_memberships_recheck(self, maintech_instance):
+        nu, F, stack, params, t = maintech_instance
         res = cv.maintech_chain(nu, F, stack, params, t, force=True)
         for c, r, th in zip(res.points, res.radii, res.thicks):
             assert boundary_contains(res.x, BallSpec(c, r, Fraction(th)))
 
-    def test_forced_stage_halving(self):
-        nu, F, stack, params, t = cv.synthetic_maintech_instance()
+    def test_forced_stage_halving(self, maintech_instance):
+        nu, F, stack, params, t = maintech_instance
         res = cv.maintech_chain(nu, F, stack, params, t, force=True)
         prev = nu.mass(F)
         for stage in res.report["stages"]:
@@ -575,8 +625,8 @@ class TestMaintech:
             assert 2 * cur > prev
             prev = cur
 
-    def test_height_check_unforced(self):
-        nu, F, stack, params, t = cv.synthetic_massbound_instance()
+    def test_height_check_unforced(self, massbound_instance):
+        nu, F, stack, params, t = massbound_instance
         short = cv.Stack(stack.carpets[:4])
         with pytest.raises(HypothesisViolation) as exc:
             cv.maintech_chain(nu, F, short, params, t)

@@ -1,14 +1,18 @@
 """What a process loads: lazy re-exports, lazy layers and the first scipy use.
 
 Every check runs in a fresh interpreter, so nothing an earlier test
-imported can hide an eager import.
+imported can hide an eager import.  One more check reads the sources: every
+public top-level name in the package is reached by the program.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,24 @@ def test_every_public_name_resolves_and_is_listed(tmp_path):
     assert "no_such_name" in doc["unknown"]
     assert doc["hasattr"] is False
     assert doc["submodule"] == "heisgeo.balls"
+
+
+def test_every_public_definition_is_reached():
+    # exported, or named somewhere besides its own definition in the
+    # package, the demos or the bench; a name only the tests use belongs there
+    package = Path(heisgeo.__file__).parent
+    folders = (package, package.parents[1] / "demos", package.parents[1] / "bench")
+    sources = {path: path.read_text() for folder in folders for path in folder.glob("*.py")}
+    corpus = "\n".join(sources.values())
+    unreached = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(sources[path]).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in heisgeo.__all__
+        and len(re.findall(rf"\b{node.name}\b", corpus)) < 2
+    ]
+    assert unreached == []
 
 
 FIRST_SCIPY_USE = """

@@ -320,9 +320,7 @@ class TestIntersectionSearch:
     def test_worker_pool_merge_is_deterministic(self):
         serial = sp.intersection_search(1, 1e4, trials=12, seed=5, workers=1)
         pooled = sp.intersection_search(1, 1e4, trials=12, seed=5, workers=2)
-        assert serial["length_counts"] == pooled["length_counts"]
-        assert serial["certificates"] == pooled["certificates"]
-        assert serial["best_violation_length3"] == pooled["best_violation_length3"]
+        assert serial == pooled
 
     def test_max_chain_two_stops_early(self):
         rep = sp.intersection_search(1, 1e4, trials=10, seed=6, max_chain=2)

@@ -23,6 +23,34 @@ def multistart_oracle(P, q, c, rng, starts=30):
     return best
 
 
+def generic_min(P, q, c):
+    """Min of xi^T P xi + 2 q . xi + c over ||xi|| = 1 and its argmin, for any symmetric P.
+
+    Diagonalises P, hands the rotated problem to the production secular
+    root and rotates the argmin back.
+    """
+    lam, vecs = np.linalg.eigh(P)
+    values, xi = sq._secular_batched(lam[None], (vecs.T @ q)[None], np.array([c]))
+    return float(values[0]), vecs @ xi[0]
+
+
+def gauge_matrix(z_flat, tau, r, t):
+    """(M, v) with F_t(xi) = ||M xi - v||^2 for y = (z, tau) against S_r(0).
+
+    z_flat is (Re z_1..n, Im z_1..n).  The first 2n rows match the
+    horizontal offset; the last carries the central offset with the twist
+    (r/2) Im<a, z>, whose gradient in a is (z_im, -z_re).
+    """
+    two_n = z_flat.shape[0]
+    n = two_n // 2
+    M = np.zeros((two_n + 1, two_n + 1))
+    M[:two_n, :two_n] = (r / t) * np.eye(two_n)
+    M[two_n, two_n] = r * r / (t * t)
+    M[two_n, :n] = -(r / (2 * t * t)) * z_flat[n:]
+    M[two_n, n:two_n] = (r / (2 * t * t)) * z_flat[:n]
+    return M, np.append(z_flat / t, tau / (t * t))
+
+
 class TestSecularSolver:
     def test_matches_multistart_oracle(self):
         rng = np.random.default_rng(0)
@@ -37,7 +65,7 @@ class TestSecularSolver:
                 lam, V = np.linalg.eigh(P)
                 q = V[:, -1] * 0.1  # orthogonal to bottom eigenvector
             c = float(rng.standard_normal())
-            val, xi = sq.min_quadratic_on_sphere(P, q, c, return_argmin=True)
+            val, xi = generic_min(P, q, c)
             assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-8)
             assert xi @ P @ xi + 2 * q @ xi + c == pytest.approx(val, abs=1e-7)
             oracle = multistart_oracle(P, q, c, rng)
@@ -46,14 +74,14 @@ class TestSecularSolver:
 
     def test_pure_eigenvalue_case(self):
         P = np.diag([3.0, -2.0, 5.0])
-        val, xi = sq.min_quadratic_on_sphere(P, np.zeros(3), 0.0, return_argmin=True)
+        val, xi = generic_min(P, np.zeros(3), 0.0)
         assert val == pytest.approx(-2.0, abs=1e-12)
         assert abs(xi[1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_linear_term_dominates(self):
         # P = 0: minimise 2 q.xi on the sphere -> -2|q|
         q = np.array([3.0, -4.0])
-        val = sq.min_quadratic_on_sphere(np.zeros((2, 2)), q, 1.0)
+        val, _ = generic_min(np.zeros((2, 2)), q, 1.0)
         assert val == pytest.approx(1.0 - 2 * 5.0, abs=1e-10)
 
     def test_batched_equals_scalar(self):
@@ -65,8 +93,9 @@ class TestSecularSolver:
             qs.append(np.zeros(3) if i % 6 == 0 else rng.standard_normal(3))
             cs.append(float(rng.standard_normal()))
         Ps, qs, cs = np.stack(Ps), np.stack(qs), np.array(cs)
-        vb = sq.min_quadratic_on_sphere_batched(Ps, qs, cs)
-        vs = np.array([sq.min_quadratic_on_sphere(Ps[i], qs[i], cs[i]) for i in range(40)])
+        lam, vecs = np.linalg.eigh(Ps)
+        vb, _ = sq._secular_batched(lam, np.einsum("nij,ni->nj", vecs, qs), cs)
+        vs = np.array([generic_min(Ps[i], qs[i], cs[i])[0] for i in range(40)])
         assert np.max(np.abs(vb - vs)) < 1e-12
 
 
@@ -81,7 +110,7 @@ class TestSphereGauge:
             t = float(rng.uniform(0.05, 2.0))
             xi = rng.standard_normal(2 * n + 1)
             xi /= np.linalg.norm(xi)
-            M, v = sq.gauge_matrix(z, tau, r, t)
+            M, v = gauge_matrix(z, tau, r, t)
             F = float(np.sum((M @ xi - v) ** 2))
             s = sq.sphere_point(r, xi)
             y = hg.ContinuousPoint(tuple(complex(z[j], z[n + j]) for j in range(n)), tau)
@@ -107,7 +136,7 @@ class TestSphereGauge:
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            sq.gauge_matrix(np.zeros(2), 0.0, 1.0, 0.0)
+            sq.gauge_min(np.zeros(2), 0.0, 1.0, 0.0)
 
 
 def gauge_cases():
@@ -130,8 +159,8 @@ def gauge_cases():
 class TestStructuredGauge:
     def test_matches_generic_solver(self):
         for z, tau, r, t in gauge_cases():
-            M, v = sq.gauge_matrix(z, tau, r, t)
-            want = sq.min_quadratic_on_sphere(M.T @ M, -M.T @ v, float(v @ v))
+            M, v = gauge_matrix(z, tau, r, t)
+            want, _ = generic_min(M.T @ M, -M.T @ v, float(v @ v))
             got, xi = sq.gauge_min(z, tau, r, t, return_argmin=True)
             tol = 1e-12 * max(1.0, abs(want))
             assert abs(got - want) <= tol, (z, tau, r, t)
@@ -233,6 +262,14 @@ class TestSphereDistance:
         assert sq.sphere_distance(y, 0.0) == pytest.approx(lam, abs=1e-12)
         e = hg.continuous_identity(1)
         assert sq.sphere_distance(e, 2.5) == pytest.approx(2.5, abs=1e-12)
+
+    def test_non_finite_input_refused(self):
+        y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
+        for r in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                sq.sphere_distance(y, r)
+        with pytest.raises(ValueError):
+            sq.gauge_min(np.ones(2), 0.5, 1.0, math.nan)
 
     def test_witness_is_valid(self):
         y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
