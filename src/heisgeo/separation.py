@@ -11,7 +11,11 @@ Three numerical verifiers for the geometry of thickened spheres:
 * ``intersection_search`` hunts for chains of mutually incident
   thickened spheres with a nonempty common intersection.  Nonemptiness
   is certified by an exhibited point; emptiness is only ever reported,
-  never asserted.
+  never asserted.  It runs in three stages: each trial's draws, one
+  trial at a time; the bisections and the cyclic dilation projection
+  of all trials at once, as arrays along a trial axis; and, per
+  candidate chain, a Nelder-Mead polish of near misses and the exact
+  ``certify_chain``, which alone decides a chain's length.
 
 The unnamed constants of the underlying estimates (the threshold scale
 for separation, the branch constant for the inner ball) are measured
@@ -55,6 +59,120 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("zero direction")
     return vec / norm
+
+
+# --- trial-axis kernels ------------------------------------------------------
+# A row is a point [Re z, Im z, tau].  Each kernel repeats the float steps of
+# its `core` counterpart in order, so its rows are bit-identical to the object
+# code's points.  Sums over j use Python's sum(), which starts from 0 (a lone
+# -0.0 term becomes 0.0); float * complex is a complex product (s*re - 0.0*im);
+# math.hypot and math.acos run per element (NumPy's differ in the last bit);
+# row dot products use stacked matmul, the BLAS call of np.dot.
+
+
+def _hypot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, len(a))
+
+
+def _point(row: np.ndarray) -> ContinuousPoint:
+    n = (row.shape[0] - 1) // 2
+    return ContinuousPoint(tuple(complex(row[j], row[n + j]) for j in range(n)), row[-1])
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(_dot_rows(v, v))[:, None]
+
+
+def _mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """core.multiply per row."""
+    n = (p.shape[1] - 1) // 2
+    out = p + q
+    out[:, -1] += 0.5 * sum(p[:, j] * q[:, n + j] - p[:, n + j] * q[:, j] for j in range(n))
+    return out
+
+
+def _norm_rows(p: np.ndarray) -> np.ndarray:
+    """core.homogeneous_norm per row; its twist with the identity is 0.0."""
+    n = (p.shape[1] - 1) // 2
+    x2 = sum(p[:, j] * p[:, j] + p[:, n + j] * p[:, n + j] for j in range(n))
+    return np.sqrt(0.5 * (x2 + _hypot_rows(x2, 2.0 * p[:, -1])))
+
+
+def _sphere_rows(r: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """spherequad.sphere_point per row."""
+    out = r[:, None] * xi
+    out[:, -1] = (r * r) * xi[:, -1]
+    return out
+
+
+def _dilate_rows(s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """core.dilate per row."""
+    n = (p.shape[1] - 1) // 2
+    re, im = p[:, :n], p[:, n:-1]
+    return np.column_stack([s[:, None] * re - 0.0 * im, s[:, None] * im + 0.0 * re,
+                            (s * s) * p[:, -1]])
+
+
+def _waypoint(rng: np.random.Generator, lo: np.ndarray) -> Optional[np.ndarray]:
+    """Random unit vector orthogonal to lo, or None after eight draws."""
+    for _ in range(8):
+        cand = rng.standard_normal(lo.shape[0])
+        cand -= np.dot(cand, lo) * lo
+        if np.linalg.norm(cand) > 1e-9:
+            return _unit(cand)
+    return None
+
+
+def _bisect_rows(anchor, radius, target, tol, lo, hi, waypoint):
+    """Per row, delta_radius(v) * anchor at distance within tol of target.
+
+    v moves along the great circle from lo to hi; the distance to the
+    origin is continuous in the angle, so bisection lands within tol of
+    the target when the ends bracket it.  Antipodal ends leave the circle
+    free: once the bracket holds, waypoint(i) gives row i a unit vector
+    orthogonal to lo[i], or None.  radius, target and tol are scalars or
+    per row.  Returns (points, values, found).
+    """
+    m = len(anchor)
+    radius, target, tol = (np.broadcast_to(np.asarray(a, dtype=float), (m,))
+                           for a in (radius, target, tol))
+    f_lo = _norm_rows(_mul_rows(_sphere_rows(radius, lo), anchor))
+    f_hi = _norm_rows(_mul_rows(_sphere_rows(radius, hi), anchor))
+    live = (np.minimum(f_lo, f_hi) < target) & (target < np.maximum(f_lo, f_hi))
+    c = np.clip(_dot_rows(lo, hi), -1.0, 1.0)
+    w = hi - c[:, None] * lo
+    w_norm = np.sqrt(_dot_rows(w, w))
+    anti = c <= -1.0 + 1e-9
+    circle = live & ~anti & (w_norm >= 1e-12)
+    w /= np.where(circle, w_norm, 1.0)[:, None]
+    a_hi = np.full(m, math.pi)
+    a_hi[circle] = [math.acos(x) for x in c[circle]]
+    for i in np.flatnonzero(live & anti):
+        way = waypoint(i)
+        live[i] = way is not None
+        if live[i]:
+            w[i] = way
+    live &= anti | circle
+    a_lo, rising = np.zeros(m), f_hi > f_lo
+    points, values, found = np.zeros_like(anchor), np.zeros(m), np.zeros(m, dtype=bool)
+    for _ in range(200):
+        if not live.any():
+            break
+        mid = 0.5 * (a_lo + a_hi)
+        v = np.cos(mid)[:, None] * lo + np.sin(mid)[:, None] * w
+        y = _mul_rows(_sphere_rows(radius, _unit_rows(v)), anchor)
+        f = _norm_rows(y)
+        hit = live & (np.abs(f - target) <= tol)
+        if hit.any():
+            points[hit], values[hit], found[hit] = y[hit], f[hit], True
+            live &= ~hit
+        up = (f < target) == rising
+        a_lo, a_hi = np.where(up, mid, a_lo), np.where(up, a_hi, mid)
+    return points, values, found
 
 
 # --- large scale separation ------------------------------------------------
@@ -120,56 +238,6 @@ class LssConfig(NamedTuple):
     r_tilde: float
 
 
-def _bisect_surface_distance(anchor: ContinuousPoint, radius, target: float,
-                             tol: float, rng: np.random.Generator,
-                             lo_dir: np.ndarray, hi_dir: np.ndarray):
-    """Point delta_radius(v) * anchor at distance ~target from the origin.
-
-    v moves along the great circle from lo_dir to hi_dir; the distance to
-    the origin is continuous in the angle, so standard bisection lands
-    within tol of the target provided the endpoints bracket it.
-    """
-    base = multiply(sphere_point(radius, lo_dir), anchor)
-    f_lo = homogeneous_norm(base)
-    f_hi = homogeneous_norm(multiply(sphere_point(radius, hi_dir), anchor))
-    if not (min(f_lo, f_hi) < target < max(f_lo, f_hi)):
-        return None
-    # orthonormalize so v(alpha) sweeps the great circle between the ends;
-    # antipodal ends leave the circle free, so draw the waypoint at random
-    c = max(-1.0, min(1.0, float(np.dot(lo_dir, hi_dir))))
-    if c <= -1.0 + 1e-9:
-        w = None
-        for _ in range(8):
-            cand = rng.standard_normal(lo_dir.shape[0])
-            cand -= np.dot(cand, lo_dir) * lo_dir
-            if np.linalg.norm(cand) > 1e-9:
-                w = _unit(cand)
-                break
-        if w is None:
-            return None
-        span = math.pi
-    else:
-        w = hi_dir - c * lo_dir
-        if np.linalg.norm(w) < 1e-12:
-            return None
-        w = _unit(w)
-        span = math.acos(c)
-    a_lo, a_hi = 0.0, span
-    rising = f_hi > f_lo
-    for _ in range(200):
-        mid = 0.5 * (a_lo + a_hi)
-        v = math.cos(mid) * lo_dir + math.sin(mid) * w
-        y = multiply(sphere_point(radius, _unit(v)), anchor)
-        f = homogeneous_norm(y)
-        if abs(f - target) <= tol:
-            return y, f
-        if (f < target) == rising:
-            a_lo = mid
-        else:
-            a_hi = mid
-    return None
-
-
 def random_lss_config(R: float, eps: float, n: int = 1,
                       rng: Optional[np.random.Generator] = None,
                       seed: Optional[int] = None) -> LssConfig:
@@ -193,13 +261,12 @@ def random_lss_config(R: float, eps: float, n: int = 1,
         # distance jitter kept inside the certification band of the shell
         d_p = r + float(rng.uniform(-1.0, 1.0)) * t * t / (5.0 * r)
         p = sphere_point(d_p, u)
-        hit = _bisect_surface_distance(
-            p, r, r_tilde, t * t / (9.0 * r_tilde), rng, -u, u
-        )
-        if hit is None:
+        y0, f, found = _bisect_rows(np.append(*point_to_flat(p))[None], r, r_tilde,
+                                    t * t / (9.0 * r_tilde), -u[None], u[None],
+                                    lambda i: _waypoint(rng, -u))
+        if not found[0]:
             continue
-        y0, f = hit
-        q = dilate(r_tilde / f, y0)
+        q = dilate(r_tilde / float(f[0]), _point(y0[0]))
         cfg = LssConfig(p, q, t, t_tilde, r, r_tilde)
         try:
             lss_check(p, q, t, t_tilde, r, r_tilde, eps, R)
@@ -415,11 +482,14 @@ class ChainConfig:
 def certify_chain(config: ChainConfig, witness: Optional[Point] = None) -> dict:
     """Re-check the chain conditions; exact arithmetic on the radii scaling."""
     thick_ok = all(t >= 1 for t in config.thicks)
+    # r_i >= R t_1 ... t_i, cross-multiplied in integers (denominators > 0)
     scale_ok = True
-    acc = Fraction(1)
+    num, den = Fraction(config.R).as_integer_ratio()
     for r_i, t_i in zip(config.radii, config.thicks):
-        acc *= Fraction(t_i)
-        if Fraction(r_i) < acc * Fraction(config.R):
+        t_num, t_den = Fraction(t_i).as_integer_ratio()
+        num, den = num * t_num, den * t_den
+        r_num, r_den = Fraction(r_i).as_integer_ratio()
+        if r_num * den < num * r_den:
             scale_ok = False
             break
     members_ok = all(
@@ -440,17 +510,19 @@ def certify_chain(config: ChainConfig, witness: Optional[Point] = None) -> dict:
     return out
 
 
-def _chain_doc(config: ChainConfig, witness: Optional[Point]) -> dict:
-    doc = {
+def _chain_doc(config: ChainConfig, witness: Point) -> Optional[dict]:
+    """The chain's report entry, or None when certify_chain fails a clause."""
+    conditions = certify_chain(config, witness)
+    if not all(conditions.values()):
+        return None
+    return {
         "points": [point_to_json(x) for x in config.points],
         "radii": list(config.radii),
         "thicks": list(config.thicks),
         "R": config.R,
-        "conditions": certify_chain(config, witness),
+        "conditions": conditions,
+        "witness": point_to_json(witness),
     }
-    if witness is not None:
-        doc["witness"] = point_to_json(witness)
-    return doc
 
 
 def _shell_violation(y: Point, points, radii, thicks) -> float:
@@ -462,143 +534,165 @@ def _shell_violation(y: Point, points, radii, thicks) -> float:
     return worst
 
 
-def _dilation_step(y: Point, center: Point, r: float) -> ContinuousPoint:
-    """Slide y along the dilation path onto the radius-r sphere of center."""
-    off = multiply(as_continuous(y), inverse(as_continuous(center)))
-    lam = homogeneous_norm(off)
-    if lam == 0.0:
-        return multiply(sphere_point(r, np.array([1.0] + [0.0] * 2 * off.n)),
-                        as_continuous(center))
-    return multiply(dilate(r / lam, off), as_continuous(center))
+def _project_rows(y, centers, radii, rounds: int = 48) -> np.ndarray:
+    """Cyclic dilation projection: each round slides every row along the
+    dilation path onto each center's sphere in turn (onto the sphere's
+    first axis point when the row sits on the center)."""
+    pole = np.eye(1, y.shape[1])
+    steps = list(zip(centers, [-c for c in centers], radii))
+    for _ in range(rounds):
+        for c, c_inv, r in steps:
+            off = _mul_rows(y, c_inv)
+            lam = _norm_rows(off)
+            at_center = lam == 0.0
+            y = _dilate_rows(r / np.where(at_center, 1.0, lam), off)
+            if at_center.any():
+                y[at_center] = _sphere_rows(r[at_center], pole)
+            y = _mul_rows(y, c)
+    return y
 
 
-def _common_point_search(points, radii, thicks, seeds, rounds: int = 48):
-    """Cyclic dilation projections, then a minimax polish on near misses."""
-    best_y, best_v = None, math.inf
-    for y in seeds:
-        cur = as_continuous(y)
-        for _ in range(rounds):
-            for x, r_i in zip(points, radii):
-                cur = _dilation_step(cur, x, r_i)
-        v = _shell_violation(cur, points, radii, thicks)
-        if v < best_v:
-            best_y, best_v = cur, v
-    t_min = min(thicks)
-    if best_y is not None and 0.0 < best_v < 9.0 * t_min * t_min:
-        z0, tau0 = point_to_flat(best_y)
-        x0 = np.concatenate([z0, [tau0]])
-        scale = max(1.0, float(np.max(np.abs(x0))))
+def _polish(row, points, radii, thicks, value: float):
+    """Nelder-Mead on the shell violation from a row, in coordinates scaled
+    to order one; returns the better of the result and the start."""
+    scale = max(1.0, float(np.max(np.abs(row))))
 
-        def f(x: np.ndarray) -> float:
-            n = (x.shape[0] - 1) // 2
-            z = tuple(complex(x[j] * scale, x[n + j] * scale) for j in range(n))
-            return _shell_violation(ContinuousPoint(z, float(x[-1]) * scale * scale),
-                                    points, radii, thicks)
+    def unscaled(x: np.ndarray) -> np.ndarray:
+        return np.append(x[:-1], x[-1] * scale) * scale
 
-        start = np.concatenate([z0 / scale, [tau0 / (scale * scale)]])
-        import scipy.optimize as opt
+    import scipy.optimize as opt
 
-        res = opt.minimize(f, start, method="Nelder-Mead",
-                           options=dict(xatol=1e-12, fatol=1e-12, maxiter=600))
-        if res.fun < best_v:
-            n = (res.x.shape[0] - 1) // 2
-            best_y = ContinuousPoint(
-                tuple(complex(res.x[j] * scale, res.x[n + j] * scale) for j in range(n)),
-                float(res.x[-1]) * scale * scale,
-            )
-            best_v = float(res.fun)
-    return best_y, best_v
+    res = opt.minimize(lambda x: _shell_violation(_point(unscaled(x)), points, radii, thicks),
+                       np.append(row[:-1] / scale, row[-1] / (scale * scale)),
+                       method="Nelder-Mead", options=dict(xatol=1e-12, fatol=1e-12, maxiter=600))
+    return (unscaled(res.x), float(res.fun)) if res.fun < value else (row, value)
 
 
-def _run_trial(args) -> dict:
-    n, R, seed, trial, max_chain = args
-    rng = np.random.default_rng([seed, trial])
+def _run_trials(args) -> list[dict]:
+    """Chain trials first..stop-1 in trial order, as intersection_search
+    describes; the float stages run over all trials of the block at once."""
+    n, R, seed, first, stop, max_chain = args
     dim = 2 * n + 1
-    t1 = 1.0 + float(rng.uniform(0.0, 1.0))
-    t2 = 1.0 + float(rng.uniform(0.0, 0.6))
-    r1 = t1 * R * (1.0 + float(rng.uniform(0.0, 2.0)))
-    r2_floor = max(t1 * t2 * R, 0.3 * r1)
-    r2 = float(rng.uniform(r2_floor, max(r2_floor * 1.001, min(1.35 * r1, 2.5 * r2_floor))))
-    x1 = sphere_point(r1, _unit(rng.standard_normal(dim)))
-    v = _unit(rng.standard_normal(dim))
-    x2 = multiply(sphere_point(r1, v), x1)
-    out = {"trial": trial, "length": 1, "chain": None}
+    rngs = [np.random.default_rng([seed, trial]) for trial in range(first, stop)]
+    outs = [{"trial": trial, "length": 1, "chain": None} for trial in range(first, stop)]
+    draws, normals = [], []
+    for rng in rngs:
+        t1 = 1.0 + float(rng.uniform(0.0, 1.0))
+        t2 = 1.0 + float(rng.uniform(0.0, 0.6))
+        r1 = t1 * R * (1.0 + float(rng.uniform(0.0, 2.0)))
+        r2_floor = max(t1 * t2 * R, 0.3 * r1)
+        r2 = float(rng.uniform(r2_floor, max(r2_floor * 1.001, min(1.35 * r1, 2.5 * r2_floor))))
+        draws.append((t1, t2, r1, r2))
+        normals.append([rng.standard_normal(dim), rng.standard_normal(dim)])
+    t1s, _, r1s, r2s = np.array(draws).T
+    normals = np.array(normals)
+    x1 = _sphere_rows(r1s, _unit_rows(normals[:, 0]))
+    v = _unit_rows(normals[:, 1])
+    x2 = _mul_rows(_sphere_rows(r1s, v), x1)
+    anchor = _mul_rows(x2, -x1)
+    tol = (t1s * t1s) / (4.0 * r1s)
+
+    def bisect(rows, hi):
+        rel, _, found = _bisect_rows(anchor[rows], r2s[rows], r1s[rows], tol[rows], -v[rows],
+                                     hi, lambda i: _waypoint(rngs[rows[i]], -v[rows[i]]))
+        return _mul_rows(rel, x1[rows]), found
+
     # witness on the second sphere at distance ~r1 from the first center:
-    # endpoints -v (inside) and a perpendicular (outside) bracket the target
-    hit, perp = None, None
+    # endpoints -v (inside) and a perpendicular (outside) bracket the target;
+    # a trial whose bisection fails draws a new perpendicular, six at most
+    perp, witness = np.zeros_like(v), np.zeros_like(v)
+    pending = np.arange(len(rngs))
     for _ in range(6):
-        cand = rng.standard_normal(dim)
-        cand -= np.dot(cand, v) * v
-        if np.linalg.norm(cand) < 1e-9:
-            continue
-        perp = _unit(cand)
-        hit = _bisect_witness(x1, x2, r1, t1, r2, rng, v, perp)
-        if hit is not None:
+        if not pending.size:
             break
-    if hit is None or perp is None:
-        return out
-    y = hit
-    config = ChainConfig((x1, x2), (r1, r2), (t1, t2), R)
-    cert = certify_chain(config, y)
-    if not all(cert.values()):
-        return out
-    out["length"] = 2
-    out["chain"] = _chain_doc(config, y)
-    if max_chain < 3:
-        return out
+        cand = np.array([rngs[i].standard_normal(dim) for i in pending])
+        cand -= _dot_rows(cand, v[pending])[:, None] * v[pending]
+        norm = np.sqrt(_dot_rows(cand, cand))
+        ok = norm >= 1e-9
+        rows = pending[ok]
+        perp[rows] = cand[ok] / norm[ok][:, None]
+        y, found = bisect(rows, perp[rows])
+        witness[rows[found]] = y[found]
+        pending = np.setdiff1d(pending, rows[found])
+    configs = {}
+    for i in np.setdiff1d(np.arange(len(rngs)), pending):
+        config = ChainConfig((_point(x1[i]), _point(x2[i])), draws[i][2:], draws[i][:2], R)
+        doc = _chain_doc(config, _point(witness[i]))
+        if doc is not None:
+            outs[i].update(length=2, chain=doc)
+            configs[i] = config
+    if max_chain < 3 or not configs:
+        return outs
     # third sphere centered at another certified common point of the first
     # two shells; its own shell must then meet both existing ones
-    x3_hit = _bisect_witness(x1, x2, r1, t1, r2, rng, v, -perp)
-    if x3_hit is None:
-        return out
-    x3 = x3_hit
-    t3 = 1.0 + float(rng.uniform(0.0, 0.5))
-    r3 = t1 * t2 * t3 * R * (1.0 + float(rng.uniform(0.0, 0.3)))
-    points, radii, thicks = (x1, x2, x3), (r1, r2, r3), (t1, t2, t3)
-    seeds = [y, multiply(sphere_point(r3, _unit(rng.standard_normal(dim))), x3)]
-    best_y, best_v = _common_point_search(points, radii, thicks, seeds)
-    out["violation3"] = best_v
-    if best_y is not None and best_v <= 0.0:
-        config3 = ChainConfig(points, radii, thicks, R)
-        cert3 = certify_chain(config3, best_y)
-        if all(cert3.values()):
-            out["length"] = 3
-            out["chain"] = _chain_doc(config3, best_y)
-    return out
-
-
-def _bisect_witness(x1, x2, r1, t1, r2, rng, v, perp):
-    """Point on the r2-sphere of x2 whose distance to x1 hits the r1 band."""
-    res = _bisect_surface_distance(
-        multiply(as_continuous(x2), inverse(as_continuous(x1))),
-        r2, r1, t1 * t1 / (4.0 * r1), rng, -v, perp,
-    )
-    if res is None:
-        return None
-    y_rel, _ = res
-    return multiply(y_rel, as_continuous(x1))
+    rows = np.array(sorted(configs))
+    x3, found = bisect(rows, -perp[rows])
+    rows, x3 = rows[found], x3[found]
+    if not rows.size:
+        return outs
+    third = []
+    for i in rows:
+        t1, t2 = draws[i][:2]
+        t3 = 1.0 + float(rngs[i].uniform(0.0, 0.5))
+        r3 = t1 * t2 * t3 * R * (1.0 + float(rngs[i].uniform(0.0, 0.3)))
+        third.append((t3, r3, rngs[i].standard_normal(dim)))
+    # cyclic projection from two seeds per trial, the length-2 witness and a
+    # point of the third sphere: rows k and k + len(rows) belong to rows[k]
+    r3s = np.array([r3 for _, r3, _ in third])
+    xis = np.array([xi for _, _, xi in third])
+    seeds = np.concatenate([witness[rows], _mul_rows(_sphere_rows(r3s, _unit_rows(xis)), x3)])
+    projected = _project_rows(seeds, [np.tile(c, (2, 1)) for c in (x1[rows], x2[rows], x3)],
+                              [np.tile(r, 2) for r in (r1s[rows], r2s[rows], r3s)])
+    for k, i in enumerate(rows):
+        points = configs[i].points + (_point(x3[k]),)
+        radii = configs[i].radii + (third[k][1],)
+        thicks = configs[i].thicks + (third[k][0],)
+        best, best_v = None, math.inf
+        for row in (projected[k], projected[k + len(rows)]):
+            val = _shell_violation(_point(row), points, radii, thicks)
+            if val < best_v:
+                best, best_v = row, val
+        t_min = min(thicks)
+        if best is not None and 0.0 < best_v < 9.0 * t_min * t_min:
+            best, best_v = _polish(best, points, radii, thicks, best_v)
+        outs[i]["violation3"] = best_v
+        if best is not None and best_v <= 0.0:
+            doc = _chain_doc(ChainConfig(points, radii, thicks, R), _point(best))
+            if doc is not None:
+                outs[i].update(length=3, chain=doc)
+    return outs
 
 
 def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
                         seed: int = 0, workers: int = 1) -> dict:
     """Randomized hunt for incident-sphere chains with common points.
 
-    Two-sphere chains are built constructively (bisection along the
-    second sphere); longer chains are attempted by cyclic projection and
-    minimax polish from certified length-2 witnesses.  Results merge in
-    trial order, so worker count never changes the report.
+    Trial i draws from default_rng([seed, i]) in a fixed order, one trial
+    at a time.  The float work then runs for all trials at once, along a
+    trial axis: the witness bisection along the second sphere (a trial
+    whose bisection fails redraws its perpendicular, six times at most),
+    the bisection for a third center on both shells, and 48 rounds of
+    cyclic dilation projection from two seeds per trial.  Per candidate
+    chain, the better seed is polished by Nelder-Mead when its shell
+    violation is positive but below 9 t_min^2, and certify_chain alone
+    decides the chain's length.  The arrays repeat the object-level float
+    operations bit for bit, so batching never changes the report.  With
+    workers > 1 each worker takes one contiguous block of trials, and
+    blocks merge in trial order.
     """
     if not R > 1:
         raise ValueError("R must exceed 1")
-    jobs = [(n, R, seed, i, max_chain) for i in range(trials)]
+    block = max(1, -(-trials // max(1, workers)))
+    jobs = [(n, R, seed, a, min(a + block, trials), max_chain)
+            for a in range(0, trials, block)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, jobs, chunksize=64))
+            blocks = list(pool.map(_run_trials, jobs))
     else:
-        results = [_run_trial(j) for j in jobs]
-    results.sort(key=lambda d: d["trial"])
+        blocks = [_run_trials(j) for j in jobs]
+    results = [d for b in blocks for d in b]
     longest = max((d["length"] for d in results), default=0)
     counts: dict[int, int] = {}
     for d in results:

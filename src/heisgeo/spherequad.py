@@ -130,8 +130,6 @@ def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
     basis (e_-, z/|z|, e_+), where e_- = cs g + sn e_tau and
     e_+ = -sn g + cs e_tau are the eigenvectors of the 2x2 block.
     """
-    if not t > 0:
-        raise ValueError("tolerance t must be positive")
     zn = np.sqrt(x)
     alpha = r / t
     beta = alpha * alpha
@@ -164,6 +162,10 @@ def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
 def _gauge_solve(z_flat: np.ndarray, tau: np.ndarray, r: float, t: float,
                  return_argmin: bool):
     """Batched min of F_t over the unit sphere, and optionally its argmin."""
+    if not 0 <= r < math.inf:
+        raise ValueError("radius r must be nonnegative and finite")
+    if not 0 < t < math.inf:
+        raise ValueError("tolerance t must be positive and finite")
     x = np.sum(z_flat * z_flat, axis=1)
     lam, qt, c, cs, sn = _gauge_secular(x, tau, r, t)
     values, xi = _secular_batched(lam, qt, c)

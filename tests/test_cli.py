@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +237,18 @@ class TestReproducibility:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "a1633ec079139c497dfb4aaa3a2cf1a02ab56b3ba859eb9df37a51b12489cd3d")
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_intersect_artifact_matches_bench_reference(self, capsys, tmp_path, seed):
+        # the benchmark's cli-cold sweep pins these bytes; read, never written
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+        argv = ["intersect", "--trials", "30", "--workers", "1", "--seed", seed]
+        [want] = [e["sha256"] for e in json.loads(reference.read_text())["cli-cold"]
+                  if e["argv"] == argv]
+        path = tmp_path / "intersect.json"
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
     def test_out_file_silences_stdout(self, capsys, tmp_path):
         path = tmp_path / "x.txt"

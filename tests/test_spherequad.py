@@ -138,6 +138,15 @@ class TestSphereGauge:
         with pytest.raises(ValueError):
             sq.gauge_min(np.zeros(2), 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("r, t", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
+                                      (1.0, math.inf)])
+    def test_bad_radius_or_tolerance_refused(self, r, t):
+        # once answered nan, nan, 0.2418 and -1e-318 instead of refusing
+        with pytest.raises(ValueError):
+            sq.gauge_min(np.ones(2), 0.5, r, t)
+        with pytest.raises(ValueError):
+            sq.gauge_min_batched(np.ones((3, 2)), np.arange(3.0), r, t)
+
 
 def gauge_cases():
     """Random (z, tau, r, t) for n = 1, 2 plus the degenerate z = 0, tau = 0, r < t."""
