@@ -29,8 +29,8 @@ _EXPORTS = {
     "ergodic": (
         "AverageResult", "MaximalCheck", "MaximalExperiment", "WeightedAction",
         "action_from_spec", "ball_label_counts", "boundary_weight_ratio",
-        "convergence_rows", "discrete_maximal_check", "experiment_csv",
-        "make_quotient_action", "make_torus_action",
+        "convergence_rows", "discrete_maximal_check", "make_quotient_action",
+        "make_torus_action",
         "maximal_inequality_experiment", "nsfc_ratio", "orbit_transitive",
         "rn_derivative", "weighted_average",
     ),

@@ -50,13 +50,10 @@ and parity.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -625,42 +622,3 @@ def t_boundary_count(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> int:
 def sphere_cardinality(n: int, k: int) -> int:
     """# lattice points with d(p, 0) = k exactly (the t = 0 boundary)."""
     return t_boundary_count(n, k, 0)
-
-
-# --- tabular output ---------------------------------------------------------
-
-def doubling_csv(rows: Sequence[DoublingRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "card", "card_sq", "ratio"])
-    for row in sorted(rows, key=lambda r: r.k):
-        writer.writerow([row.k, row.card, row.card_sq, repr(float(row.ratio))])
-    return buf.getvalue()
-
-
-def doubling_json(rows: Sequence[DoublingRow]) -> str:
-    payload = [
-        {"k": r.k, "card": r.card, "card_sq": r.card_sq, "ratio": float(r.ratio)}
-        for r in sorted(rows, key=lambda r: r.k)
-    ]
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-@dataclass(frozen=True)
-class FolnerRow:
-    k: int
-    sym_diff: int
-    card: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.sym_diff, self.card)
-
-
-def folner_csv(rows: Sequence[FolnerRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "sym_diff", "card", "ratio"])
-    for row in sorted(rows, key=lambda r: r.k):
-        writer.writerow([row.k, row.sym_diff, row.card, repr(float(row.ratio))])
-    return buf.getvalue()

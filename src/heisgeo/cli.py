@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -23,12 +22,8 @@ from . import __version__
 from .balls import (
     DEFAULT_CAP,
     BallSpec,
-    FolnerRow,
     ball_cardinality,
-    doubling_csv,
-    doubling_json,
     doubling_table,
-    folner_csv,
     symmetric_difference_cardinality,
     t_boundary_count,
 )
@@ -109,31 +104,38 @@ def _json_fallback(x):
     raise TypeError(f"unserializable {type(x)!r}")
 
 
-def _write(text: str, out) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _table(header: str, rows) -> list[str]:
+    """CSV lines of a table: the header, then one line per row; floats and
+    Fractions as repr(float), everything else as str."""
+    return [header] + [",".join(repr(float(v)) if isinstance(v, (float, Fraction)) else str(v)
+                                for v in row) for row in rows]
+
+
+def _emit(args, result, text=None, checklist=None) -> None:
+    """Write the command's artifact to --out or stdout.
+
+    The JSON document (command, config, version, result, checklist) is
+    written for --format json and for commands without a text form (text
+    None); otherwise a bare value (text a str) or a table (text a list of
+    CSV lines) under a `#` header that embeds the same metadata.
+    """
+    if args.format == "json" or text is None:
+        doc = {"command": args.command, "config": _config_of(args),
+               "version": __version__, "result": result}
+        if checklist is not None:
+            doc["checklist"] = checklist
+        body = json.dumps(doc, sort_keys=True, indent=2, default=_json_fallback) + "\n"
+    elif isinstance(text, str):
+        body = text + "\n"
     else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, command: str, result, checklist=None) -> None:
-    doc = {"command": command, "config": _config_of(args),
-           "version": __version__, "result": result}
-    if checklist is not None:
-        doc["checklist"] = checklist
-    _write(json.dumps(doc, sort_keys=True, indent=2, default=_json_fallback) + "\n",
-           args.out)
-
-
-def _emit_csv(args, command: str, body: str) -> None:
-    meta = json.dumps(_config_of(args), sort_keys=True, default=_json_fallback)
-    head = f"# command: {command}\n# config: {meta}\n# version: {__version__}\n"
-    _write(head + body, args.out)
-
-
-def _emit_plain(args, text: str) -> None:
-    _write(text + "\n", args.out)
+        meta = json.dumps(_config_of(args), sort_keys=True, default=_json_fallback)
+        body = (f"# command: {args.command}\n# config: {meta}\n# version: {__version__}\n"
+                + "\n".join(text) + "\n")
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(body)
+    else:
+        sys.stdout.write(body)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -148,52 +150,37 @@ def cmd_ball(args) -> int:
     if card > args.cap:
         raise ResourceCapError(f"ball of {card} points exceeds cap {args.cap}",
                                predicted=card, cap=args.cap)
-    if args.format == "json":
-        _emit_json(args, "ball", {"cardinality": card})
-    else:
-        _emit_plain(args, str(card))
+    _emit(args, {"cardinality": card}, str(card))
     return 0
 
 
 def cmd_doubling(args) -> int:
     rows = doubling_table(args.n, args.k_max, args.cap)
-    if args.format == "json":
-        _emit_json(args, "doubling", json.loads(doubling_json(rows)))
-    else:
-        _emit_csv(args, "doubling", doubling_csv(rows))
+    _emit(args, [{"k": r.k, "card": r.card, "card_sq": r.card_sq, "ratio": float(r.ratio)}
+                 for r in rows],
+          _table("k,card,card_sq,ratio", [(r.k, r.card, r.card_sq, r.ratio) for r in rows]))
     return 0
 
 
 def cmd_folner(args) -> int:
     sigma = parse_sigma(args.sigma, args.n)
-    if args.k_max is not None:
-        rows = []
-        for k in range(1, args.k_max + 1):
-            sym, card = symmetric_difference_cardinality(args.n, k, sigma, args.cap)
-            rows.append(FolnerRow(k, sym, card))
-        if args.format == "json":
-            body = [{"k": r.k, "sym_diff": r.sym_diff, "card": r.card,
-                     "ratio": str(r.ratio)} for r in rows]
-            _emit_json(args, "folner", body)
-        else:
-            _emit_csv(args, "folner", folner_csv(rows))
-        return 0
-    sym, card = symmetric_difference_cardinality(args.n, args.k, sigma, args.cap)
-    ratio = Fraction(sym, card)
-    if args.format == "json":
-        _emit_json(args, "folner", {"k": args.k, "sym_diff": sym, "card": card,
-                                    "ratio": str(ratio)})
+    ks = [args.k] if args.k_max is None else range(1, args.k_max + 1)
+    rows = []
+    for k in ks:
+        sym, card = symmetric_difference_cardinality(args.n, k, sigma, args.cap)
+        rows.append((k, sym, card, Fraction(sym, card)))
+    docs = [{"k": k, "sym_diff": sym, "card": card, "ratio": str(ratio)}
+            for k, sym, card, ratio in rows]
+    if args.k_max is None:
+        _emit(args, docs[0], docs[0]["ratio"])
     else:
-        _emit_plain(args, str(ratio))
+        _emit(args, docs, _table("k,sym_diff,card,ratio", rows))
     return 0
 
 
 def cmd_boundary(args) -> int:
     count = t_boundary_count(args.n, args.k, args.t, args.cap)
-    if args.format == "json":
-        _emit_json(args, "boundary", {"count": count})
-    else:
-        _emit_plain(args, str(count))
+    _emit(args, {"count": count}, str(count))
     return 0
 
 
@@ -201,12 +188,8 @@ def cmd_net(args) -> int:
     from . import covering as cv
 
     count, centers = cv.covering_net(args.n, args.rho, args.cap)
-    if args.format == "json":
-        pts = [{"z": [[c.real, c.imag] for c in p.z], "tau": p.tau}
-               for p in centers]
-        _emit_json(args, "net", {"count": count, "centers": pts})
-    else:
-        _emit_plain(args, str(count))
+    pts = [{"z": [[c.real, c.imag] for c in p.z], "tau": p.tau} for p in centers]
+    _emit(args, {"count": count, "centers": pts}, str(count))
     return 0
 
 
@@ -232,7 +215,7 @@ def cmd_bcp(args) -> int:
     from . import covering as cv
 
     rng = np.random.default_rng(args.seed)
-    lines = ["trial,balls,selected,multiplicity,covered"]
+    rows = []
     worst = 0
     all_covered = True
     for trial in range(args.trials):
@@ -246,12 +229,10 @@ def cmd_bcp(args) -> int:
         )
         worst = max(worst, mult)
         all_covered = all_covered and covered
-        lines.append(f"{trial},{len(carpet.balls)},{len(chosen)},{mult},{covered}")
-    checklist = {"covered_all_trials": all_covered, "max_multiplicity": worst}
-    if args.format == "json":
-        _emit_json(args, "bcp", lines[1:], checklist)
-    else:
-        _emit_csv(args, "bcp", "\n".join(lines) + "\n")
+        rows.append((trial, len(carpet.balls), len(chosen), mult, covered))
+    table = _table("trial,balls,selected,multiplicity,covered", rows)
+    _emit(args, table[1:], table,
+          {"covered_all_trials": all_covered, "max_multiplicity": worst})
     return 0
 
 
@@ -259,7 +240,7 @@ def cmd_colour(args) -> int:
     from . import covering as cv
 
     rng = np.random.default_rng(args.seed)
-    lines = ["trial,selected,classes_used,separated"]
+    rows = []
     all_ok = True
     for trial in range(args.trials):
         carpet = _random_carpet(rng, args.count, 12, 8)
@@ -267,12 +248,9 @@ def cmd_colour(args) -> int:
         part = cv.colour_partition(chosen, args.chi)
         ok = all(cv.is_well_separated(cls) for cls in part.classes)
         all_ok = all_ok and ok
-        lines.append(f"{trial},{len(chosen)},{part.chi_used},{ok}")
-    checklist = {"all_classes_separated": all_ok}
-    if args.format == "json":
-        _emit_json(args, "colour", lines[1:], checklist)
-    else:
-        _emit_csv(args, "colour", "\n".join(lines) + "\n")
+        rows.append((trial, len(chosen), part.chi_used, ok))
+    table = _table("trial,selected,classes_used,separated", rows)
+    _emit(args, table[1:], table, {"all_classes_separated": all_ok})
     return 0
 
 
@@ -289,7 +267,7 @@ def cmd_boundgen(args) -> int:
         "capture_fraction": res.report["postconditions"]["capture_fraction"],
         "stages": res.report["stages"],
     }
-    _emit_json(args, "boundgen", result, res.report["hypotheses"])
+    _emit(args, result, checklist=res.report["hypotheses"])
     return 0
 
 
@@ -299,13 +277,8 @@ def cmd_height(args) -> int:
     params = cv.HeightParams(chi=args.chi, kappa=args.kappa, eps=args.eps,
                              delta=args.delta, R=args.R)
     res = cv.stack_height(params)
-    if args.format == "json":
-        _emit_json(args, "height", {
-            "q": res.q, "q_list": list(res.q_list), "p_list": list(res.p_list),
-            "stated_bound_holds": res.stated_bound_holds,
-        })
-    else:
-        _emit_plain(args, str(res.q))
+    _emit(args, {"q": res.q, "q_list": list(res.q_list), "p_list": list(res.p_list),
+                 "stated_bound_holds": res.stated_bound_holds}, str(res.q))
     return 0
 
 
@@ -327,8 +300,8 @@ def cmd_lss(args) -> int:
         gaps.append(res.gap)
     result = {"trials": args.trials, "holds": holds,
               "min_gap": min(gaps), "max_gap": max(gaps)}
-    _emit_json(args, "lss", result,
-               {"all_hold": holds == args.trials, "bound": sp.lss_bound(float(args.eps))})
+    _emit(args, result, checklist={"all_hold": holds == args.trials,
+                                   "bound": sp.lss_bound(float(args.eps))})
     return 0
 
 
@@ -354,9 +327,8 @@ def cmd_closeball(args) -> int:
         br = res.report["branch"]
         branches[br] = branches.get(br, 0) + 1
     result = {"trials": args.trials, "verified": verified, "branches": branches}
-    _emit_json(args, "closeball", result,
-               {"all_verified": verified == args.trials,
-                "R": sp.DEFAULT_CLOSEBALL_R, "C": sp.DEFAULT_CLOSEBALL_C})
+    _emit(args, result, checklist={"all_verified": verified == args.trials,
+                                   "R": sp.DEFAULT_CLOSEBALL_R, "C": sp.DEFAULT_CLOSEBALL_C})
     return 0
 
 
@@ -366,7 +338,7 @@ def cmd_intersect(args) -> int:
     report = sp.intersection_search(args.n, args.R, args.trials,
                                     max_chain=args.max_chain, seed=args.seed,
                                     workers=args.workers)
-    _emit_json(args, "intersect", report)
+    _emit(args, report)
     return 0
 
 
@@ -392,12 +364,9 @@ def cmd_ergodic(args) -> int:
     f = lambda y: Fraction(1) if y == target else Fraction(0)
     ks = list(range(1, args.k_max + 1)) if args.k_max else [args.k]
     rows = er.convergence_rows(action, f, ks, args.cap)
-    if args.format == "json":
-        body = [{"k": k, "x_id": x, "value": float(v), "abs_err": float(e)}
-                for k, x, v, e in rows]
-        _emit_json(args, "ergodic", body)
-    else:
-        _emit_csv(args, "ergodic", er.experiment_csv(rows))
+    _emit(args, [{"k": k, "x_id": x, "value": float(v), "abs_err": float(e)}
+                 for k, x, v, e in rows],
+          _table("k,x_id,value,abs_err", rows))
     return 0
 
 
@@ -406,18 +375,16 @@ def cmd_maximal(args) -> int:
 
     action = _build_action(args)
     rng = np.random.default_rng(args.seed)
-    lines = ["trial,lhs,bound,holds"]
+    rows = []
     all_hold = True
     for trial in range(args.trials):
         f = {x: Fraction(int(rng.integers(-6, 7)), 3) for x in action.states}
         out = er.maximal_inequality_experiment(action, f, args.eps, args.k_max)
         ok = out.lhs_measure <= out.bound
         all_hold = all_hold and ok
-        lines.append(f"{trial},{float(out.lhs_measure)!r},{float(out.bound)!r},{ok}")
-    if args.format == "json":
-        _emit_json(args, "maximal", lines[1:], {"all_hold": all_hold})
-    else:
-        _emit_csv(args, "maximal", "\n".join(lines) + "\n")
+        rows.append((trial, out.lhs_measure, out.bound, ok))
+    table = _table("trial,lhs,bound,holds", rows)
+    _emit(args, table[1:], table, {"all_hold": all_hold})
     return 0
 
 
@@ -517,7 +484,7 @@ def build_parser() -> Parser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--R", type=_finite, default=1e4)
     p.add_argument("--max-chain", type=int, default=3)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=1)
     common(p, seed=True, trials=100, fmt="json")
     p.set_defaults(func=cmd_intersect)
 

@@ -305,14 +305,6 @@ def convergence_rows(action: WeightedAction, f, ks: Sequence[int],
     return rows
 
 
-def experiment_csv(rows) -> str:
-    """CSV report `k,x_id,value,abs_err`; floats via repr for determinism."""
-    out = ["k,x_id,value,abs_err"]
-    for k, x_id, val, err in rows:
-        out.append(f"{k},{x_id},{float(val)!r},{float(err)!r}")
-    return "\n".join(out) + "\n"
-
-
 def orbit_transitive(action: WeightedAction) -> bool:
     """BFS reachability under the standard generators; empirical
     ergodicity proxy on the finite state set."""

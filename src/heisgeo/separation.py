@@ -332,13 +332,13 @@ def _boundary_max_distance(q: Point, r: float, p: Point, samples: int,
     """max d(., p) over the radius-r sphere around q: sample plus polish."""
     cq = as_continuous(q)
     dim = 2 * cq.n + 1
-    xis = [np.eye(dim)[i] * s for i in range(dim) for s in (1.0, -1.0)]
-    xis.extend(_unit(rng.standard_normal(dim)) for _ in range(samples))
-    best_val, best_xi = -math.inf, xis[0]
-    for xi in xis:
-        d = metric_d(multiply(sphere_point(r, xi), cq), p)
-        if d > best_val:
-            best_val, best_xi = d, xi
+    axes = np.eye(dim)[:, None, :] * np.array([1.0, -1.0])[:, None]
+    xis = np.vstack([axes.reshape(-1, dim), _unit_rows(rng.standard_normal((samples, dim)))])
+    # d(y, p) = N(y p^-1) for y = delta_r(xi) q
+    ys = _mul_rows(_sphere_rows(np.full(len(xis), r), xis), np.append(*point_to_flat(cq))[None])
+    d = _norm_rows(_mul_rows(ys, -np.append(*point_to_flat(p))[None]))
+    first = int(np.argmax(d))  # the first maximum, as a strict > scan picks
+    best_val, best_xi = float(d[first]), xis[first]
 
     def neg(x: np.ndarray) -> float:
         nrm = float(np.linalg.norm(x))
@@ -355,12 +355,11 @@ def _boundary_max_distance(q: Point, r: float, p: Point, samples: int,
     return best_val, best_xi
 
 
-def closeball_witness(p: Point, p_prime: Point, r: float,
-                      rho: Optional[float] = None, *,
+def closeball_witness(p: Point, p_prime: Point, r: float, *,
                       R: float = DEFAULT_CLOSEBALL_R,
-                      C: float = DEFAULT_CLOSEBALL_C,
                       samples: int = 320, seed: int = 11) -> CloseballResult:
-    """Center q with d(p_prime, q) <= 2r whose r-ball should sit in B_rho(p).
+    """Center q with d(p_prime, q) <= 2r whose r-ball should sit in B_rho(p),
+    rho = d(p, p_prime).
 
     The configuration is dilated so the inner radius is 1/2 and p_prime
     is the origin, the phases and the sign of tau are normalised away by
@@ -371,11 +370,7 @@ def closeball_witness(p: Point, p_prime: Point, r: float,
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    rho_actual = metric_d(p, p_prime)
-    if rho is None:
-        rho = rho_actual
-    elif abs(rho - rho_actual) > 1e-6 * max(1.0, rho_actual):
-        raise ValueError("rho must equal d(p, p_prime)")
+    rho = metric_d(p, p_prime)
     if not rho > 2 * R * r:
         raise HypothesisViolation(
             "scale_gap", f"rho = {rho} must exceed 2 R r = {2 * R * r}"
@@ -387,7 +382,7 @@ def closeball_witness(p: Point, p_prime: Point, r: float,
     theta = [-(0.0 if w == 0 else math.atan2(w.imag, w.real)) for w in p1.z]
     p2 = isometry_rotate(theta, p1)
     z_norm = math.sqrt(sum(w.real * w.real + w.imag * w.imag for w in p2.z))
-    if z_norm >= 2.0 * C / rho0:
+    if z_norm >= 2.0 * DEFAULT_CLOSEBALL_C / rho0:
         branch = "equator"
         q_norm = ContinuousPoint(tuple(complex(w.real / z_norm, 0.0) for w in p2.z), 0.0)
     else:
@@ -408,7 +403,7 @@ def closeball_witness(p: Point, p_prime: Point, r: float,
         "witness_center_gap": metric_d(p_prime, q),
         "samples": samples,
         "R": R,
-        "C": C,
+        "C": DEFAULT_CLOSEBALL_C,
         "violation": None if verified else [float(v) for v in worst_xi],
     }
     return CloseballResult(q, verified, report)
@@ -534,13 +529,16 @@ def _shell_violation(y: Point, points, radii, thicks) -> float:
     return worst
 
 
-def _project_rows(y, centers, radii, rounds: int = 48) -> np.ndarray:
-    """Cyclic dilation projection: each round slides every row along the
-    dilation path onto each center's sphere in turn (onto the sphere's
-    first axis point when the row sits on the center)."""
+_PROJECT_ROUNDS = 48
+
+
+def _project_rows(y, centers, radii) -> np.ndarray:
+    """Cyclic dilation projection: each of _PROJECT_ROUNDS rounds slides
+    every row along the dilation path onto each center's sphere in turn
+    (onto the sphere's first axis point when the row sits on the center)."""
     pole = np.eye(1, y.shape[1])
     steps = list(zip(centers, [-c for c in centers], radii))
-    for _ in range(rounds):
+    for _ in range(_PROJECT_ROUNDS):
         for c, c_inv, r in steps:
             off = _mul_rows(y, c_inv)
             lam = _norm_rows(off)

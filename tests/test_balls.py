@@ -264,22 +264,6 @@ class TestProductSets:
             (1, 7, 29), (2, 65, 429), (3, 339, 2581)]
         assert rows[1].ratio == Fraction(429, 65)
 
-    def test_doubling_csv_golden(self):
-        text = balls.doubling_csv(balls.doubling_table(1, 2))
-        assert text.splitlines() == [
-            "k,card,card_sq,ratio",
-            "1,7,29,4.142857142857143",
-            "2,65,429,6.6",
-        ]
-
-    def test_doubling_json_mirror(self):
-        import json
-
-        rows = balls.doubling_table(1, 2)
-        payload = json.loads(balls.doubling_json(rows))
-        assert payload[0] == {"k": 1, "card": 7, "card_sq": 29,
-                              "ratio": 29 / 7}
-
 
 class TestFolner:
     def brute_symdiff(self, n, k, sigma):
@@ -320,16 +304,6 @@ class TestFolner:
         for k in (2, 5, 10):
             coords = balls.symmetric_difference_coords(1, k, E1)
             assert band_membership(coords, 1, k, 1).all()
-
-    def test_folner_csv_golden(self):
-        rows = [balls.FolnerRow(k, *balls.symmetric_difference_cardinality(1, k, E1))
-                for k in (1, 2)]
-        text = balls.folner_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == "k,sym_diff,card,ratio"
-        assert lines[1].startswith("1,")
-        sym1, card1 = balls.symmetric_difference_cardinality(1, 1, E1)
-        assert lines[1] == f"1,{sym1},{card1},{float(Fraction(sym1, card1))!r}"
 
 
 class TestBoundaryContains:

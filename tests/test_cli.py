@@ -19,6 +19,120 @@ from heisgeo.cli import UsageError, main, parse_sigma
 from heisgeo.core import generator, inverse, lattice_identity, multiply
 
 
+# small fixed runs of every subcommand; the suffix after "-" names a variant
+PINNED_RUNS = {
+    "ball": ["--n", "1", "--k", "3"],
+    "doubling": ["--n", "1", "--k-max", "3"],
+    "folner": ["--n", "1", "--k", "4", "--sigma", "e1"],
+    "folner-sweep": ["--n", "1", "--k-max", "3", "--sigma", "e1,ie1^-1"],
+    "boundary": ["--n", "1", "--k", "4", "--t", "1/2"],
+    "net": ["--n", "1", "--rho", "0.9"],
+    "bcp": ["--trials", "2", "--count", "12", "--seed", "3"],
+    "colour": ["--trials", "2", "--count", "12", "--seed", "3"],
+    "boundgen": ["--f", "3", "--t", "2", "--height", "3", "--seed", "4"],
+    "height": ["--chi", "1", "--eps", "1/2", "--delta", "1/2", "--kappa", "2"],
+    "lss": ["--trials", "3", "--seed", "5"],
+    "closeball": ["--trials", "2", "--seed", "6"],
+    "intersect": ["--trials", "3", "--workers", "1", "--seed", "7"],
+    "ergodic": ["--m", "2", "--k-max", "2", "--masses", "linear"],
+    "maximal": ["--m", "2", "--trials", "2", "--k-max", "3", "--seed", "8"],
+}
+# SHA-256 of each artifact, one per (run, --format); recorded before the
+# output writers moved into the CLI and unchanged since
+PINNED_SHA256 = {
+    "ball-plain":
+        "80a8dad7e09fb6db82c36af9459415aa65b441e60cff539456268a2a1f9b0beb",
+    "ball-csv":
+        "80a8dad7e09fb6db82c36af9459415aa65b441e60cff539456268a2a1f9b0beb",
+    "ball-json":
+        "596acabb04af84a420a5db395484930a88eb1139325b19d62e191fb4b22e6fdc",
+    "doubling-plain":
+        "00a8d7d126e3cf9fcfe3565925de9e9f785ec94bf2eb76f4fbfc04a48311a69a",
+    "doubling-csv":
+        "8b3861027bcc695ef0b828298add12f88ee83dffabc242c5f8c3f7b620b269c8",
+    "doubling-json":
+        "d810d3c7b82a95187a7330aa41fa0453fe4a867dd79589634353693be38534f9",
+    "folner-plain":
+        "7e37921038afb88f03b35e467cbc25ff5d5cee06980a43b246adc9d079672c88",
+    "folner-csv":
+        "7e37921038afb88f03b35e467cbc25ff5d5cee06980a43b246adc9d079672c88",
+    "folner-json":
+        "1b6123ca4bbe6ca6c3a839c0ef6d8e99c5a6cff8cbce50dd71219f246e8bbddb",
+    "folner-sweep-plain":
+        "6a4a6f585bfc78c9b5914b947608f34c9cd7c432e4702c283b038db5a1f67fe7",
+    "folner-sweep-csv":
+        "8c450f5adf45b6c736b83aacf882d5ed5a9864ed505c62ac2dcb623ed9793ae9",
+    "folner-sweep-json":
+        "95023312dde012efc7de788b4226daac14576032df1ce62b7f150bfd6fe13f84",
+    "boundary-plain":
+        "121ec7fc388e3fd084f8d46536adc3b2077d866839b5f5dc6248e6790bb3488e",
+    "boundary-csv":
+        "121ec7fc388e3fd084f8d46536adc3b2077d866839b5f5dc6248e6790bb3488e",
+    "boundary-json":
+        "78a7b44a11151e902fd3c2845d7135957854b0ef8a6f8cae25473b1337c0d571",
+    "net-plain":
+        "6df9d0a6ea8e120e383e708daf48c33d8f6d0f79b42bfc2a0fefbb2d092cadee",
+    "net-csv":
+        "6df9d0a6ea8e120e383e708daf48c33d8f6d0f79b42bfc2a0fefbb2d092cadee",
+    "net-json":
+        "71a3e4fec4902f7da90455c2f75e5dfc4837ba912131736c3314e4fe1febf9e1",
+    "bcp-plain":
+        "92034b9790a7423cbbe646d6cfb01a2c205ca8cd28b1f660753efd9be85e59b9",
+    "bcp-csv":
+        "4e616d26c542d24077ef539d22ef198b6442724e436ff29826d1e000ac7f91bb",
+    "bcp-json":
+        "a67537a417d88ec3d30f42f7674d722c0c246ef009fcfefdc7a0f9d5fd5004bc",
+    "colour-plain":
+        "11dc2824ed3c957cc90d818253d1aa898bf809fa41944d4772d121004cfc8f9c",
+    "colour-csv":
+        "c1f9279d4283258bfb42ff12319b978bee53c639d3d37d04ac31ec10c5ec89a3",
+    "colour-json":
+        "b6c8a8797843da76d861354fa2f623cfdbfd514a535e3a40a0e2cbb4e25ed5dc",
+    "boundgen-plain":
+        "28456eeb8f3e57f00a241b95f0cdc1922ee643c703fe6e3581c6c9fdb6144a49",
+    "boundgen-csv":
+        "d0003dd3805f34cb442de97489fb42cd0c1a623defaae70cb22fcdf09aead0e2",
+    "boundgen-json":
+        "266a6df6828d827c4b369f3d097eb7534cf778a67a99c6aa537f3605520f042a",
+    "height-plain":
+        "748ea33db356501af68a9e37a1583cfa57192a894aab2a692c5475f031d1e81a",
+    "height-csv":
+        "748ea33db356501af68a9e37a1583cfa57192a894aab2a692c5475f031d1e81a",
+    "height-json":
+        "3049c8da10e8b3825f4dfec29ed708dee71d5c14251b756f4878e9536eeb1bb6",
+    "lss-plain":
+        "bab548036ba976a986ee131509be25db02a074b03770ba8720421baf686a7614",
+    "lss-csv":
+        "aba9980289ab9d042dc1cc451a4e7ca10814d511c198c3a190aee770fde25f81",
+    "lss-json":
+        "a5e523b7a59ed828f6ba21d524352010f9b9d59bfd3b0aa84798fcaac5993e6c",
+    "closeball-plain":
+        "a2e5e660e05005587a39be66ecf3491bcb4e6b483e03a6a93a818b9e06a4dd48",
+    "closeball-csv":
+        "6725b10a659b73850ab006981209e5ae201349821c30001c00291cc9bbea9b89",
+    "closeball-json":
+        "1686b761737f0f8f605cee4a5f74248f160044dbe73db8642fbb57073e942e94",
+    "intersect-plain":
+        "02598f81fe243c204b0b2c05e6006d87458fab5be3987a17373d84d48da51abb",
+    "intersect-csv":
+        "8f8716108edaaa4549bce5839090185ede2b3886da62b5401573f9a4bee00950",
+    "intersect-json":
+        "25a0e1d389d579378152d83f28a2b1d41feb9b5d2e3ef9d288a021baead96d62",
+    "ergodic-plain":
+        "fcc5653983bf0ea416b9b8aa98a35453baffeb906eacda839877620b6aab28d1",
+    "ergodic-csv":
+        "4fbb12504d3a9eb0837d74c6faac8ef4ffd4f3733085a4d1673d61b9d50d5d27",
+    "ergodic-json":
+        "2ab7f8fd104debf8ed0f5760c7cba0860ce9eda24ce646b479f93b94250c0e95",
+    "maximal-plain":
+        "e76839b7424f7cf093a0e2fdfe7b30eb53ce1d47ac2d5199f7ee88fa7be218f4",
+    "maximal-csv":
+        "2490453502e04ff5cb36e56c8fc721af0ab9fa94b45e9be4d8b579f256d18a51",
+    "maximal-json":
+        "d42400c8cab8a6bb800320942b54fef3334fb624d49782b614c545610771ce54",
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -286,6 +400,67 @@ class TestActionFile:
         assert code == 0
         rows = out.splitlines()[4:]
         assert all(row.endswith("True") for row in rows)
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("key", sorted(PINNED_SHA256))
+    def test_artifact_bytes(self, capsys, tmp_path, key):
+        name, fmt = key.rsplit("-", 1)
+        path = tmp_path / "artifact"
+        code, _, _ = run(capsys, name.split("-")[0], *PINNED_RUNS[name],
+                         "--format", fmt, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[key]
+
+    @pytest.mark.parametrize("name", ["boundgen", "lss", "closeball", "intersect"])
+    def test_json_only_commands_ignore_format(self, capsys, name):
+        code, out, _ = run(capsys, name, *PINNED_RUNS[name], "--format", "plain")
+        assert code == 0
+        assert json.loads(out)["command"] == name
+
+
+class TestTables:
+    def test_doubling_csv_golden(self, capsys):
+        code, out, _ = run(capsys, "doubling", "--n", "1", "--k-max", "2")
+        assert code == 0
+        assert out.splitlines()[3:] == [
+            "k,card,card_sq,ratio",
+            "1,7,29,4.142857142857143",
+            "2,65,429,6.6",
+        ]
+
+    def test_doubling_json_mirror(self, capsys):
+        code, out, _ = run(capsys, "doubling", "--n", "1", "--k-max", "2",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"][0] == {"k": 1, "card": 7, "card_sq": 29,
+                                                "ratio": 29 / 7}
+
+    def test_folner_csv_golden(self, capsys):
+        from heisgeo.balls import symmetric_difference_cardinality
+
+        code, out, _ = run(capsys, "folner", "--n", "1", "--k-max", "2", "--sigma", "e1")
+        assert code == 0
+        lines = out.splitlines()[3:]
+        assert lines[0] == "k,sym_diff,card,ratio"
+        sym1, card1 = symmetric_difference_cardinality(1, 1, generator(1, 0))
+        assert lines[1] == f"1,{sym1},{card1},{float(Fraction(sym1, card1))!r}"
+
+    def test_experiment_csv_deterministic(self, capsys):
+        from heisgeo.ergodic import convergence_rows, make_quotient_action
+
+        argv = ("ergodic", "--m", "3", "--target", "0", "--k-max", "5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()[3:]
+        assert lines[0] == "k,x_id,value,abs_err"
+        assert len(lines) == 1 + 5 * 27
+        act = make_quotient_action(1, 3)
+        f = lambda y: Fraction(y == act.states[0])
+        want = [f"{k},{x},{float(v)!r},{float(e)!r}"
+                for k, x, v, e in convergence_rows(act, f, [3, 5])]
+        assert [line for line in lines[1:] if line[0] in "35"] == want
+        assert run(capsys, *argv)[1] == out
 
 
 class TestInstalledEntryPoint:

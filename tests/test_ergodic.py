@@ -619,15 +619,6 @@ class TestInterfaces:
         with pytest.raises(ValueError):
             er.action_from_spec({"type": "flow"})
 
-    def test_experiment_csv_deterministic(self):
-        act = uniform_quotient()
-        f = indicator(act.states[0])
-        rows = er.convergence_rows(act, f, [3, 5])
-        text = er.experiment_csv(rows)
-        assert text.splitlines()[0] == "k,x_id,value,abs_err"
-        assert len(text.splitlines()) == 1 + 2 * 27
-        assert text == er.experiment_csv(er.convergence_rows(act, f, [3, 5]))
-
     def test_constant_rows_have_zero_error(self):
         act = skewed_quotient()
         rows = er.convergence_rows(act, lambda y: Fraction(1, 2), [2, 3])

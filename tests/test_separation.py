@@ -192,8 +192,6 @@ class TestCloseball:
         p = ContinuousPoint((30.0 + 0j,), 0.0)
         with pytest.raises(ValueError):
             sp.closeball_witness(p, continuous_identity(1), -1.0)
-        with pytest.raises(ValueError):
-            sp.closeball_witness(p, continuous_identity(1), 0.5, rho=29.0)
 
     def test_random_instances_verify(self):
         rng = np.random.default_rng(19)
