@@ -163,6 +163,8 @@ def cmd_doubling(args) -> int:
 
 
 def cmd_folner(args) -> int:
+    if args.k is None and args.k_max is None:
+        raise UsageError("folner needs --k or --k-max")
     sigma = parse_sigma(args.sigma, args.n)
     ks = [args.k] if args.k_max is None else range(1, args.k_max + 1)
     rows = []
@@ -360,6 +362,8 @@ def cmd_ergodic(args) -> int:
     from . import ergodic as er
 
     action = _build_action(args)
+    if not 0 <= args.target < len(action.states):
+        raise UsageError(f"--target {args.target} outside 0..{len(action.states) - 1}")
     target = action.states[args.target]
     f = lambda y: Fraction(1) if y == target else Fraction(0)
     ks = list(range(1, args.k_max + 1)) if args.k_max else [args.k]

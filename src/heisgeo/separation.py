@@ -7,7 +7,8 @@ Three numerical verifiers for the geometry of thickened spheres:
   against the closed-form threshold.
 * ``closeball_witness`` constructs the inner tangent ball witness (pole
   or equator branch after dilating the configuration to radius 1/2) and
-  verifies the containment on a dense boundary sample.
+  verifies the containment on a dense boundary sample, polished by a
+  Nelder-Mead maximizer.
 * ``intersection_search`` hunts for chains of mutually incident
   thickened spheres with a nonempty common intersection.  Nonemptiness
   is certified by an exhibited point; emptiness is only ever reported,
@@ -16,6 +17,9 @@ Three numerical verifiers for the geometry of thickened spheres:
   of all trials at once, as arrays along a trial axis; and, per
   candidate chain, a Nelder-Mead polish of near misses and the exact
   ``certify_chain``, which alone decides a chain's length.
+
+Both polishes run ``_nelder_mead``, which repeats SciPy's Nelder-Mead
+step for step, so the package needs numpy alone at run time.
 
 The unnamed constants of the underlying estimates (the threshold scale
 for separation, the branch constant for the inner ball) are measured
@@ -327,6 +331,52 @@ class CloseballResult(NamedTuple):
     report: dict
 
 
+def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int):
+    """Nelder-Mead minimum of f from x0 as (x, f(x)).
+
+    It repeats SciPy's minimize(f, x0, method="Nelder-Mead") step for step
+    for the options used here: no bounds, adaptive=False, the default
+    initial simplex and an unlimited maxfev.  The float expressions and
+    their order are SciPy's, so the iterates are bit-identical.  f must
+    not modify x.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    # sorted twice before the first step, as SciPy does, then after each step
+    for i in range(maxiter + 1):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if i == 0:
+            continue
+        if i == maxiter or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # outside contraction if the reflection improved on the worst
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = f(xc)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = [f(x) for x in sim[1:]]
+    return sim[0], np.min(fsim)
+
+
 def _boundary_max_distance(q: Point, r: float, p: Point, samples: int,
                            rng: np.random.Generator):
     """max d(., p) over the radius-r sphere around q: sample plus polish."""
@@ -346,12 +396,9 @@ def _boundary_max_distance(q: Point, r: float, p: Point, samples: int,
             return 0.0
         return -metric_d(multiply(sphere_point(r, x / nrm), cq), p)
 
-    import scipy.optimize as opt  # loaded on first polish: costs ~0.5 s at import
-
-    res = opt.minimize(neg, best_xi, method="Nelder-Mead",
-                       options=dict(xatol=1e-10, fatol=1e-12, maxiter=400))
-    if -res.fun > best_val:
-        best_val, best_xi = -res.fun, _unit(res.x)
+    x, fun = _nelder_mead(neg, best_xi, xatol=1e-10, fatol=1e-12, maxiter=400)
+    if -fun > best_val:
+        best_val, best_xi = -fun, _unit(x)
     return best_val, best_xi
 
 
@@ -558,12 +605,10 @@ def _polish(row, points, radii, thicks, value: float):
     def unscaled(x: np.ndarray) -> np.ndarray:
         return np.append(x[:-1], x[-1] * scale) * scale
 
-    import scipy.optimize as opt
-
-    res = opt.minimize(lambda x: _shell_violation(_point(unscaled(x)), points, radii, thicks),
-                       np.append(row[:-1] / scale, row[-1] / (scale * scale)),
-                       method="Nelder-Mead", options=dict(xatol=1e-12, fatol=1e-12, maxiter=600))
-    return (unscaled(res.x), float(res.fun)) if res.fun < value else (row, value)
+    x, fun = _nelder_mead(lambda x: _shell_violation(_point(unscaled(x)), points, radii, thicks),
+                          np.append(row[:-1] / scale, row[-1] / (scale * scale)),
+                          xatol=1e-12, fatol=1e-12, maxiter=600)
+    return (unscaled(x), float(fun)) if fun < value else (row, value)
 
 
 def _run_trials(args) -> list[dict]:
@@ -671,7 +716,7 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
     whose bisection fails redraws its perpendicular, six times at most),
     the bisection for a third center on both shells, and 48 rounds of
     cyclic dilation projection from two seeds per trial.  Per candidate
-    chain, the better seed is polished by Nelder-Mead when its shell
+    chain, the better seed is polished by _nelder_mead when its shell
     violation is positive but below 9 t_min^2, and certify_chain alone
     decides the chain's length.  The arrays repeat the object-level float
     operations bit for bit, so batching never changes the report.  With

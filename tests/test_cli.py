@@ -219,6 +219,19 @@ class TestExitCodes:
                            "--sigma", "zz")
         assert code == 64
 
+    def test_folner_without_k_is_usage(self, capsys):
+        code, out, err = run(capsys, "folner", "--n", "1", "--sigma", "e1")
+        assert (code, out) == (64, "")
+        assert "--k or --k-max" in err
+
+    @pytest.mark.parametrize("target", ["27", "99", "-1"])
+    def test_ergodic_target_out_of_range_is_usage(self, capsys, target):
+        # m = 3 gives 27 states, indexed 0..26; -1 must not wrap to the last
+        code, out, err = run(capsys, "ergodic", "--m", "3", "--target", target)
+        assert (code, out) == (64, "")
+        assert "outside 0..26" in err
+        assert run(capsys, "ergodic", "--m", "3", "--target", "26")[0] == 0
+
     def test_bad_rational_is_usage(self, capsys):
         code, _, _ = run(capsys, "boundary", "--n", "1", "--k", "3", "--t", "x/y")
         assert code == 64

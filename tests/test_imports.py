@@ -1,8 +1,9 @@
-"""What a process loads: lazy re-exports, lazy layers and the first scipy use.
+"""What a process loads: lazy re-exports, lazy layers, and never scipy.
 
 Every check runs in a fresh interpreter, so nothing an earlier test
-imported can hide an eager import.  One more check reads the sources: every
-public top-level name in the package is reached by the program.
+imported can hide an eager import.  Two more checks read the sources:
+every public top-level name in the package is reached by the program, and
+every third-party import is a runtime dependency in pyproject.toml.
 """
 
 import ast
@@ -123,29 +124,50 @@ def test_every_public_definition_is_reached():
     assert unreached == []
 
 
-FIRST_SCIPY_USE = """
-    import json, sys
-    {preload}
-    from heisgeo import separation as sp
-    from heisgeo.core import ContinuousPoint, continuous_identity, point_to_json
-    before = "scipy.optimize" in sys.modules
-    if {closeball}:
-        res = sp.closeball_witness(ContinuousPoint((30.0 + 0j,), 0.0),
-                                   continuous_identity(1), 0.5, seed=2)
-        result = [point_to_json(res.q), res.verified, res.report]
-    else:
-        # trial 0 of seed 78 reaches the Nelder-Mead polish of the length-3 search
-        result = sp.intersection_search(1, 1e4, trials=1, seed=78)
-    print(json.dumps({{"before": before, "after": "scipy.optimize" in sys.modules,
-                      "result": result}}, sort_keys=True, default=repr))
-"""
+@pytest.mark.parametrize("argv", [
+    ["closeball"],
+    ["lss"],
+    ["intersect", "--trials", "30", "--seed", "1"],
+])
+def test_no_command_loads_scipy(argv, tmp_path):
+    # closeball and intersect reach the Nelder-Mead polish, which is counted
+    doc = run_fresh(f"""
+        import json, sys
+        import heisgeo.cli
+        from heisgeo import separation as sp
+        polishes = []
+        solve = sp._nelder_mead
+        sp._nelder_mead = lambda *a, **k: polishes.append(1) or solve(*a, **k)
+        code = heisgeo.cli.main({argv!r} + ["--out", "artifact.json"])
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(json.dumps({{"code": code, "polishes": len(polishes), "loaded": loaded}}))
+    """, tmp_path)
+    assert doc["code"] == 0
+    assert doc["loaded"] == []
+    assert (doc["polishes"] > 0) == (argv[0] != "lss")
+    assert json.loads((tmp_path / "artifact.json").read_text())["result"]
 
 
-@pytest.mark.parametrize("closeball", [True, False], ids=["closeball", "intersection"])
-def test_first_scipy_use_matches_preloaded_scipy(closeball, tmp_path):
-    lazy = run_fresh(FIRST_SCIPY_USE.format(preload="", closeball=closeball), tmp_path)
-    eager = run_fresh(FIRST_SCIPY_USE.format(preload="import scipy.optimize",
-                                             closeball=closeball), tmp_path)
-    assert lazy["before"] is False and lazy["after"] is True
-    assert eager["before"] is True
-    assert lazy["result"] == eager["result"]
+def test_third_party_imports_are_dependencies():
+    # every top-level import of the package, lazy ones included, is the
+    # standard library, the package itself or a runtime dependency
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(heisgeo.__file__).parent
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in deps}
+    imported = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    third_party = {m: f for m, f in imported.items()
+                   if m not in sys.stdlib_module_names and m != "heisgeo"}
+    assert "numpy" in third_party
+    assert {m: f for m, f in third_party.items() if m not in listed} == {}

@@ -3,7 +3,8 @@
 Every numeric claim made by the search code is re-derived here through
 an independent route: bisection sphere distances, exact Fraction scale
 arithmetic, or direct gauge evaluation, never the screen that produced
-the claim in the first place.
+the claim in the first place.  scipy is the oracle of the in-house
+Nelder-Mead polish, as it is of the gauge solver in test_spherequad.py.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize as opt
 
 from heisgeo import separation as sp
 from heisgeo.balls import BallSpec, boundary_contains
@@ -218,6 +220,89 @@ class TestCloseball:
         rep = sp.closeball_R_estimate(r=0.5, n=1, directions=5, seed=3, hi=64.0)
         # measured feasibility edge sits well inside the shipped default
         assert 1.0 < rep["estimate"] < sp.DEFAULT_CLOSEBALL_R
+
+
+NELDER_MEAD = sp._nelder_mead
+
+
+def matches_scipy(f, x0, **options):
+    """Run both solvers on f from x0; assert equal bits; return scipy's result."""
+    x, fun = NELDER_MEAD(f, x0, **options)
+    res = opt.minimize(f, x0, method="Nelder-Mead", options=options)
+    assert x.tobytes() == res.x.tobytes()
+    assert fun == res.fun
+    return res
+
+
+class TestNelderMead:
+    """The in-house polish against scipy.optimize.minimize(method="Nelder-Mead")."""
+
+    def polishes(self, monkeypatch, run):
+        calls = []
+
+        def record(f, x0, **options):
+            calls.append((f, np.array(x0), options))
+            return NELDER_MEAD(f, x0, **options)
+
+        monkeypatch.setattr(sp, "_nelder_mead", record)
+        run()
+        return calls
+
+    def test_closeball_objective(self, monkeypatch):
+        calls = self.polishes(monkeypatch, lambda: sp.closeball_witness(
+            ContinuousPoint((30.0 + 0j,), 0.0), continuous_identity(1), 0.5, seed=2))
+        assert len(calls) == 1
+        matches_scipy(*calls[0][:2], **calls[0][2])
+
+    def test_chain_violation(self, monkeypatch):
+        # trial 0 of seed 78 reaches the polish of the length-3 search
+        calls = self.polishes(monkeypatch, lambda: sp.intersection_search(1, 1e4, trials=1,
+                                                                          seed=78))
+        assert len(calls) == 1
+        matches_scipy(*calls[0][:2], **calls[0][2])
+
+    def test_shrink(self):
+        # -(x0 + x1)^2 is constant along the first edge from [2, -2], so
+        # both contractions fail and the first step shrinks: each solver
+        # makes 3 + 2 + 2 calls, where a step without a shrink makes at most 2
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return -float(x[0] + x[1]) ** 2
+
+        matches_scipy(f, np.array([2.0, -2.0]), xatol=1e-10, fatol=1e-12, maxiter=2)
+        assert len(calls) == 2 * 7
+        # (x0 + x1)^2 ties at 0 once the simplex reaches its zero line
+        matches_scipy(lambda x: float(x[0] + x[1]) ** 2, np.array([2.0, 2.0]),
+                      xatol=1e-10, fatol=1e-12, maxiter=400)
+
+    def test_ties(self):
+        # a rounded objective ties often: every < against <= and the order
+        # of tied vertices must be scipy's
+        c = np.array([1.6, 0.7, -2.3])
+        matches_scipy(lambda x: float(np.round(64.0 * np.abs(x - c).sum())),
+                      np.array([-5.2, -1.3, 1.0]), xatol=1e-10, fatol=1e-12, maxiter=100)
+
+    def test_zero_coordinate_start(self):
+        starts = []
+
+        def f(x):
+            starts.append(x.copy())
+            return float((x[0] - 1.0) ** 2 + 3.0 * x[1] ** 2 + x[0] * x[2] + x[2] ** 2)
+
+        res = matches_scipy(f, np.array([0.0, 1.0, -2.0]), xatol=1e-12, fatol=1e-12,
+                            maxiter=600)
+        assert res.status == 0
+        assert starts[1].tolist() == [0.00025, 1.0, -2.0]
+        assert starts[2].tolist() == [0.0, 1.05, -2.0]
+
+    def test_maxiter(self):
+        rosen = lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+        for maxiter in (1, 2, 25):
+            res = matches_scipy(rosen, np.array([-1.2, 1.0]), xatol=1e-12, fatol=1e-12,
+                                maxiter=maxiter)
+            assert res.status == 2 and res.nit == maxiter
 
 
 class TestChainConfig:
