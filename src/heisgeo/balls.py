@@ -69,7 +69,7 @@ from .core import (
     radius_parts,
 )
 from .errors import ResourceCapError
-from .spherequad import gauge_min, gauge_min_batched, point_to_flat
+from .spherequad import _row, gauge_min
 
 DEFAULT_CAP = 10 ** 8
 _ACCEPT = 1.0 + 1e-9  # a gauge minimum up to this certifies "within t of the sphere"
@@ -537,9 +537,9 @@ def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:
     # quick-in: dilation witness sqrt|lam^2 - r^2| <= t
     if offset_cmp(off, r * r - t * t, w2) >= 0 and offset_cmp(off, r * r + t * t, w2) <= 0:
         return BoundaryResult(True, "exact-in")
-    z_flat, tau = point_to_flat(multiply(y, inverse(spec.center)))
-    val = gauge_min(z_flat, tau, float(spec.radius), float(spec.thickening))
-    inside = bool(val <= _ACCEPT)
+    row = _row(multiply(y, inverse(spec.center)))
+    val = gauge_min(row[None, :-1], row[-1:], float(spec.radius), float(spec.thickening))
+    inside = bool(val[0] <= _ACCEPT)
     return BoundaryResult(inside, "minimizer-in" if inside else "minimizer-out")
 
 
@@ -584,7 +584,7 @@ def _t_boundary(n: int, k: int, t: Radius, cap: int) -> FiberSet:
             break
         mid = (found[live] + bound[live] + 1) // 2
         tau = (start[live] + step[live] * (mid - 1)) / 2.0
-        inside = gauge_min_batched(z[live], tau, float(k), u / v) <= _ACCEPT
+        inside = gauge_min(z[live], tau, float(k), u / v) <= _ACCEPT
         found[live] = np.where(inside, mid, found[live])
         bound[live] = np.where(inside, bound[live], mid - 1)
     edge = start + step * found  # the first non-member of each run

@@ -163,8 +163,8 @@ def cmd_doubling(args) -> int:
 
 
 def cmd_folner(args) -> int:
-    if args.k is None and args.k_max is None:
-        raise UsageError("folner needs --k or --k-max")
+    if (args.k is None) == (args.k_max is None):
+        raise UsageError("folner needs exactly one of --k or --k-max")
     sigma = parse_sigma(args.sigma, args.n)
     ks = [args.k] if args.k_max is None else range(1, args.k_max + 1)
     rows = []
@@ -366,7 +366,9 @@ def cmd_ergodic(args) -> int:
         raise UsageError(f"--target {args.target} outside 0..{len(action.states) - 1}")
     target = action.states[args.target]
     f = lambda y: Fraction(1) if y == target else Fraction(0)
-    ks = list(range(1, args.k_max + 1)) if args.k_max else [args.k]
+    if args.k_max is not None and args.k_max < 1:
+        raise UsageError("--k-max must be at least 1")
+    ks = list(range(1, args.k_max + 1)) if args.k_max is not None else [args.k]
     rows = er.convergence_rows(action, f, ks, args.cap)
     _emit(args, [{"k": k, "x_id": x, "value": float(v), "abs_err": float(e)}
                  for k, x, v, e in rows],

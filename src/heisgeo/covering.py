@@ -22,18 +22,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .balls import DEFAULT_CAP, BallSpec, boundary_contains
-from .core import (
-    ContinuousPoint,
-    LatticePoint,
-    Point,
-    as_continuous,
-    dist_cmp,
-    metric_d,
-    multiply,
-    point_to_json,
-)
+from .core import ContinuousPoint, LatticePoint, Point, dist_cmp, point_to_json
 from .errors import HypothesisViolation, ResourceCapError
-from .spherequad import project_to_sphere, sphere_point
+from .spherequad import (_mul_rows, _norm_rows, _point, _row, _sphere_rows, _unit_rows,
+                         sphere_distance)
 
 Num = Union[int, float, Fraction]
 
@@ -247,35 +239,40 @@ def sphere_pair_distance(b1: BallSpec, b2: BallSpec, rounds: int = 80) -> float:
 
     Each iterate projects the current witness onto the opposite sphere, so
     the value decreases monotonically; the result is an upper bound on the
-    true distance realized by an explicit witness pair.
+    true distance realized by an explicit witness pair.  Four starts, the
+    point of S(c2,r2) nearest c1 and three seeded random ones, iterate as
+    one batch of rows, each until its own distance stops moving.
     """
-    c1, c2 = b1.center, b2.center
+    c1, c2 = _row(b1.center)[None], _row(b2.center)[None]
     r1, r2 = float(b1.radius), float(b2.radius)
-    if as_continuous(c1) == as_continuous(c2):
+    if np.array_equal(c1, c2):
         return abs(r1 - r2)
-    n = as_continuous(c1).n
-    rng = np.random.default_rng(7)
-    _, nearest = project_to_sphere(as_continuous(c1), c2, r2)
-    starts = [nearest]
-    for _ in range(3):
-        xi = rng.normal(size=2 * n + 1)
-        xi /= np.linalg.norm(xi)
-        starts.append(multiply(sphere_point(r2, xi), as_continuous(c2)))
-    best = math.inf
-    for y in starts:
-        prev = math.inf
-        for _ in range(rounds):
-            _, x = project_to_sphere(y, c1, r1)
-            dy, y = project_to_sphere(x, c2, r2)
-            best = min(best, metric_d(x, y))
-            if abs(prev - dy) < 1e-12:
-                break
-            prev = dy
+
+    def project(y, c, r):  # nearest points of S_r(c), by right translation to the origin
+        dist, w = sphere_distance(_mul_rows(y, -c), r)
+        return dist, _mul_rows(w, c)
+
+    xi = _unit_rows(np.random.default_rng(7).normal(size=(3, c1.shape[1])))
+    y = np.vstack([project(c1, c2, r2)[1], _mul_rows(_sphere_rows(np.full(3, r2), xi), c2)])
+    prev, best = np.full(len(y), math.inf), math.inf
+    for _ in range(rounds):
+        _, x = project(y, c1, r1)
+        dy, y = project(x, c2, r2)
+        best = min(best, float(_norm_rows(_mul_rows(x, -y)).min()))  # d(x, y) = N(x y^-1)
+        moving = ~(np.abs(prev - dy) < 1e-12)
+        if not moving.any():
+            break
+        y, prev = y[moving], dy[moving]
     return best
 
 
 def is_sphere_separated(balls: Sequence[BallSpec]) -> bool:
-    """Pairwise sphere-to-sphere distances all reach the smallest radius."""
+    """Pairwise sphere-to-sphere distances all reach the smallest radius.
+
+    True is certified only when the triangle bounds or the exact concentric
+    comparison settle every pair; otherwise it rests on the upper bound
+    from sphere_pair_distance, whose witness pair certifies only False.
+    """
     if not balls:
         raise ValueError("empty ball collection")
     rmin = min(b.radius for b in balls)
@@ -469,12 +466,7 @@ def covering_net(n: int, rho: float, cap: int = DEFAULT_CAP) -> tuple[int, list[
         _clear_near(left, grid, at, half, n, reach)
     if left.any():
         raise RuntimeError("net left a grid point uncovered; grid resolution bug")
-    points = [
-        ContinuousPoint(
-            tuple(complex(row[j], row[n + j]) for j in range(n)), float(row[2 * n])
-        )
-        for row in flat_grid[centers]
-    ]
+    points = [_point(row) for row in flat_grid[centers]]
     return len(points), points
 
 
@@ -550,6 +542,9 @@ def boundgen_select(
     p = ceil(2 chi / (eps delta)) is reported in the checklist but not
     enforced, since the shell-mass hypothesis caps the usable height of any
     finite instance far below that p (see the package notes).
+
+    postconditions.sphere_separated is is_sphere_separated's verdict, so a
+    True is certified only when its exact screens settle every pair.
     """
     eps, delta = Fraction(eps), Fraction(delta)
     if not 0 < eps < 1 or not 0 < delta < 1:

@@ -50,7 +50,8 @@ from .core import (
     point_to_json,
 )
 from .errors import HypothesisViolation
-from .spherequad import point_to_flat, sphere_point
+from .spherequad import (_dot_rows, _mul_rows, _norm_rows, _point, _row, _sphere_rows,
+                         _unit_rows, sphere_point)
 
 # measured by closeball_R_estimate / lss_threshold_estimate at desk scale;
 # generous margins over the observed feasibility thresholds
@@ -66,51 +67,8 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 
 
 # --- trial-axis kernels ------------------------------------------------------
-# A row is a point [Re z, Im z, tau].  Each kernel repeats the float steps of
-# its `core` counterpart in order, so its rows are bit-identical to the object
-# code's points.  Sums over j use Python's sum(), which starts from 0 (a lone
-# -0.0 term becomes 0.0); float * complex is a complex product (s*re - 0.0*im);
-# math.hypot and math.acos run per element (NumPy's differ in the last bit);
-# row dot products use stacked matmul, the BLAS call of np.dot.
-
-
-def _hypot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, len(a))
-
-
-def _point(row: np.ndarray) -> ContinuousPoint:
-    n = (row.shape[0] - 1) // 2
-    return ContinuousPoint(tuple(complex(row[j], row[n + j]) for j in range(n)), row[-1])
-
-
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _unit_rows(v: np.ndarray) -> np.ndarray:
-    return v / np.sqrt(_dot_rows(v, v))[:, None]
-
-
-def _mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """core.multiply per row."""
-    n = (p.shape[1] - 1) // 2
-    out = p + q
-    out[:, -1] += 0.5 * sum(p[:, j] * q[:, n + j] - p[:, n + j] * q[:, j] for j in range(n))
-    return out
-
-
-def _norm_rows(p: np.ndarray) -> np.ndarray:
-    """core.homogeneous_norm per row; its twist with the identity is 0.0."""
-    n = (p.shape[1] - 1) // 2
-    x2 = sum(p[:, j] * p[:, j] + p[:, n + j] * p[:, n + j] for j in range(n))
-    return np.sqrt(0.5 * (x2 + _hypot_rows(x2, 2.0 * p[:, -1])))
-
-
-def _sphere_rows(r: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """spherequad.sphere_point per row."""
-    out = r[:, None] * xi
-    out[:, -1] = (r * r) * xi[:, -1]
-    return out
+# Rows and their kernels are spherequad's; like them, _dilate_rows repeats
+# its `core` counterpart bit for bit, and math.acos runs per element.
 
 
 def _dilate_rows(s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -265,7 +223,7 @@ def random_lss_config(R: float, eps: float, n: int = 1,
         # distance jitter kept inside the certification band of the shell
         d_p = r + float(rng.uniform(-1.0, 1.0)) * t * t / (5.0 * r)
         p = sphere_point(d_p, u)
-        y0, f, found = _bisect_rows(np.append(*point_to_flat(p))[None], r, r_tilde,
+        y0, f, found = _bisect_rows(_row(p)[None], r, r_tilde,
                                     t * t / (9.0 * r_tilde), -u[None], u[None],
                                     lambda i: _waypoint(rng, -u))
         if not found[0]:
@@ -385,8 +343,8 @@ def _boundary_max_distance(q: Point, r: float, p: Point, samples: int,
     axes = np.eye(dim)[:, None, :] * np.array([1.0, -1.0])[:, None]
     xis = np.vstack([axes.reshape(-1, dim), _unit_rows(rng.standard_normal((samples, dim)))])
     # d(y, p) = N(y p^-1) for y = delta_r(xi) q
-    ys = _mul_rows(_sphere_rows(np.full(len(xis), r), xis), np.append(*point_to_flat(cq))[None])
-    d = _norm_rows(_mul_rows(ys, -np.append(*point_to_flat(p))[None]))
+    ys = _mul_rows(_sphere_rows(np.full(len(xis), r), xis), _row(cq)[None])
+    d = _norm_rows(_mul_rows(ys, -_row(p)[None]))
     first = int(np.argmax(d))  # the first maximum, as a strict > scan picks
     best_val, best_xi = float(d[first]), xis[first]
 

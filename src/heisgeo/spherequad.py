@@ -31,21 +31,78 @@ alone; U(n) rotations and the flip (z, tau) -> (conj z, -tau) leave the
 minimum unchanged.  Everything here is float numerics; exact integer
 screens live in the ball module and only route the ambiguous band through
 this solver.
+
+Points are rows [Re z, Im z, tau] stacked on a first axis, and each entry
+takes a batch (one point is a batch of one): `gauge_min` the rows' z and
+tau with one t or one per row, `sphere_distance` the rows themselves.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
-from .core import ContinuousPoint, Point, as_continuous, homogeneous_norm, inverse, multiply
+from .core import ContinuousPoint, Point, as_continuous
 
 _NEWTON_STEPS = 100  # cap; the Newton root converges in a handful of steps
 _NEWTON_RTOL = 4 * np.finfo(float).eps
 _HARD_EPS = 1e-30
 _DIST_RTOL = 1e-12  # sphere_distance bisects to this fraction of max(bracket, 1)
+
+
+# --- rows --------------------------------------------------------------------
+# A row is a point [Re z, Im z, tau], the one float point format of the
+# package.  Each kernel repeats the float steps of its `core` counterpart in
+# order, so its rows are bit-identical to the object code's points.  Sums
+# over j use Python's sum(), which starts from 0 (a lone -0.0 term becomes
+# 0.0); float * complex is a complex product (s*re - 0.0*im); math.hypot
+# runs per element (NumPy's differs in the last bit); row dot products use
+# stacked matmul, the BLAS call of np.dot.
+
+
+def _row(p: Point) -> np.ndarray:
+    cp = as_continuous(p)
+    return np.array([w.real for w in cp.z] + [w.imag for w in cp.z] + [cp.tau])
+
+
+def _point(row: np.ndarray) -> ContinuousPoint:
+    n = (row.shape[0] - 1) // 2
+    return ContinuousPoint(tuple(complex(row[j], row[n + j]) for j in range(n)), row[-1])
+
+
+def _hypot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, len(a))
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(_dot_rows(v, v))[:, None]
+
+
+def _mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """core.multiply per row."""
+    n = (p.shape[1] - 1) // 2
+    out = p + q
+    out[:, -1] += 0.5 * sum(p[:, j] * q[:, n + j] - p[:, n + j] * q[:, j] for j in range(n))
+    return out
+
+
+def _norm_rows(p: np.ndarray) -> np.ndarray:
+    """core.homogeneous_norm per row; its twist with the identity is 0.0."""
+    n = (p.shape[1] - 1) // 2
+    x2 = sum(p[:, j] * p[:, j] + p[:, n + j] * p[:, n + j] for j in range(n))
+    return np.sqrt(0.5 * (x2 + _hypot_rows(x2, 2.0 * p[:, -1])))
+
+
+def _sphere_rows(r: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """sphere_point per row."""
+    out = r[:, None] * xi
+    out[:, -1] = (r * r) * xi[:, -1]
+    return out
 
 
 def _secular_root(gap: np.ndarray, qq: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -92,9 +149,6 @@ def _secular_batched(lam: np.ndarray, qt: np.ndarray, c: np.ndarray):
     lam: (N, d) ascending eigenvalues, qt: (N, d), c: (N,).
     Returns (values (N,), xi (N, d)) in the eigenbasis.
     """
-    lam = np.asarray(lam, dtype=float)
-    qt = np.asarray(qt, dtype=float)
-    c = np.asarray(c, dtype=float)
     lam1 = lam[:, 0]
     # shift: phi(s) = sum qt_i^2 / (gap_i + s)^2 with gap_i = lam_i - lam1 >= 0,
     # decreasing in s > 0; want phi(s) = 1, i.e. s = lam1 - mu.
@@ -159,15 +213,20 @@ def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
     return lam, qt, c, cs, sn
 
 
-def _gauge_solve(z_flat: np.ndarray, tau: np.ndarray, r: float, t: float,
-                 return_argmin: bool):
-    """Batched min of F_t over the unit sphere, and optionally its argmin."""
+def gauge_min(z_flat, tau, r: float, t, return_argmin: bool = False):
+    """min_{||xi||=1} F_t(xi) per row of z_flat (N, 2n) and tau (N,).
+
+    A value <= 1 certifies dist((z, tau), S_r(0)) <= t.  t is a scalar or
+    one value per row; a row's value does not depend on the rest of its
+    batch.  With return_argmin, also the minimisers xi (N, 2n+1).
+    """
     if not 0 <= r < math.inf:
         raise ValueError("radius r must be nonnegative and finite")
-    if not 0 < t < math.inf:
+    if not np.all((np.asarray(t) > 0) & (np.asarray(t) < math.inf)):
         raise ValueError("tolerance t must be positive and finite")
+    z_flat = np.asarray(z_flat, dtype=float)
     x = np.sum(z_flat * z_flat, axis=1)
-    lam, qt, c, cs, sn = _gauge_secular(x, tau, r, t)
+    lam, qt, c, cs, sn = _gauge_secular(x, np.asarray(tau, dtype=float), r, t)
     values, xi = _secular_batched(lam, qt, c)
     if not return_argmin:
         return values
@@ -183,21 +242,6 @@ def _gauge_solve(z_flat: np.ndarray, tau: np.ndarray, r: float, t: float,
     return values, np.concatenate([a, b[:, None]], axis=1)
 
 
-def gauge_min(z_flat, tau: float, r: float, t: float, return_argmin: bool = False):
-    """min_{||xi||=1} F_t(xi); <= 1 certifies dist((z,tau), S_r(0)) <= t."""
-    z_flat = np.asarray(z_flat, dtype=float)[None]
-    out = _gauge_solve(z_flat, np.array([float(tau)]), r, t, return_argmin)
-    if return_argmin:
-        return float(out[0][0]), out[1][0]
-    return float(out[0])
-
-
-def gauge_min_batched(z_flat, tau, r: float, t: float):
-    """gauge_min for stacked z_flat (N, 2n) and tau (N,)."""
-    return _gauge_solve(np.asarray(z_flat, dtype=float), np.asarray(tau, dtype=float),
-                        r, t, False)
-
-
 def sphere_point(r: float, xi: np.ndarray) -> ContinuousPoint:
     """Map xi on the unit sphere of R^(2n+1) to delta_r of it on S_r(0)."""
     xi = np.asarray(xi, dtype=float)
@@ -206,61 +250,41 @@ def sphere_point(r: float, xi: np.ndarray) -> ContinuousPoint:
     return ContinuousPoint(z, r * r * float(xi[-1]))
 
 
-def point_to_flat(p: Point):
-    """(z_flat, tau) real coordinates of a group point."""
-    cp = as_continuous(p)
-    z_flat = np.array([w.real for w in cp.z] + [w.imag for w in cp.z], dtype=float)
-    return z_flat, cp.tau
+def sphere_distance(rows, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dist(y, S_r(0)), a nearest point of S_r(0) as a row) per row y.
 
-
-def sphere_distance(y: Point, r: float, *, return_witness: bool = False):
-    """dist(y, S_r(0)) by bisection on the certified membership predicate.
-
-    The predicate t -> (min F_t <= 1) is monotone; the bracket is the exact
-    sandwich |N(y) - r| <= dist <= sqrt(|N(y)^2 - r^2|), the upper end being
-    the distance realised by the dilation witness delta_{r/N(y)}(y).
+    Bisection on the certified membership predicate t -> (min F_t <= 1),
+    which is monotone; the bracket is the exact sandwich
+    |N(y) - r| <= dist <= sqrt(|N(y)^2 - r^2|), the upper end being the
+    distance realised by the dilation witness delta_{r/N(y)}(y).  The rows
+    bisect in lockstep, each until its own bracket is tight, so a row's
+    result does not depend on its batch.  The nearest point is the argmin
+    of the last accepted probe, else the dilation witness.
     """
-    cp = as_continuous(y)
-    lam = homogeneous_norm(cp)
     if not 0 <= r < math.inf:
         raise ValueError("radius must be nonnegative and finite")
-    if r == 0.0 or lam == 0.0:
-        dist = abs(lam - r)
-        if return_witness:
-            w = ContinuousPoint((0j,) * cp.n, 0.0) if r == 0 else sphere_point(
-                r, np.array([0.0] * (2 * cp.n) + [1.0]))
-            return dist, w
-        return dist
-    z_flat, tau = point_to_flat(cp)
-    lo = abs(lam - r)
-    hi = math.sqrt(abs(lam * lam - r * r))
-    if hi <= lo:
-        hi = lo
-    span = max(hi, 1.0)
-    witness_xi: Optional[np.ndarray] = None
-    while hi - lo > _DIST_RTOL * span:
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        val, xi = gauge_min(z_flat, tau, r, mid, return_argmin=True)
-        if val <= 1.0:
-            hi = mid
-            witness_xi = xi
-        else:
-            lo = mid
-    dist = hi
-    if not return_witness:
-        return dist
-    if witness_xi is None:
-        _, witness_xi = gauge_min(z_flat, tau, r, max(hi, _DIST_RTOL), return_argmin=True)
-    return dist, sphere_point(r, witness_xi)
-
-
-def project_to_sphere(y: Point, center: Point, r: float) -> tuple[float, ContinuousPoint]:
-    """Nearest point of S_r(center) to y, via right translation to the origin."""
-    cy = as_continuous(y)
-    cc = as_continuous(center)
-    # right invariance moves the sphere to the origin
-    dist, w0 = sphere_distance(multiply(cy, inverse(cc)), r, return_witness=True)
-    w = multiply(w0, cc)
-    return dist, w
+    rows = np.asarray(rows, dtype=float)
+    z_flat, tau = rows[:, :-1], rows[:, -1]
+    lam = _norm_rows(rows)
+    lo = np.abs(lam - r)
+    hi = np.maximum(np.sqrt(np.abs(lam * lam - r * r)), lo)
+    tol = _DIST_RTOL * np.maximum(hi, 1.0)
+    # r = 0 or y = 0: dist = |N(y) - r|, realised by the origin or the pole
+    solve = (lam != 0.0) & (r != 0.0)
+    hi[~solve] = lo[~solve]
+    xi = np.zeros_like(rows)
+    xi[:, -1] = 1.0
+    accepted = np.zeros(len(rows), dtype=bool)
+    live = np.flatnonzero(solve & (hi - lo > tol))
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        val, arg = gauge_min(z_flat[live], tau[live], r, mid, return_argmin=True)
+        ok = val <= 1.0
+        hi[live[ok]], xi[live[ok]], accepted[live[ok]] = mid[ok], arg[ok], True
+        lo[live[~ok]] = mid[~ok]
+        live = live[hi[live] - lo[live] > tol[live]]
+    # no probe accepted: hi is still the distance of the dilation witness
+    miss = solve & ~accepted
+    xi[miss, :-1] = z_flat[miss] / lam[miss, None]
+    xi[miss, -1] = tau[miss] / lam[miss] / lam[miss]
+    return hi, _sphere_rows(np.full(len(rows), float(r)), xi)

@@ -86,8 +86,7 @@ def oracle_sphere_dist(p, r, rng, starts=6):
 
     best = math.inf
     seeds = [rng.standard_normal(2 * y.n + 1) for _ in range(starts)]
-    z_flat, tau = sq.point_to_flat(y)
-    seeds.append(np.concatenate([z_flat, [tau]]) + 1e-3)  # aim at p's direction
+    seeds.append(sq._row(y) + 1e-3)  # aim at p's direction
     for x0 in seeds:
         res = opt.minimize(f, x0, method="Nelder-Mead",
                            options=dict(xatol=1e-10, fatol=1e-12, maxiter=2000))
@@ -494,9 +493,9 @@ class TestTBoundary:
             solved.extend(zip(np.sum(z_flat * z_flat, axis=1).tolist(), np.abs(tau).tolist()))
             probes.extend(hg.LatticePoint(tuple(map(int, z[:2])), tuple(map(int, z[2:])), round(2 * m))
                           for z, m in zip(z_flat.tolist(), tau.tolist()))
-            return sq.gauge_min_batched(z_flat, tau, r, tf)
+            return sq.gauge_min(z_flat, tau, r, tf)
 
-        with mock.patch.object(balls, "gauge_min_batched", record):
+        with mock.patch.object(balls, "gauge_min", record):
             got = balls.t_boundary_coords(2, k, t)
         assert got.tolist() == want
         assert solved and len(set(solved)) == len(solved)  # each (|z|^2, |tau|) at most once

@@ -224,6 +224,19 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert "--k or --k-max" in err
 
+    def test_folner_with_k_and_k_max_is_usage(self, capsys):
+        # the config would record a --k the table does not use
+        code, out, err = run(capsys, "folner", "--n", "1", "--k", "5", "--k-max", "2",
+                             "--sigma", "e1")
+        assert (code, out) == (64, "")
+        assert "--k or --k-max" in err
+
+    @pytest.mark.parametrize("k_max", ["0", "-2"])
+    def test_ergodic_k_max_below_one_is_usage(self, capsys, k_max):
+        code, out, err = run(capsys, "ergodic", "--m", "2", "--k-max", k_max)
+        assert (code, out) == (64, "")
+        assert "--k-max" in err
+
     @pytest.mark.parametrize("target", ["27", "99", "-1"])
     def test_ergodic_target_out_of_range_is_usage(self, capsys, target):
         # m = 3 gives 27 states, indexed 0..26; -1 must not wrap to the last

@@ -105,6 +105,43 @@ class TestBallSeparation:
             cv.is_sphere_separated([])
 
 
+# float.hex of sphere_pair_distance, recorded from the object-level
+# projections (one scalar bisection per start and round) before the four
+# starts ran as one batch of rows.  The axis pairs run at the default rounds.
+AXIS_PAIR_HEX = {(5, 2, 2): "0x1.ffffffffffffcp-1", (7, 1, 2): "0x1.0000000000000p+2",
+                 (11, 3, 3): "0x1.4000000000000p+2", (6, 2, 1): "0x1.7ffffffffffffp+1"}
+# random pairs drawn with centers in [-6, 6]^(2n) x [-24, 25] and radii 1..3,
+# every fourth one in H^2, at the default rounds; the gauge rounds a per-row
+# tolerance differently from a scalar one in the last bit on rare inputs, so
+# these are pinned to 1e-9 relative
+PAIR_CORPUS = [
+    (((2,), (-6,), -10), 2, ((-5,), (-1,), -19), 2, "0x1.63999cfe8d471p+2"),
+    (((5,), (-1,), 9), 1, ((2,), (3,), -10), 2, "0x1.0271047be77dep+1"),
+    (((0,), (1,), 12), 2, ((-5,), (-5,), -23), 2, "0x1.26a14f93e55e9p+2"),
+    (((3, 5), (3, -6), -5), 2, ((5, 6), (5, 3), 13), 1, "0x1.edea1aedd3969p+2"),
+    (((-4,), (1,), 18), 2, ((5,), (3,), 21), 1, "0x1.933d0e41523ffp+2"),
+    (((5,), (-5,), -9), 3, ((-5,), (6,), 14), 2, "0x1.3e501df2a9bdap+3"),
+    (((3,), (-5,), 17), 1, ((4,), (2,), 22), 1, "0x1.6beb3ebbb4032p+2"),
+    (((4, 3), (-5, -4), -10), 3, ((-4, 3), (-2, -5), 25), 1, "0x1.274eaef6b5755p+2"),
+    (((-4,), (-2,), -8), 1, ((-6,), (2,), 6), 1, "0x1.528213c408f24p+1"),
+    (((1,), (-5,), 19), 2, ((-2,), (-3,), -14), 3, "0x1.a83332be4619dp+1"),
+    (((-3,), (-2,), -20), 2, ((-4,), (2,), 24), 3, "0x1.edfcbf0bdf1ddp+0"),
+    (((6, -2), (-3, 3), -4), 3, ((-6, 5), (4, 0), 4), 1, "0x1.7afa3ba4581d7p+3"),
+    (((-3,), (2,), 22), 2, ((3,), (-4,), 12), 3, "0x1.c0354b5ce95e1p+1"),
+    (((-2,), (3,), 12), 1, ((3,), (-4,), -18), 3, "0x1.4c1afa057a2c8p+2"),
+    (((2,), (2,), -10), 1, ((-4,), (-5,), 18), 2, "0x1.9ee34e75864b4p+2"),
+    (((6, -1), (4, 4), -10), 1, ((-1, 0), (4, 3), -10), 1, "0x1.63cf081ea7f86p+2"),
+    (((-3,), (-4,), 0), 1, ((4,), (2,), 0), 3, "0x1.5199d25694096p+2"),
+    (((6,), (1,), 6), 2, ((0,), (2,), -6), 1, "0x1.8a97f66c7b871p+1"),
+    (((-4,), (2,), 0), 3, ((-6,), (2,), -24), 2, "0x1.6d9d951078c71p-27"),
+    (((-2, -3), (6, 6), 24), 2, ((-1, -5), (-4, 0), -8), 2, "0x1.f9db758f281cdp+2"),
+    (((5,), (3,), 13), 1, ((-6,), (4,), -12), 2, "0x1.0292407d7f945p+3"),
+    (((3,), (3,), -11), 2, ((-4,), (2,), 22), 2, "0x1.488f14cd20773p+2"),
+    (((6,), (2,), -6), 1, ((-6,), (-6,), -18), 1, "0x1.900d40a712700p+3"),
+    (((6, -2), (3, -4), -20), 1, ((2, 1), (3, -4), 2), 1, "0x1.4ad4db9bb6a68p+2"),
+]
+
+
 class TestSphereSeparation:
     def test_concentric_exact(self):
         assert cv.is_sphere_separated([BallSpec(axis(0), 1), BallSpec(axis(0), 3)])
@@ -126,6 +163,7 @@ class TestSphereSeparation:
         b1, b2 = BallSpec(axis(0), 2), BallSpec(axis(5), 2)
         est = cv.sphere_pair_distance(b1, b2)
         assert est == pytest.approx(1.0, abs=1e-6)
+        assert est.hex() == AXIS_PAIR_HEX[5, 2, 2]
         assert not cv.is_sphere_separated([b1, b2])
 
     def test_estimate_never_exceeds_true_distance_on_axis(self):
@@ -135,6 +173,19 @@ class TestSphereSeparation:
         for d, r1, r2 in [(7, 1, 2), (11, 3, 3), (6, 2, 1)]:
             est = cv.sphere_pair_distance(BallSpec(axis(0), r1), BallSpec(axis(d), r2))
             assert est == pytest.approx(d - r1 - r2, abs=1e-6)
+            assert est.hex() == AXIS_PAIR_HEX[d, r1, r2]
+
+    def test_benchmark_pair_bits_pinned(self):
+        # the geometric-search pair (seed 29) at the benchmark's two rounds
+        b1 = BallSpec(lat(2, -2, -4), 5)
+        b2 = BallSpec(lat(2, -3, -2), 5)
+        assert cv.sphere_pair_distance(b1, b2, rounds=2).hex() == "0x1.dec25bfbfebcdp-3"
+
+    def test_pair_corpus_matches_scalar_projections(self):
+        for c1, r1, c2, r2, want in PAIR_CORPUS:
+            got = cv.sphere_pair_distance(BallSpec(hg.LatticePoint(*c1), r1),
+                                          BallSpec(hg.LatticePoint(*c2), r2))
+            assert got == pytest.approx(float.fromhex(want), rel=1e-9, abs=0), (c1, c2)
 
 
 class TestBesicovitchSelection:

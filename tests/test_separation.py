@@ -18,6 +18,7 @@ import pytest
 import scipy.optimize as opt
 
 from heisgeo import separation as sp
+from heisgeo import spherequad as sq
 from heisgeo.balls import BallSpec, boundary_contains
 from heisgeo.core import (
     ContinuousPoint,
@@ -33,7 +34,7 @@ from heisgeo.core import (
     point_from_json,
 )
 from heisgeo.errors import HypothesisViolation
-from heisgeo.spherequad import point_to_flat, sphere_distance, sphere_point
+from heisgeo.spherequad import sphere_point
 
 
 def unit(rng, dim):
@@ -388,8 +389,8 @@ class TestIntersectionSearch:
         points = [point_from_json(s) for s in cert["points"]]
         y = point_from_json(cert["witness"])
         for x, r, t in zip(points, cert["radii"], cert["thicks"]):
-            d = sphere_distance(multiply(y, inverse(x)), r)
-            assert d <= t + 1e-6
+            d, _ = sq.sphere_distance(sq._row(multiply(y, inverse(x)))[None], r)
+            assert d[0] <= t + 1e-6
 
     def test_scale_condition_exact(self):
         rep = sp.intersection_search(1, 1e4, trials=6, seed=3)
@@ -496,11 +497,6 @@ def oracle_bisect(anchor, radius, target, tol, rng, lo_dir, hi_dir):
     return None
 
 
-def row(p):
-    z_flat, tau = point_to_flat(p)
-    return np.append(z_flat, tau)
-
-
 def same_bits(a, b):
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
@@ -523,15 +519,15 @@ class TestTrialAxisKernels:
             y = pts[0] if i == 0 else random_point(rng, n, scale)
             rows.append(y)
             for k in range(3):
-                centers[k].append(row(pts[k]))
+                centers[k].append(sq._row(pts[k]))
                 radii[k].append(rs[k])
-        got = sp._project_rows(np.array([row(y) for y in rows]),
+        got = sp._project_rows(np.array([sq._row(y) for y in rows]),
                                [np.array(c) for c in centers], [np.array(r) for r in radii])
         for i, y in enumerate(rows):
-            pts = [sp._point(c[i]) for c in centers]
+            pts = [sq._point(c[i]) for c in centers]
             want = oracle_projection(y, pts, [r[i] for r in radii])
-            assert same_bits(got[i], row(want)), i
-        assert homogeneous_norm(multiply(rows[0], inverse(sp._point(centers[0][0])))) == 0.0
+            assert same_bits(got[i], sq._row(want)), i
+        assert homogeneous_norm(multiply(rows[0], inverse(sq._point(centers[0][0])))) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bisection_matches_scalar(self, n):
@@ -555,7 +551,7 @@ class TestTrialAxisKernels:
         rngs = [np.random.default_rng(c[-1]) for c in cases]
         lo = np.array([c[4] for c in cases])
         points, values, found = sp._bisect_rows(
-            np.array([row(c[0]) for c in cases]), np.array([c[1] for c in cases]),
+            np.array([sq._row(c[0]) for c in cases]), np.array([c[1] for c in cases]),
             np.array([c[2] for c in cases]), np.array([c[3] for c in cases]),
             lo, np.array([c[5] for c in cases]), lambda i: sp._waypoint(rngs[i], lo[i]))
         assert [w is not None for w in want] == found.tolist()
@@ -563,7 +559,7 @@ class TestTrialAxisKernels:
         assert any(w is not None for w, c in zip(want, cases) if np.all(c[5] == -c[4]))
         for i, w in enumerate(want):
             if w is not None:
-                assert same_bits(points[i], row(w[0])), i
+                assert same_bits(points[i], sq._row(w[0])), i
                 assert same_bits(values[i], w[1]), i
 
 
@@ -572,17 +568,17 @@ class TestTrialAxisKernels:
         values = (-0.0, 0.0, -1.5, 2.0)
         pts = [ContinuousPoint((complex(a, b),), t) for a in values for b in values
                for t in values]
-        rows = np.array([row(q) for q in pts])
+        rows = np.array([sq._row(q) for q in pts])
         left, right = np.repeat(rows, len(pts), axis=0), np.tile(rows, (len(pts), 1))
-        want = [row(multiply(p, q)) for p in pts for q in pts]
-        assert same_bits(sp._mul_rows(left, right), want)
+        want = [sq._row(multiply(p, q)) for p in pts for q in pts]
+        assert same_bits(sq._mul_rows(left, right), want)
         for s in (0.5, 0.0):
-            want = [row(dilate(s, q)) for q in pts]
+            want = [sq._row(dilate(s, q)) for q in pts]
             assert same_bits(sp._dilate_rows(np.full(len(pts), s), rows), want)
-        assert same_bits(sp._norm_rows(rows), [homogeneous_norm(q) for q in pts])
+        assert same_bits(sq._norm_rows(rows), [homogeneous_norm(q) for q in pts])
         xi = np.array([[a, b, t] for a in values for b in values for t in values])
-        assert same_bits(sp._sphere_rows(np.full(len(xi), 3.0), xi),
-                         [row(sphere_point(3.0, x)) for x in xi])
+        assert same_bits(sq._sphere_rows(np.full(len(xi), 3.0), xi),
+                         [sq._row(sphere_point(3.0, x)) for x in xi])
 
 
 # sha256 of json.dumps(report, sort_keys=True), recorded from the

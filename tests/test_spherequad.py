@@ -10,6 +10,12 @@ import heisgeo as hg
 from heisgeo import spherequad as sq
 
 
+def one_point_distance(y, r):
+    """sphere_distance of one group point, as a batch of one row."""
+    dist, nearest = sq.sphere_distance(sq._row(y)[None], r)
+    return float(dist[0]), sq._point(nearest[0])
+
+
 def multistart_oracle(P, q, c, rng, starts=30):
     # minimising g(x/|x|) unconstrained shares its global min with the sphere
     def h(x):
@@ -119,12 +125,18 @@ class TestSphereGauge:
                 assert (F <= 1) == (d <= t)
 
     def test_batched_gauge_matches_scalar(self):
+        # a batch equals its one-row calls bit for bit, with one t or one per row
         rng = np.random.default_rng(3)
         zs = rng.standard_normal((25, 2)) * 2
         taus = rng.standard_normal(25) * 2
-        vb = sq.gauge_min_batched(zs, taus, 1.3, 0.4)
-        vs = np.array([sq.gauge_min(zs[i], taus[i], 1.3, 0.4) for i in range(25)])
-        assert np.max(np.abs(vb - vs)) < 1e-12
+        ts = rng.uniform(0.05, 2.0, 25)
+        vb = sq.gauge_min(zs, taus, 1.3, 0.4)
+        assert vb.tolist() == [sq.gauge_min(zs[i:i + 1], taus[i:i + 1], 1.3, 0.4)[0]
+                               for i in range(25)]
+        vb, xb = sq.gauge_min(zs, taus, 1.3, ts, return_argmin=True)
+        for i in range(25):
+            v, x = sq.gauge_min(zs[i:i + 1], taus[i:i + 1], 1.3, ts[i:i + 1], return_argmin=True)
+            assert vb[i:i + 1].tobytes() == v.tobytes() and xb[i:i + 1].tobytes() == x.tobytes()
 
     def test_sphere_point_lies_on_sphere(self):
         rng = np.random.default_rng(4)
@@ -136,16 +148,18 @@ class TestSphereGauge:
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            sq.gauge_min(np.zeros(2), 0.0, 1.0, 0.0)
+            sq.gauge_min(np.zeros((1, 2)), np.zeros(1), 1.0, 0.0)
+        with pytest.raises(ValueError):
+            sq.gauge_min(np.zeros((3, 2)), np.zeros(3), 1.0, np.array([0.5, 0.0, 0.5]))
 
     @pytest.mark.parametrize("r, t", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
                                       (1.0, math.inf)])
     def test_bad_radius_or_tolerance_refused(self, r, t):
         # once answered nan, nan, 0.2418 and -1e-318 instead of refusing
         with pytest.raises(ValueError):
-            sq.gauge_min(np.ones(2), 0.5, r, t)
+            sq.gauge_min(np.ones((1, 2)), np.array([0.5]), r, t)
         with pytest.raises(ValueError):
-            sq.gauge_min_batched(np.ones((3, 2)), np.arange(3.0), r, t)
+            sq.gauge_min(np.ones((3, 2)), np.arange(3.0), r, np.array([1.0, t, 1.0]))
 
 
 def gauge_cases():
@@ -170,7 +184,8 @@ class TestStructuredGauge:
         for z, tau, r, t in gauge_cases():
             M, v = gauge_matrix(z, tau, r, t)
             want, _ = generic_min(M.T @ M, -M.T @ v, float(v @ v))
-            got, xi = sq.gauge_min(z, tau, r, t, return_argmin=True)
+            got, xi = sq.gauge_min(z[None], np.array([tau]), r, t, return_argmin=True)
+            got, xi = got[0], xi[0]
             tol = 1e-12 * max(1.0, abs(want))
             assert abs(got - want) <= tol, (z, tau, r, t)
             assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
@@ -181,8 +196,15 @@ class TestStructuredGauge:
         for n in (1, 2):
             rows = [(z, tau) for z, tau, _, _ in gauge_cases() if z.size == 2 * n]
             zs = np.stack([z for z, _ in rows])
-            got = sq.gauge_min_batched(zs, np.array([tau for _, tau in rows]), 1.3, 0.6)
-            assert got.tolist() == [sq.gauge_min(z, tau, 1.3, 0.6) for z, tau in rows]
+            taus = np.array([tau for _, tau in rows])
+            got = sq.gauge_min(zs, taus, 1.3, 0.6)
+            assert got.tolist() == [sq.gauge_min(z[None], np.array([tau]), 1.3, 0.6)[0]
+                                    for z, tau in rows]
+            # one t per row: each row as in its own one-row call
+            ts = np.array([t for z, _, _, t in gauge_cases() if z.size == 2 * n])
+            got = sq.gauge_min(zs, taus, 1.3, ts)
+            assert got.tolist() == [sq.gauge_min(zs[i:i + 1], taus[i:i + 1], 1.3, ts[i:i + 1])[0]
+                                    for i in range(len(rows))]
 
     @pytest.mark.parametrize("steps", [1, 3, sq._NEWTON_STEPS])
     def test_newton_root_stays_in_bracket(self, steps, monkeypatch):
@@ -208,8 +230,8 @@ class TestStructuredGauge:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
-        sq.gauge_min_batched(np.ones((3, 2)), np.arange(3.0), 1.5, 0.4)
-        sq.sphere_distance(y, 1.5, return_witness=True)
+        sq.gauge_min(np.ones((3, 2)), np.arange(3.0), 1.5, np.array([0.4, 0.5, 0.6]))
+        sq.sphere_distance(sq._row(y)[None], 1.5)
 
 
 class TestSphereDistance:
@@ -235,7 +257,7 @@ class TestSphereDistance:
             z = rng.standard_normal(2) * 2
             y = hg.ContinuousPoint((complex(z[0], z[1]),), float(rng.standard_normal() * 3))
             r = float(rng.uniform(0.2, 3.0))
-            ds = sq.sphere_distance(y, r)
+            ds, _ = one_point_distance(y, r)
             assert ds == pytest.approx(self.brute(y, r, 1, rng), abs=1e-6)
 
     def test_sandwich_bounds(self):
@@ -245,7 +267,7 @@ class TestSphereDistance:
             y = hg.ContinuousPoint((complex(z[0], z[1]),), float(rng.standard_normal() * 3))
             r = float(rng.uniform(0.1, 4.0))
             lam = hg.homogeneous_norm(y)
-            ds = sq.sphere_distance(y, r)
+            ds, _ = one_point_distance(y, r)
             assert abs(lam - r) - 1e-9 <= ds <= math.sqrt(abs(lam * lam - r * r)) + 1e-9
 
     def test_central_point_hits_upper_bound(self):
@@ -253,45 +275,86 @@ class TestSphereDistance:
         y = hg.ContinuousPoint((0j,), 2.0)
         lam = hg.homogeneous_norm(y)
         r = 1.0
-        assert sq.sphere_distance(y, r) == pytest.approx(math.sqrt(lam * lam - r * r), abs=1e-9)
+        assert one_point_distance(y, r)[0] == pytest.approx(math.sqrt(lam * lam - r * r), abs=1e-9)
 
     def test_horizontal_point_hits_lower_bound(self):
         # points on the real axis see the sphere at exactly |lam - r|
         y = hg.ContinuousPoint((3.0 + 0j,), 0.0)
-        assert sq.sphere_distance(y, 1.25) == pytest.approx(1.75, abs=1e-9)
-        assert sq.sphere_distance(y, 5.0) == pytest.approx(2.0, abs=1e-9)
+        assert one_point_distance(y, 1.25)[0] == pytest.approx(1.75, abs=1e-9)
+        assert one_point_distance(y, 5.0)[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_on_sphere_distance_zero(self):
         y = hg.ContinuousPoint((0.6 + 0.8j,), 0.0)
-        assert sq.sphere_distance(y, 1.0) == pytest.approx(0.0, abs=1e-9)
+        assert one_point_distance(y, 1.0)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_center_and_zero_radius(self):
         y = hg.ContinuousPoint((1 + 1j,), 0.5)
         lam = hg.homogeneous_norm(y)
-        assert sq.sphere_distance(y, 0.0) == pytest.approx(lam, abs=1e-12)
+        assert one_point_distance(y, 0.0)[0] == pytest.approx(lam, abs=1e-12)
         e = hg.continuous_identity(1)
-        assert sq.sphere_distance(e, 2.5) == pytest.approx(2.5, abs=1e-12)
+        assert one_point_distance(e, 2.5)[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_non_finite_input_refused(self):
         y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
         for r in (math.nan, math.inf, -1.0):
             with pytest.raises(ValueError):
-                sq.sphere_distance(y, r)
+                sq.sphere_distance(sq._row(y)[None], r)
         with pytest.raises(ValueError):
-            sq.gauge_min(np.ones(2), 0.5, 1.0, math.nan)
+            sq.gauge_min(np.ones((1, 2)), np.array([0.5]), 1.0, math.nan)
 
     def test_witness_is_valid(self):
-        y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
-        dist, w = sq.sphere_distance(y, 1.5, return_witness=True)
-        assert hg.homogeneous_norm(w) == pytest.approx(1.5, abs=1e-9)
-        assert hg.metric_d(y, w) == pytest.approx(dist, abs=1e-9)
+        # the nearest row lies on the sphere at the reported distance, also
+        # where no probe is accepted: a central row, and at r = 1 two rows on
+        # the sphere, whose bracket is closed before any probe
+        ys = [hg.ContinuousPoint((1.3 + 0.4j,), -0.7), hg.ContinuousPoint((0j,), 2.0),
+              hg.ContinuousPoint((1 + 0j,), 0.0), hg.ContinuousPoint((0.6 + 0.8j,), 0.0)]
+        for r in (1.0, 1.5):
+            dist, nearest = sq.sphere_distance(np.array([sq._row(y) for y in ys]), r)
+            for y, d, w in zip(ys, dist, nearest):
+                assert hg.homogeneous_norm(sq._point(w)) == pytest.approx(r, abs=1e-9)
+                assert hg.metric_d(y, sq._point(w)) == pytest.approx(d, abs=1e-9)
 
     def test_projection_to_translated_sphere(self):
+        # nearest point of S_r(center) by right translation to the origin and back
         y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
         center = hg.ContinuousPoint((0.2 - 1j,), 0.3)
-        dist, w = sq.project_to_sphere(y, center, 0.8)
+        c = sq._row(center)[None]
+        red = sq._mul_rows(sq._row(y)[None], -c)
+        assert red.tobytes() == sq._row(hg.multiply(y, hg.inverse(center))).tobytes()
+        dist, w0 = sq.sphere_distance(red, 0.8)
+        w = sq._point(sq._mul_rows(w0, c)[0])
         assert hg.metric_d(w, center) == pytest.approx(0.8, abs=1e-9)
-        assert hg.metric_d(y, w) == pytest.approx(dist, abs=1e-9)
+        assert hg.metric_d(y, w) == pytest.approx(dist[0], abs=1e-9)
         # right invariance: distance equals reduced-point distance
-        red = hg.multiply(y, hg.inverse(center))
-        assert dist == pytest.approx(sq.sphere_distance(red, 0.8), abs=1e-10)
+        assert dist[0] == pytest.approx(one_point_distance(sq._point(red[0]), 0.8)[0], abs=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_match_one_row_calls(self, n):
+        # bit for bit: a row's distance and nearest point do not depend on its batch
+        rng = np.random.default_rng(30 + n)
+        e_tau = np.eye(2 * n + 1)[-1]
+        e_re = np.eye(2 * n + 1)[0]
+        rows = np.vstack([
+            np.zeros(2 * n + 1),                  # the origin
+            e_re,                                 # on S_1(0)
+            3.0 * e_re,                           # horizontal
+            2.0 * e_tau,                          # central: no probe accepted
+            -0.3 * e_tau,                         # central, below
+            rng.standard_normal((6, 2 * n + 1)) * 2,
+        ])
+        for r in (0.0, 1.0, 1.5):
+            dist, nearest = sq.sphere_distance(rows, r)
+            for i in range(len(rows)):
+                d, w = sq.sphere_distance(rows[i:i + 1], r)
+                assert dist[i:i + 1].tobytes() == d.tobytes(), (r, i)
+                assert nearest[i:i + 1].tobytes() == w.tobytes(), (r, i)
+            lam = sq._norm_rows(rows)
+            if r == 1.0:
+                assert dist[1] == 0.0 and nearest[1].tolist() == rows[1].tolist()
+            if r > 0:
+                # the central rows keep the bracket's top: every probe was refused
+                top = np.sqrt(np.abs(lam * lam - r * r))
+                assert dist[3:5].tolist() == top[3:5].tolist()
+                assert dist[0] == r
+            else:
+                assert dist.tolist() == lam.tolist() and not nearest.any()
