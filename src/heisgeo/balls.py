@@ -15,6 +15,15 @@ B_i minus B_(i-1) are all fiber sets built by intersecting, subtracting and
 merging intervals fiber by fiber.  Counts never materialize points;
 enumeration writes each point once, already lex-sorted.
 
+The group G is generated by the quarter turns z_j -> i z_j of one pair
+(core.lattice_rotate_quarter), the permutations of the pairs (a_j, b_j) and
+the flip (a <-> b in every pair, m -> -m).  Each g in G is an automorphism of
+H^n(Z): turns and permutations are unitary and keep omega, the product's
+twist; the flip negates omega, and m -> -m makes up for it.  g keeps |z|^2
+and |m|, all the norm reads, so it fixes B_r(0) and products of such balls,
+and keeps <a, b> mod 2; so it maps their fiber over y onto the one over g y,
+and fiber counts are constant on G-orbits.
+
 The t-boundary d_t B_r(x) is the set of points within distance t of the
 sphere S_r(x).  Exact integer screens settle most points: a quick-out
 (|d(y,x) - r| > t, the triangle inequality) and a quick-in (the dilation
@@ -74,6 +83,7 @@ from .spherequad import _row, gauge_min
 DEFAULT_CAP = 10 ** 8
 _ACCEPT = 1.0 + 1e-9  # a gauge minimum up to this certifies "within t of the sphere"
 _PAIR_BATCH = 1 << 16  # (fiber, center) pairs per batch of the product count
+_HIST_BLOCK = 1 << 16  # grid cells, or |y|^2 values, per block: bounds ball_cardinality's memory
 
 
 # --- integer helpers --------------------------------------------------------
@@ -185,15 +195,11 @@ class FiberSet:
     def rows(self) -> np.ndarray:
         """Every point once as (a_1..a_n, b_1..b_n, m), lex-sorted."""
         sizes = self.sizes().astype(np.int64)
-        total = int(sizes.sum())
-        d = self.y.shape[0]
-        out = np.empty((total, d + 1), dtype=np.int64)
-        for j in range(d):
-            out[:, j] = np.repeat(self.y[j], sizes)
-        m = out[:, d]
-        m[:] = np.arange(total)
-        m *= 2
-        m += np.repeat(self.lo.astype(np.int64) - 2 * (np.cumsum(sizes) - sizes), sizes)
+        heads = np.empty((sizes.size, self.y.shape[0] + 1), dtype=np.int64)
+        heads[:, :-1] = self.y.T
+        heads[:, -1] = self.lo.astype(np.int64) - 2 * (np.cumsum(sizes) - sizes)
+        out = np.repeat(heads, sizes, axis=0)  # head m is lo - 2 * (points before the entry)
+        out[:, -1] += np.arange(0, 2 * out.shape[0], 2)
         return out
 
     def translate(self, g: LatticePoint, left: bool = False) -> "FiberSet":
@@ -335,18 +341,17 @@ class BallTable:
 
 
 def _pair_hist(u: int, v: int) -> np.ndarray:
-    """h[s, p] = #{(a, b) in Z^2 : a^2 + b^2 = s <= (u/v)^2, ab = p (mod 2)}."""
+    """h[s, p] = #{(a, b) in Z^2 : a^2 + b^2 = s <= (u/v)^2, ab = p (mod 2)}, by blocks of rows of a."""
     amax = u // v
     xs = np.arange(-amax, amax + 1, dtype=np.int64)
-    a = xs[:, None]
-    b = xs[None, :]
-    s = a * a + b * b
     smax = (u * u) // (v * v)
-    mask = s <= smax
-    s_flat = s[mask]
-    p_flat = (a * b)[mask] % 2
     h = np.zeros((smax + 1, 2), dtype=np.int64)
-    np.add.at(h, (s_flat, p_flat), 1)
+    step = max(1, _HIST_BLOCK // xs.size)
+    for start in range(0, xs.size, step):
+        a = xs[start:start + step, None]
+        s = a * a + xs * xs
+        mask = s <= smax
+        np.add.at(h, (s[mask], (a * xs)[mask] % 2), 1)
     return h
 
 
@@ -377,10 +382,15 @@ def ball_cardinality(n: int, r: Radius) -> int:
     if u == 0:
         return 1
     H = _horizontal_hist(n, u, v)
-    M = _halfwidth(u * u, v * v, np.arange(H.shape[0], dtype=np.int64))
+    # every partial sum is at most |disk grid| * (halfwidth at y = 0, plus 1)
+    if (2 * (u // v) + 1) ** (2 * n) * (2 * u * u // (v * v) + 1) >= 2 ** 63:
+        H = H.astype(object)
     total = 0
-    for p in (0, 1):
-        total += int(np.sum(H[:, p] * _count_congruent(-M, M, p, 2)))
+    for start in range(0, H.shape[0], _HIST_BLOCK):
+        block = H[start:start + _HIST_BLOCK]
+        M = _halfwidth(u * u, v * v, np.arange(start, start + block.shape[0], dtype=np.int64))
+        for p in (0, 1):
+            total += int(np.sum(block[:, p] * _count_congruent(-M, M, p, 2)))
     return total
 
 
@@ -410,6 +420,23 @@ def enumerate_ball(
     return BallTable(n=n, k=k, center=center, coords=fibers.rows())
 
 
+def _canonical(y: np.ndarray) -> np.ndarray:
+    """Each column's orbit representative under G: pairs turned into {a > 0, b >= 0}
+    or 0 and sorted, then the lex-smaller of that and the same for the flip."""
+    n = y.shape[0] // 2
+    side = int(np.abs(y).max(initial=0)) + 1
+
+    def turned(a, b):  # pair keys a * side + b, sorted
+        swap = ((a <= 0) & (b > 0)) | ((a >= 0) & (b < 0))  # second or fourth quadrant
+        a, b = np.abs(a), np.abs(b)
+        return np.sort(np.where(swap, b, a) * side + np.where(swap, a, b), axis=0)
+
+    key, flip = turned(y[:n], y[n:]), turned(y[n:], y[:n])
+    first = np.argmax(key != flip, axis=0)[None]  # the first pair where they differ
+    key = np.where(np.take_along_axis(flip - key, first, 0) < 0, flip, key)
+    return np.concatenate([key // side, key % side])
+
+
 def product_ball_cardinality(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
     """|B_k * B_k| exactly, fiber by fiber of the product set.
 
@@ -419,7 +446,8 @@ def product_ball_cardinality(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
     the fiber halfwidth of B_k(q) over y; for W >= 1 consecutive centers'
     intervals overlap, so the hull is fully covered, while W = 0 contributes
     a single parity class that must match the fiber's.  The union per fiber
-    is merged in batches of fibers.
+    is merged in batches of fibers, one fiber per G-orbit (module docstring)
+    weighted by the orbit's size.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -432,10 +460,11 @@ def product_ball_cardinality(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
             f"{y_grid.shape[1]}x{w.shape[1]} fiber pairs exceed budget",
             predicted=y_grid.shape[1] * w.shape[1], cap=50 * cap,
         )
+    reps, weight = np.unique(_canonical(y_grid), axis=1, return_counts=True)
     total = 0
     step = max(1, _PAIR_BATCH // w.shape[1])
-    for start in range(0, y_grid.shape[1], step):
-        ys = y_grid[:, start:start + step]
+    for start in range(0, reps.shape[1], step):
+        ys = reps[:, start:start + step]
         s2 = sum((w[j][None, :] - ys[j][:, None]) ** 2 for j in range(2 * n))
         im = ys[:n].T @ w[n:] - ys[n:].T @ w[:n]  # Im<z_y, z_w>
         iy, iw = np.nonzero(s2 <= k * k)
@@ -449,7 +478,7 @@ def product_ball_cardinality(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
         lo += (lo - parity) % 2
         hi -= (hi - parity) % 2
         first, top = _merge_runs(iy, lo, hi)
-        total += int(np.sum((top - lo[first]) // 2 + 1))
+        total += int(np.sum(((top - lo[first]) // 2 + 1) * weight[start + iy[first]]))
     return total
 
 
@@ -468,10 +497,8 @@ def doubling_table(n: int, k_max: int, cap: int = DEFAULT_CAP) -> list[DoublingR
     """Rows (k, |B_k|, |B_k B_k|, ratio) for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    rows = []
-    for k in range(1, k_max + 1):
-        rows.append(DoublingRow(k, ball_cardinality(n, k), product_ball_cardinality(n, k, cap)))
-    return rows
+    return [DoublingRow(k, ball_cardinality(n, k), product_ball_cardinality(n, k, cap))
+            for k in range(1, k_max + 1)]
 
 
 # --- symmetric differences and Folner ratios --------------------------------

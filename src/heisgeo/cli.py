@@ -165,6 +165,8 @@ def cmd_doubling(args) -> int:
 def cmd_folner(args) -> int:
     if (args.k is None) == (args.k_max is None):
         raise UsageError("folner needs exactly one of --k or --k-max")
+    if args.k_max is not None and args.k_max < 1:
+        raise UsageError("--k-max must be at least 1")
     sigma = parse_sigma(args.sigma, args.n)
     ks = [args.k] if args.k_max is None else range(1, args.k_max + 1)
     rows = []

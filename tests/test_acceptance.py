@@ -159,7 +159,7 @@ def test_criterion_3_product_growth_plateau():
     spread = max(tail) / min(tail) - 1.0
     assert spread < 0.10, f"no plateau: last five {tail}, spread {spread:.3f}"
     elapsed = time.monotonic() - t0
-    assert elapsed < 300.0, f"product growth table took {elapsed:.1f}s"
+    assert elapsed < 30.0, f"product growth table took {elapsed:.1f}s"
     print(f"criterion 3: D_emp = {float(d_emp):.3f}, tail spread {spread:.4f}")
 
 

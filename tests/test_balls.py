@@ -5,9 +5,13 @@ that works straight from the membership inequality (or from pairwise set
 operations), never through the fiber-interval code paths under test.
 """
 
+import hashlib
+import importlib.util
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,6 +43,73 @@ def brute_ball_points(n, k):
 def product_set(A, B):
     """{a * b : a in A, b in B} by pairwise multiplication."""
     return {hg.multiply(a, b) for a in A for b in B}
+
+
+def bench_oracles():
+    """bench/oracles.py, the benchmark's Python-integer reference counts."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unreduced_product_count(n, k):
+    """|B_k * B_k| merging every fiber of the (2k)-disk, with no symmetry reduction."""
+    centers = balls.FiberSet.ball(n, k)
+    w, hull = centers.y, centers.hi
+    pw = hull % 2
+    y_grid, _ = balls._disk(n, 2 * k, 1, balls.DEFAULT_CAP)
+    total = 0
+    step = max(1, balls._PAIR_BATCH // w.shape[1])
+    for start in range(0, y_grid.shape[1], step):
+        ys = y_grid[:, start:start + step]
+        s2 = sum((w[j][None, :] - ys[j][:, None]) ** 2 for j in range(2 * n))
+        im = ys[:n].T @ w[n:] - ys[n:].T @ w[:n]
+        iy, iw = np.nonzero(s2 <= k * k)
+        W = balls._halfwidth(k * k, 1, s2[iy, iw])
+        im = im[iy, iw]
+        parity = (np.sum(ys[:n] * ys[n:], axis=0) % 2)[iy]
+        keep = (W >= 1) | ((im + pw[iw]) % 2 == parity)
+        iy, parity = iy[keep], parity[keep]
+        lo = im[keep] - hull[iw[keep]] - W[keep]
+        hi = im[keep] + hull[iw[keep]] + W[keep]
+        lo += (lo - parity) % 2
+        hi -= (hi - parity) % 2
+        first, top = balls._merge_runs(iy, lo, hi)
+        total += int(np.sum((top - lo[first]) // 2 + 1))
+    return total
+
+
+def symmetry_images(y):
+    """Images of horizontal columns y under each generator of G: quarter turns, pair swaps, flip."""
+    n = y.shape[0] // 2
+    images = []
+    for j in range(n):
+        counts = [int(i == j) for i in range(n)]
+        turned = [hg.lattice_rotate_quarter(hg.LatticePoint(tuple(c[:n]), tuple(c[n:]),
+                                                            sum(c[i] * c[n + i] for i in range(n))),
+                                            counts)
+                  for c in y.T.tolist()]
+        images.append(np.array([list(p.a) + list(p.b) for p in turned], dtype=np.int64).T)
+    for i in range(n - 1):
+        order = list(range(n))
+        order[i], order[i + 1] = order[i + 1], order[i]
+        images.append(y[order + [n + j for j in order]])
+    images.append(np.concatenate([y[n:], y[:n]]))
+    return images
+
+
+def orbit_size(col):
+    """Size of the orbit of one horizontal point under G, by closure over the generators."""
+    seen, todo = {tuple(col)}, [np.array(col)[:, None]]
+    while todo:
+        for image in symmetry_images(todo.pop()):
+            key = tuple(image[:, 0].tolist())
+            if key not in seen:
+                seen.add(key)
+                todo.append(image)
+    return len(seen)
 
 
 def closed_under_symmetries(table):
@@ -145,6 +216,22 @@ class TestCardinality:
             assert fiber_sum(n, r) == want
             assert balls.ball_cardinality(n, r) == want
 
+    @pytest.mark.parametrize("n,r", [(1, 100), (1, 257), (1, 300), (1, Fraction(2999, 10)), (2, 12)])
+    def test_matches_bench_oracle(self, n, r):
+        # r >= 100 spans several row blocks of the pair histogram
+        assert balls.ball_cardinality(n, r) == bench_oracles().ball_count(n, r)
+
+    def test_memory_bounded_at_radius_1000(self):
+        # building the whole (2r + 1)^2 grid at once peaked at 113 MiB here
+        tracemalloc.start()
+        try:
+            count = balls.ball_cardinality(1, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 4188787270469
+        assert peak <= 113 * 2 ** 20 / 4, f"peak {peak / 2 ** 20:.1f} MiB"
+
     def test_nesting(self):
         cards = [balls.ball_cardinality(1, k) for k in range(1, 9)]
         assert cards == sorted(cards)
@@ -231,6 +318,53 @@ class TestFiberSet:
         assert self.point_set(table.coords) == in_a
 
 
+# SHA-256 of rows().tobytes() as written by the per-column writer these rows replaced
+ROWS_SHA256 = {
+    "enumerate_ball(1,30)": (
+        lambda: balls.enumerate_ball(1, 30).coords,
+        "c92c1cf9bce6025e73cc918fec5d7f07115c0807cb7d429144f12f8faf557cf5"),
+    "enumerate_ball(2,6)": (
+        lambda: balls.enumerate_ball(2, 6).coords,
+        "68481095d10a2d061567ce59feab139f748d7e40c9d4f3d89dea9a921abc1bdb"),
+    "enumerate_ball(3,2)": (
+        lambda: balls.enumerate_ball(3, 2).coords,
+        "e52853acaf5dd4e32b48fc25ecb91fabacd75cfe45fa1424e5abe557c4ae2600"),
+    "t_boundary_coords(1,10,1)": (
+        lambda: balls.t_boundary_coords(1, 10, 1),
+        "38baac84d5b2b8220232d568bdb64b2f22c037b69b79c09106a51b58f1efeddc"),
+    "t_boundary_coords(1,10,2)": (
+        lambda: balls.t_boundary_coords(1, 10, 2),
+        "8bcab6e5c1e40e11844e05d46b36f136464a1b1214a6cc2dfde2aecc098bcafd"),
+    "t_boundary_coords(1,12,3/2)": (
+        lambda: balls.t_boundary_coords(1, 12, Fraction(3, 2)),
+        "4c3a73888111cf64d5509b5bf662b3fbe17d5d3e85e83c1eb69a4b963370f28b"),
+    "t_boundary_coords(1,16,1/2)": (
+        lambda: balls.t_boundary_coords(1, 16, Fraction(1, 2)),
+        "7f348cf0042cb01606c495d5c856648bc604b903e7cb34794cca843dad39cc55"),
+    "symmetric_difference_coords(1,10)": (
+        lambda: balls.symmetric_difference_coords(1, 10, hg.LatticePoint((1,), (-2,), 4)),
+        "61df0c26e86df118df16fc88516529643f580f0479bf0da8811e5a5edb62b42d"),
+}
+
+
+class TestRows:
+    @pytest.mark.parametrize("name", sorted(ROWS_SHA256))
+    def test_bytes_pinned(self, name):
+        make, digest = ROWS_SHA256[name]
+        coords = make()
+        assert coords.dtype == np.int64 and coords.flags.c_contiguous
+        assert hashlib.sha256(coords.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_set(self, n):
+        empty = balls.FiberSet(np.empty((2 * n, 0), dtype=np.int64),
+                               np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert empty.rows().shape == (0, 2 * n + 1)
+        ball = balls.FiberSet.ball(n, 1)
+        far = hg.LatticePoint((5,) * n, (0,) * n, 0)
+        assert ball.intersect(ball.translate(far)).rows().shape == (0, 2 * n + 1)
+
+
 class TestProductSets:
     def test_identity_absorption(self):
         B = balls.enumerate_ball(1, 2).points()
@@ -243,6 +377,22 @@ class TestProductSets:
         brute = product_set(B, B)
         assert len(brute) == frozen
         assert balls.product_ball_cardinality(1, k) == frozen
+
+    @pytest.mark.parametrize("n,k", [(1, k) for k in range(1, 13)]
+                             + [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+    def test_orbit_count_matches_unreduced_loop(self, n, k):
+        assert balls.product_ball_cardinality(n, k) == unreduced_product_count(n, k)
+
+    @pytest.mark.parametrize("n,k", [(1, 3), (1, 6), (2, 2), (3, 1)])
+    def test_orbit_representatives_and_weights(self, n, k):
+        grid, _ = balls._disk(n, 2 * k, 1, balls.DEFAULT_CAP)
+        canon = balls._canonical(grid)
+        reps, weight = np.unique(canon, axis=1, return_counts=True)
+        assert weight.sum() == grid.shape[1]
+        assert np.array_equal(balls._canonical(reps), reps)
+        assert [orbit_size(col) for col in reps.T.tolist()] == weight.tolist()
+        for image in symmetry_images(grid):
+            assert np.array_equal(balls._canonical(image), canon)
 
     def test_product_count_n2(self):
         B = balls.enumerate_ball(2, 1).points()

@@ -232,6 +232,12 @@ class TestExitCodes:
         assert "--k or --k-max" in err
 
     @pytest.mark.parametrize("k_max", ["0", "-2"])
+    def test_folner_k_max_below_one_is_usage(self, capsys, k_max):
+        code, out, err = run(capsys, "folner", "--n", "1", "--k-max", k_max, "--sigma", "e1")
+        assert (code, out) == (64, "")
+        assert "--k-max" in err
+
+    @pytest.mark.parametrize("k_max", ["0", "-2"])
     def test_ergodic_k_max_below_one_is_usage(self, capsys, k_max):
         code, out, err = run(capsys, "ergodic", "--m", "2", "--k-max", k_max)
         assert (code, out) == (64, "")
