@@ -87,6 +87,12 @@ def _finite(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return int(text)
+
+
 def _config_of(args) -> dict:
     # out and workers steer artifact placement and scheduling, never results
     skip = {"func", "out", "workers"}
@@ -165,8 +171,6 @@ def cmd_doubling(args) -> int:
 def cmd_folner(args) -> int:
     if (args.k is None) == (args.k_max is None):
         raise UsageError("folner needs exactly one of --k or --k-max")
-    if args.k_max is not None and args.k_max < 1:
-        raise UsageError("--k-max must be at least 1")
     sigma = parse_sigma(args.sigma, args.n)
     ks = [args.k] if args.k_max is None else range(1, args.k_max + 1)
     rows = []
@@ -368,8 +372,6 @@ def cmd_ergodic(args) -> int:
         raise UsageError(f"--target {args.target} outside 0..{len(action.states) - 1}")
     target = action.states[args.target]
     f = lambda y: Fraction(1) if y == target else Fraction(0)
-    if args.k_max is not None and args.k_max < 1:
-        raise UsageError("--k-max must be at least 1")
     ks = list(range(1, args.k_max + 1)) if args.k_max is not None else [args.k]
     rows = er.convergence_rows(action, f, ks, args.cap)
     _emit(args, [{"k": k, "x_id": x, "value": float(v), "abs_err": float(e)}
@@ -410,7 +412,7 @@ def build_parser() -> Parser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if trials is not None:
-            p.add_argument("--trials", type=int, default=trials)
+            p.add_argument("--trials", type=_count, default=trials)
 
     p = sub.add_parser("ball", help="lattice ball cardinality")
     p.add_argument("--n", type=int, required=True)
@@ -427,7 +429,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("folner", help="symmetric difference ratio")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
-    p.add_argument("--k-max", type=int)
+    p.add_argument("--k-max", type=_count)
     p.add_argument("--sigma", required=True)
     common(p)
     p.set_defaults(func=cmd_folner)
@@ -476,23 +478,23 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_height)
 
     p = sub.add_parser("lss", help="shell separation gap over random configs")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_count, default=1)
     p.add_argument("--R", type=_finite, default=1e4)
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     common(p, seed=True, trials=100, fmt="json")
     p.set_defaults(func=cmd_lss)
 
     p = sub.add_parser("closeball", help="equidistant witness construction")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_count, default=1)
     p.add_argument("--r", type=_finite, default=0.5)
     common(p, seed=True, trials=20, fmt="json")
     p.set_defaults(func=cmd_closeball)
 
     p = sub.add_parser("intersect", help="incident sphere chain search")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_count, default=1)
     p.add_argument("--R", type=_finite, default=1e4)
     p.add_argument("--max-chain", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count, default=1)
     common(p, seed=True, trials=100, fmt="json")
     p.set_defaults(func=cmd_intersect)
 
@@ -502,7 +504,7 @@ def build_parser() -> Parser:
     p.add_argument("--masses", choices=("uniform", "linear"), default="uniform")
     p.add_argument("--target", type=int, default=0, help="indicator state index")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--k-max", type=int)
+    p.add_argument("--k-max", type=_count)
     common(p, fmt="csv")
     p.set_defaults(func=cmd_ergodic)
 
@@ -511,7 +513,7 @@ def build_parser() -> Parser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--masses", choices=("uniform", "linear"), default="linear")
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 4))
-    p.add_argument("--k-max", type=int, default=6)
+    p.add_argument("--k-max", type=_count, default=6)
     common(p, seed=True, trials=5, fmt="csv")
     p.set_defaults(func=cmd_maximal)
 

@@ -38,8 +38,7 @@ Radius = Union[int, Fraction]
 
 
 def _as_int_tuple(xs: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(x) for x in xs)
-    return out
+    return tuple(int(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -153,9 +152,7 @@ def multiply(p: Point, q: Point) -> Point:
     cp, cq = as_continuous(p), as_continuous(q)
     if cp.n != cq.n:
         raise ValueError("rank mismatch")
-    z = tuple(w + u for w, u in zip(cp.z, cq.z))
-    tau = cp.tau + cq.tau + 0.5 * sum((w.conjugate() * u).imag for w, u in zip(cp.z, cq.z))
-    return ContinuousPoint(z, tau)
+    return ContinuousPoint(*_mul_parts(cp.z, cp.tau, cq.z, cq.tau))
 
 
 def inverse(p: Point) -> Point:
@@ -170,20 +167,25 @@ def dilate(lam: float, p: Point) -> ContinuousPoint:
     return ContinuousPoint(tuple(lam * w for w in cp.z), lam * lam * cp.tau)
 
 
-def _norm_sq(z: Sequence[complex]) -> float:
-    return sum(w.real * w.real + w.imag * w.imag for w in z)
-
-
 def metric_d(p: Point, q: Point) -> float:
     """Homogeneous distance.  Fused evaluation: the inner square root goes
     through hypot so |z-w|^4 + 4D^2 never cancels badly."""
     cp, cq = as_continuous(p), as_continuous(q)
     if cp.n != cq.n:
         raise ValueError("rank mismatch")
-    x2 = _norm_sq([w - u for w, u in zip(cp.z, cq.z)])
-    delta = cp.tau - cq.tau - 0.5 * sum((w.conjugate() * u).imag for w, u in zip(cp.z, cq.z))
-    inner = math.hypot(x2, 2.0 * delta)
-    return math.sqrt(0.5 * (x2 + inner))
+    return _dist_parts(cp.z, cp.tau, cq.z, cq.tau)
+
+
+# the float formulas of multiply and metric_d on bare parts (z, tau), (w, sigma)
+def _mul_parts(z, tau, w, sigma):
+    return (tuple(a + b for a, b in zip(z, w)),
+            tau + sigma + 0.5 * sum((a.conjugate() * b).imag for a, b in zip(z, w)))
+
+
+def _dist_parts(z, tau, w, sigma) -> float:
+    x2 = sum(d.real * d.real + d.imag * d.imag for d in [a - b for a, b in zip(z, w)])
+    delta = tau - sigma - 0.5 * sum((a.conjugate() * b).imag for a, b in zip(z, w))
+    return math.sqrt(0.5 * (x2 + math.hypot(x2, 2.0 * delta)))
 
 
 def homogeneous_norm(p: Point) -> float:

@@ -18,8 +18,10 @@ Three numerical verifiers for the geometry of thickened spheres:
   candidate chain, a Nelder-Mead polish of near misses and the exact
   ``certify_chain``, which alone decides a chain's length.
 
-Both polishes run ``_nelder_mead``, which repeats SciPy's Nelder-Mead
-step for step, so the package needs numpy alone at run time.
+Both polishes run ``_nelder_mead``, SciPy's Nelder-Mead step for step on
+Python floats, so numpy alone is needed at run time.  Their objectives
+call ``core``'s float product and distance on bare (z, tau) parts; each
+norm stays ``x.dot(x)``, from which a Python sum can differ in the last bit.
 
 The unnamed constants of the underlying estimates (the threshold scale
 for separation, the branch constant for the inner ball) are measured
@@ -27,6 +29,7 @@ empirically by the ``*_estimate`` helpers and frozen as defaults.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -37,6 +40,8 @@ from .balls import BallSpec, boundary_contains
 from .core import (
     ContinuousPoint,
     Point,
+    _dist_parts,
+    _mul_parts,
     as_continuous,
     continuous_identity,
     dilate,
@@ -295,47 +300,48 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int):
     It repeats SciPy's minimize(f, x0, method="Nelder-Mead") step for step
     for the options used here: no bounds, adaptive=False, the default
     initial simplex and an unlimited maxfev.  The float expressions and
-    their order are SciPy's, so the iterates are bit-identical.  f must
-    not modify x.
+    their order are SciPy's, so the iterates are bit-identical.  f gets a
+    float64 array and must not modify it.  The simplex is Python floats,
+    as NumPy's call overhead would dominate each step, but the vertex order
+    stays np.argsort's, which is not stable on ties.  NaN acts as in SciPy.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float).tolist()
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x) for x in sim], dtype=float)
+    sim = [x0] + [x0[:k] + [1.05 * x0[k] if x0[k] != 0 else 0.00025] + x0[k + 1:]
+                  for k in range(n)]
+    fsim = [float(f(np.array(x))) for x in sim]
     # sorted twice before the first step, as SciPy does, then after each step
     for i in range(maxiter + 1):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = np.array(fsim).argsort().tolist()
+        sim, fsim = [sim[k] for k in ind], [fsim[k] for k in ind]
         if i == 0:
             continue
-        if i == maxiter or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        if i == maxiter or (all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, sim[0]))
+                            and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
+        xbar = [sum(c) / n for c in zip(*sim[:-1])]
+        xr = [2 * b - w for b, w in zip(xbar, sim[-1])]
+        fxr = float(f(np.array(xr)))
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
+            xe = [3 * b - 2 * w for b, w in zip(xbar, sim[-1])]
+            fxe = float(f(np.array(xe)))
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             # outside contraction if the reflection improved on the worst
             outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-            fxc = f(xc)
+            xc = [1.5 * b - 0.5 * w if outside else 0.5 * b + 0.5 * w for b, w in zip(xbar, sim[-1])]
+            fxc = float(f(np.array(xc)))
             if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                 sim[-1], fsim[-1] = xc, fxc
             else:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fsim[1:] = [f(x) for x in sim[1:]]
-    return sim[0], np.min(fsim)
+                sim[1:] = [[a + 0.5 * (v - a) for a, v in zip(sim[0], x)] for x in sim[1:]]
+                fsim[1:] = [float(f(np.array(x))) for x in sim[1:]]
+    return np.array(sim[0]), np.min(fsim)
 
 
-def _boundary_max_distance(q: Point, r: float, p: Point, samples: int,
+def _boundary_max_distance(q: Point, r: float, p: ContinuousPoint, samples: int,
                            rng: np.random.Generator):
     """max d(., p) over the radius-r sphere around q: sample plus polish."""
     cq = as_continuous(q)
@@ -347,12 +353,16 @@ def _boundary_max_distance(q: Point, r: float, p: Point, samples: int,
     d = _norm_rows(_mul_rows(ys, -_row(p)[None]))
     first = int(np.argmax(d))  # the first maximum, as a strict > scan picks
     best_val, best_xi = float(d[first]), xis[first]
+    n = cq.n
 
     def neg(x: np.ndarray) -> float:
-        nrm = float(np.linalg.norm(x))
+        # -metric_d(multiply(sphere_point(r, x / |x|), q), p) on bare parts
+        nrm = math.sqrt(x.dot(x))
         if nrm < 1e-12:
             return 0.0
-        return -metric_d(multiply(sphere_point(r, x / nrm), cq), p)
+        xi = (x / nrm).tolist()
+        z = tuple(complex(r * xi[j], r * xi[n + j]) for j in range(n))
+        return -_dist_parts(*_mul_parts(z, r * r * xi[-1], cq.z, cq.tau), p.z, p.tau)
 
     x, fun = _nelder_mead(neg, best_xi, xatol=1e-10, fatol=1e-12, maxiter=400)
     if -fun > best_val:
@@ -525,11 +535,13 @@ def _chain_doc(config: ChainConfig, witness: Point) -> Optional[dict]:
     }
 
 
-def _shell_violation(y: Point, points, radii, thicks) -> float:
-    """max over shells of the certification-band excess; <= 0 is certifiable."""
+def _violation(row, shells) -> float:
+    """max over shells (z, tau, r, t) of |d(row, (z, tau))^2 - r^2| - t^2; <= 0 certifies."""
+    n = len(row) // 2
+    z = tuple(complex(row[j], row[n + j]) for j in range(n))
     worst = -math.inf
-    for x, r_i, t_i in zip(points, radii, thicks):
-        d = metric_d(y, x)
+    for w, sigma, r_i, t_i in shells:
+        d = _dist_parts(z, row[-1], w, sigma)
         worst = max(worst, abs(d * d - r_i * r_i) - t_i * t_i)
     return worst
 
@@ -555,18 +567,18 @@ def _project_rows(y, centers, radii) -> np.ndarray:
     return y
 
 
-def _polish(row, points, radii, thicks, value: float):
+def _polish(row, shells, value: float):
     """Nelder-Mead on the shell violation from a row, in coordinates scaled
     to order one; returns the better of the result and the start."""
     scale = max(1.0, float(np.max(np.abs(row))))
 
-    def unscaled(x: np.ndarray) -> np.ndarray:
-        return np.append(x[:-1], x[-1] * scale) * scale
+    def unscaled(x: np.ndarray) -> list:
+        return [c * scale for c in x[:-1].tolist()] + [float(x[-1]) * scale * scale]
 
-    x, fun = _nelder_mead(lambda x: _shell_violation(_point(unscaled(x)), points, radii, thicks),
+    x, fun = _nelder_mead(lambda x: _violation(unscaled(x), shells),
                           np.append(row[:-1] / scale, row[-1] / (scale * scale)),
                           xatol=1e-12, fatol=1e-12, maxiter=600)
-    return (unscaled(x), float(fun)) if fun < value else (row, value)
+    return (np.array(unscaled(x)), float(fun)) if fun < value else (row, value)
 
 
 def _run_trials(args) -> list[dict]:
@@ -648,14 +660,15 @@ def _run_trials(args) -> list[dict]:
         points = configs[i].points + (_point(x3[k]),)
         radii = configs[i].radii + (third[k][1],)
         thicks = configs[i].thicks + (third[k][0],)
+        shells = [(x.z, x.tau, r_i, t_i) for x, r_i, t_i in zip(points, radii, thicks)]
         best, best_v = None, math.inf
         for row in (projected[k], projected[k + len(rows)]):
-            val = _shell_violation(_point(row), points, radii, thicks)
+            val = _violation(row.tolist(), shells)
             if val < best_v:
                 best, best_v = row, val
         t_min = min(thicks)
         if best is not None and 0.0 < best_v < 9.0 * t_min * t_min:
-            best, best_v = _polish(best, points, radii, thicks, best_v)
+            best, best_v = _polish(best, shells, best_v)
         outs[i]["violation3"] = best_v
         if best is not None and best_v <= 0.0:
             doc = _chain_doc(ChainConfig(points, radii, thicks, R), _point(best))
@@ -695,9 +708,7 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
         blocks = [_run_trials(j) for j in jobs]
     results = [d for b in blocks for d in b]
     longest = max((d["length"] for d in results), default=0)
-    counts: dict[int, int] = {}
-    for d in results:
-        counts[d["length"]] = counts.get(d["length"], 0) + 1
+    counts = dict(Counter(d["length"] for d in results))
     certificates = [d["chain"] for d in results if d["length"] == longest and d["chain"]]
     near3 = [d["violation3"] for d in results if "violation3" in d]
     return {

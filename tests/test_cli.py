@@ -251,6 +251,22 @@ class TestExitCodes:
         assert "outside 0..26" in err
         assert run(capsys, "ergodic", "--m", "3", "--target", "26")[0] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("closeball", "--trials", "-1"), ("lss", "--trials", "0"),
+        *((cmd, "--trials", k) for cmd in ("bcp", "colour", "maximal", "intersect")
+          for k in ("0", "-2")),
+        ("intersect", "--trials", "two"),
+        ("intersect", "--trials", "2", "--workers", "0"),
+        ("intersect", "--trials", "2", "--workers", "-3"),
+        *((cmd, "--trials", "1", "--n", "0") for cmd in ("lss", "closeball", "intersect")),
+        ("maximal", "--trials", "1", "--k-max", "0"),
+    ], ids=" ".join)
+    def test_count_below_one_is_usage(self, capsys, argv):
+        # the last flag of argv carries the bad count
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert f"argument {argv[-2]}:" in err and "at least 1" in err
+
     def test_bad_rational_is_usage(self, capsys):
         code, _, _ = run(capsys, "boundary", "--n", "1", "--k", "3", "--t", "x/y")
         assert code == 64

@@ -32,6 +32,7 @@ from heisgeo.core import (
     metric_d,
     multiply,
     point_from_json,
+    point_to_json,
 )
 from heisgeo.errors import HypothesisViolation
 from heisgeo.spherequad import sphere_point
@@ -304,6 +305,86 @@ class TestNelderMead:
             res = matches_scipy(rosen, np.array([-1.2, 1.0]), xatol=1e-12, fatol=1e-12,
                                 maxiter=maxiter)
             assert res.status == 2 and res.nit == maxiter
+
+
+def closeball_oracle(x, r, q, p):
+    """The closeball objective on objects: -d(delta_r(x / |x|) q, p)."""
+    nrm = float(np.linalg.norm(x))
+    if nrm < 1e-12:
+        return 0.0
+    return -metric_d(multiply(sphere_point(r, x / nrm), q), p)
+
+
+def violation_oracle(y, points, radii, thicks):
+    """max over shells of |d(y, x)^2 - r^2| - t^2, through metric_d."""
+    worst = -math.inf
+    for x, r_i, t_i in zip(points, radii, thicks):
+        d = metric_d(y, x)
+        worst = max(worst, abs(d * d - r_i * r_i) - t_i * t_i)
+    return worst
+
+
+class TestObjectives:
+    """The float objectives of both polishes against their object formulas."""
+
+    def objective(self, monkeypatch, run):
+        # the objective _nelder_mead is handed; the polish itself is skipped
+        calls = []
+
+        def record(f, x0, **options):
+            calls.append(f)
+            return np.array(x0), f(np.array(x0))
+
+        monkeypatch.setattr(sp, "_nelder_mead", record)
+        run()
+        assert len(calls) == 1
+        return calls[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closeball_objective(self, monkeypatch, n):
+        rng = np.random.default_rng(60 + n)
+        dim, zero = 2 * n + 1, (0j,) * n
+        axis = np.eye(dim)[0]
+        xs = [rng.standard_normal(dim) * s for s in (1e-6, 1.0, 1e3) for _ in range(64)]
+        xs += [np.zeros(dim), 1e-13 * axis, -0.9e-12 * axis, 2e-12 * axis, 1.1e-12 * unit(rng, dim),
+               np.eye(dim)[-1], -np.eye(dim)[-1], np.append(-np.zeros(dim - 1), 0.5)]
+        for q, p in [(random_point(rng, n, 1.0), random_point(rng, n, 6.0)),
+                     (ContinuousPoint(zero, 1.0), random_point(rng, n, 6.0)),
+                     (random_point(rng, n, 1.0), ContinuousPoint(zero, -2.0)),
+                     (ContinuousPoint(zero, -0.0), ContinuousPoint(zero, 9.0))]:
+            f = self.objective(monkeypatch,
+                               lambda: sp._boundary_max_distance(q, 0.5, p, 4, rng))
+            for x in xs:
+                before = x.copy()
+                assert same_bits(f(x), closeball_oracle(x, 0.5, q, p)), (x, q, p)
+                assert same_bits(x, before)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_chain_violation(self, monkeypatch, n):
+        # chain scale: R = 1e4, radii R t_1...t_i and more, |tau| near R^2
+        rng = np.random.default_rng(70 + n)
+        R, zero = 1e4, (0j,) * n
+        points = (random_point(rng, n, R), ContinuousPoint(zero, 0.3 * R * R),
+                  random_point(rng, n, R))
+        radii = tuple(R * (1.0 + float(rng.uniform(0.0, 3.0))) for _ in points)
+        thicks = tuple(1.0 + float(rng.uniform(0.0, 1.0)) for _ in points)
+        shells = [(x.z, x.tau, r_i, t_i) for x, r_i, t_i in zip(points, radii, thicks)]
+        rows = [sq._row(random_point(rng, n, R)) for _ in range(8)]
+        rows += [sq._row(multiply(sphere_point(r_i, unit(rng, 2 * n + 1)), x))
+                 for x, r_i in zip(points, radii) for _ in range(8)]
+        rows += [sq._row(x) for x in points]
+        rows += [np.append(np.zeros(2 * n), R * R), np.append(-np.zeros(2 * n), -0.0)]
+        for row in rows:
+            assert same_bits(sp._violation(row.tolist(), shells),
+                             violation_oracle(sq._point(row), points, radii, thicks)), row
+        # the polish runs on coordinates scaled by s = max(1, |row|_inf): (x s, x_tau s^2)
+        for row in rows:
+            f = self.objective(monkeypatch, lambda: sp._polish(row, shells, math.inf))
+            scale = max(1.0, float(np.max(np.abs(row))))
+            x0 = np.append(row[:-1] / scale, row[-1] / (scale * scale))
+            for x in [x0] + [x0 + 1e-9 * rng.standard_normal(2 * n + 1) for _ in range(8)]:
+                y = sq._point(np.append(x[:-1], x[-1] * scale) * scale)
+                assert same_bits(f(x), violation_oracle(y, points, radii, thicks)), x
 
 
 class TestChainConfig:
@@ -604,6 +685,14 @@ PINNED_REPORTS = [
      "a89e70cb255f5ffc871926e0b7c342bda5b5bae111a930f58a51c395ec16c9c7"),
     ({"seed": 10, "trials": 30, "workers": 2},
      "c28572490e2f20621709fdbda88979ee28a95e07c0ca4f6d40ed6bcfe23871d8"),
+] + [
+    # the benchmark's search size; these seeds polish 4, 3 and 3 chains,
+    # recorded before the polishes moved onto Python floats
+    ({"seed": s, "trials": 128}, h) for s, h in [
+        (1, "fd750c1f24840ef1e6b1518cde7fbab7b8fce68dab953f78c042f6963d71b84a"),
+        (5, "e6d953dfbe86c89f0f21f473c3761e9eb8ff0dc9238e41fd1fabc18bb334965c"),
+        (20261017, "35b1c2fa46547820d79afa8d66c9c09cd9033bb27ae0d5085bbb1e523452ff5d"),
+    ]
 ]
 
 
@@ -613,3 +702,24 @@ def test_search_report_is_pinned(kwargs, digest):
     args = {"n": 1, "R": 1e4, **kwargs}
     report = sp.intersection_search(**args)
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+
+# sha256 of json.dumps([[q, verified, report], ...], sort_keys=True) over
+# the 100 closeball trials of acceptance criterion 6, recorded before the
+# polishes moved onto Python floats
+CLOSEBALL_SUITE_HEX = "d305833d9d0fbe65b63d67f0dc6448b2628b16108718118e500b19915885f30a"
+
+
+def test_closeball_suite_is_pinned():
+    rng = np.random.default_rng(29)
+    docs = []
+    for trial in range(100):
+        rho = 9.0 + float(rng.uniform(0.0, 20.0))
+        xi = rng.standard_normal(3)
+        xi /= float(np.linalg.norm(xi))
+        base = ContinuousPoint((complex(*rng.normal(size=2)),), float(rng.normal()))
+        p = multiply(sphere_point(rho, xi), base)
+        res = sp.closeball_witness(p, base, 0.5, samples=160, seed=500 + trial)
+        docs.append([point_to_json(res.q), bool(res.verified), res.report])
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == CLOSEBALL_SUITE_HEX
