@@ -88,8 +88,8 @@ def _finite(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    if int(text) < 1:  # argparse reports int's ValueError as usage too
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
     return int(text)
 
 

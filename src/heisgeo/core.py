@@ -38,7 +38,8 @@ Radius = Union[int, Fraction]
 
 
 def _as_int_tuple(xs: Iterable[int]) -> tuple[int, ...]:
-    return tuple(int(x) for x in xs)
+    out = tuple(int(x) for x in xs)
+    return out
 
 
 @dataclass(frozen=True)

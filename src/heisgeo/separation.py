@@ -19,9 +19,8 @@ Three numerical verifiers for the geometry of thickened spheres:
   ``certify_chain``, which alone decides a chain's length.
 
 Both polishes run ``_nelder_mead``, SciPy's Nelder-Mead step for step on
-Python floats, so numpy alone is needed at run time.  Their objectives
-call ``core``'s float product and distance on bare (z, tau) parts; each
-norm stays ``x.dot(x)``, from which a Python sum can differ in the last bit.
+Python floats, over ``core``'s float product and distance; numpy alone is
+needed at run time, and a norm stays ``x.dot(x)`` (BLAS, not a Python sum).
 
 The unnamed constants of the underlying estimates (the threshold scale
 for separation, the branch constant for the inner ball) are measured
@@ -29,9 +28,10 @@ empirically by the ``*_estimate`` helpers and frozen as defaults.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -55,8 +55,8 @@ from .core import (
     point_to_json,
 )
 from .errors import HypothesisViolation
-from .spherequad import (_dot_rows, _mul_rows, _norm_rows, _point, _row, _sphere_rows,
-                         _unit_rows, sphere_point)
+from .spherequad import (_dot_rows, _mul_rows, _norm_rows, _parts, _point, _row,
+                         _sphere_rows, _unit_rows, sphere_point)
 
 # measured by closeball_R_estimate / lss_threshold_estimate at desk scale;
 # generous margins over the observed feasibility thresholds
@@ -301,9 +301,8 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int):
     for the options used here: no bounds, adaptive=False, the default
     initial simplex and an unlimited maxfev.  The float expressions and
     their order are SciPy's, so the iterates are bit-identical.  f gets a
-    float64 array and must not modify it.  The simplex is Python floats,
-    as NumPy's call overhead would dominate each step, but the vertex order
-    stays np.argsort's, which is not stable on ties.  NaN acts as in SciPy.
+    float64 array and must not modify it.  The simplex is Python floats, NaN
+    acting as in SciPy; the vertex order is np.argsort's, unstable on ties.
     """
     x0 = np.asarray(x0, dtype=float).tolist()
     n = len(x0)
@@ -319,7 +318,7 @@ def _nelder_mead(f, x0: np.ndarray, xatol: float, fatol: float, maxiter: int):
         if i == maxiter or (all(abs(a - b) <= xatol for x in sim[1:] for a, b in zip(x, sim[0]))
                             and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])):
             break
-        xbar = [sum(c) / n for c in zip(*sim[:-1])]
+        xbar = [reduce(add, c, 0.0) / n for c in zip(*sim[:-1])]  # as np.add.reduce sums
         xr = [2 * b - w for b, w in zip(xbar, sim[-1])]
         fxr = float(f(np.array(xr)))
         if fxr < fsim[0]:
@@ -353,16 +352,13 @@ def _boundary_max_distance(q: Point, r: float, p: ContinuousPoint, samples: int,
     d = _norm_rows(_mul_rows(ys, -_row(p)[None]))
     first = int(np.argmax(d))  # the first maximum, as a strict > scan picks
     best_val, best_xi = float(d[first]), xis[first]
-    n = cq.n
 
     def neg(x: np.ndarray) -> float:
-        # -metric_d(multiply(sphere_point(r, x / |x|), q), p) on bare parts
         nrm = math.sqrt(x.dot(x))
         if nrm < 1e-12:
             return 0.0
-        xi = (x / nrm).tolist()
-        z = tuple(complex(r * xi[j], r * xi[n + j]) for j in range(n))
-        return -_dist_parts(*_mul_parts(z, r * r * xi[-1], cq.z, cq.tau), p.z, p.tau)
+        z, tau = _parts((x / nrm).tolist(), r)
+        return -_dist_parts(*_mul_parts(z, tau, cq.z, cq.tau), p.z, p.tau)
 
     x, fun = _nelder_mead(neg, best_xi, xatol=1e-10, fatol=1e-12, maxiter=400)
     if -fun > best_val:
@@ -537,11 +533,10 @@ def _chain_doc(config: ChainConfig, witness: Point) -> Optional[dict]:
 
 def _violation(row, shells) -> float:
     """max over shells (z, tau, r, t) of |d(row, (z, tau))^2 - r^2| - t^2; <= 0 certifies."""
-    n = len(row) // 2
-    z = tuple(complex(row[j], row[n + j]) for j in range(n))
+    z, tau = _parts(row)
     worst = -math.inf
     for w, sigma, r_i, t_i in shells:
-        d = _dist_parts(z, row[-1], w, sigma)
+        d = _dist_parts(z, tau, w, sigma)
         worst = max(worst, abs(d * d - r_i * r_i) - t_i * t_i)
     return worst
 
@@ -708,7 +703,9 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
         blocks = [_run_trials(j) for j in jobs]
     results = [d for b in blocks for d in b]
     longest = max((d["length"] for d in results), default=0)
-    counts = dict(Counter(d["length"] for d in results))
+    counts: dict[int, int] = {}
+    for d in results:
+        counts[d["length"]] = counts.get(d["length"], 0) + 1
     certificates = [d["chain"] for d in results if d["length"] == longest and d["chain"]]
     near3 = [d["violation3"] for d in results if "violation3" in d]
     return {

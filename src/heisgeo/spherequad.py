@@ -67,8 +67,13 @@ def _row(p: Point) -> np.ndarray:
 
 
 def _point(row: np.ndarray) -> ContinuousPoint:
-    n = (row.shape[0] - 1) // 2
-    return ContinuousPoint(tuple(complex(row[j], row[n + j]) for j in range(n)), row[-1])
+    return ContinuousPoint(*_parts(row))
+
+
+def _parts(row, r: float = 1.0) -> tuple:
+    """(z, tau) of delta_r of a row or list: the formula of _point and sphere_point."""
+    n = (len(row) - 1) // 2
+    return tuple(complex(r * row[j], r * row[n + j]) for j in range(n)), r * r * row[-1]
 
 
 def _hypot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -244,10 +249,7 @@ def gauge_min(z_flat, tau, r: float, t, return_argmin: bool = False):
 
 def sphere_point(r: float, xi: np.ndarray) -> ContinuousPoint:
     """Map xi on the unit sphere of R^(2n+1) to delta_r of it on S_r(0)."""
-    xi = np.asarray(xi, dtype=float)
-    n = (xi.shape[0] - 1) // 2
-    z = tuple(complex(r * xi[j], r * xi[n + j]) for j in range(n))
-    return ContinuousPoint(z, r * r * float(xi[-1]))
+    return ContinuousPoint(*_parts(np.asarray(xi, dtype=float), r))
 
 
 def sphere_distance(rows, r: float) -> tuple[np.ndarray, np.ndarray]:

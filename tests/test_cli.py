@@ -265,7 +265,12 @@ class TestExitCodes:
         # the last flag of argv carries the bad count
         code, out, err = run(capsys, *argv)
         assert (code, out) == (64, "")
-        assert f"argument {argv[-2]}:" in err and "at least 1" in err
+        assert f"argument {argv[-2]}: " in err and repr(argv[-1]) in err
+
+    @pytest.mark.parametrize("count", ["+1", " 1", "0_1"])
+    def test_count_parses_as_int(self, capsys, count):
+        # a count accepts what int() accepts; only values below 1 are refused
+        assert run(capsys, "closeball", "--trials", count) == run(capsys, "closeball", "--trials", "1")
 
     def test_bad_rational_is_usage(self, capsys):
         code, _, _ = run(capsys, "boundary", "--n", "1", "--k", "3", "--t", "x/y")
