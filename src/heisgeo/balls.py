@@ -25,13 +25,13 @@ and keeps <a, b> mod 2; so it maps their fiber over y onto the one over g y,
 and fiber counts are constant on G-orbits.
 
 The t-boundary d_t B_r(x) is the set of points within distance t of the
-sphere S_r(x).  Exact integer screens settle most points: a quick-out
-(|d(y,x) - r| > t, the triangle inequality) and a quick-in (the dilation
-witness gives dist <= sqrt|d^2 - r^2|).  Between them the certified
-minimum of the sphere gauge (spherequad) decides, accepted up to the fixed
-band _ACCEPT; no other float enters a count.  In boundary_contains the
-exact-* routes are integer decisions on the exact offset y x^-1
-(core.offset_exact) for every input, the minimizer-* routes the gauge's.
+sphere S_r(x).  boundary_contains and the band bisection of _t_boundary decide
+it on the exact offset y x^-1 (core.offset_exact).  The bounds of _screens
+settle most points: a quick-out (|d(y,x) - r| > t, the triangle inequality)
+and a quick-in (the dilation witness gives dist <= sqrt|d^2 - r^2|).  Between
+them _gauge_inside alone calls the certified minimum of the sphere gauge
+(spherequad), on |z|^2 and tau rounded once each from the offset, accepted up
+to the fixed band _ACCEPT; no other float enters a count.
 d_t B_k(0) is a FiberSet, since each of its fibers is one band
 {lo <= |m| <= hi} of one parity class:
 
@@ -66,19 +66,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (
-    LatticePoint,
-    Point,
-    Radius,
-    inverse,
-    lattice_identity,
-    multiply,
-    offset_cmp,
-    offset_exact,
-    radius_parts,
-)
+from .core import (LatticePoint, Point, Radius, lattice_identity, offset_cmp, offset_exact,
+                   radius_parts)
 from .errors import ResourceCapError
-from .spherequad import _row, gauge_min
+from .spherequad import gauge_min
 
 DEFAULT_CAP = 10 ** 8
 _ACCEPT = 1.0 + 1e-9  # a gauge minimum up to this certifies "within t of the sphere"
@@ -404,19 +395,16 @@ def enumerate_ball(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    fibers = FiberSet.ball(n, k, cap)  # refuses a horizontal grid beyond cap first
+    count = fibers.count()
+    if count > cap:
+        raise ResourceCapError(f"ball of {count} points exceeds cap {cap}", predicted=count, cap=cap)
     card = ball_cardinality(n, k)
-    if card > cap:
-        raise ResourceCapError(
-            f"ball of {card} points exceeds cap {cap}", predicted=card, cap=cap
-        )
+    if count != card:
+        raise AssertionError(f"fiber enumeration ({count}) disagrees with histogram count ({card})")
     if center is None:
         center = lattice_identity(n)
-    fibers = FiberSet.ball(n, k, cap).translate(center)
-    if fibers.count() != card:
-        raise AssertionError(
-            f"fiber enumeration ({fibers.count()}) disagrees with "
-            f"histogram count ({card})"
-        )
+    fibers = fibers.translate(center)
     return BallTable(n=n, k=k, center=center, coords=fibers.rows())
 
 
@@ -540,33 +528,45 @@ class BoundaryResult:
         return self.inside
 
 
+def _screens(r: Radius, t: Radius) -> tuple[int, int, int, int, int]:
+    """(out_lo, out_hi, in_lo, in_hi, w^2): d^2 outside [(r-t)^2, (r+t)^2] / w^2
+    is out, d^2 inside [r^2-t^2, r^2+t^2] / w^2 is in (lower ends clipped at 0),
+    with r and t over their least common denominator w."""
+    (ru, rv), (tu, tv) = radius_parts(r), radius_parts(t)
+    w = rv if rv == tv else math.lcm(rv, tv)
+    r, t = ru * (w // rv), tu * (w // tv)
+    lo, hi, rr, tt = r - t, r + t, r * r, t * t
+    return lo * lo if lo > 0 else 0, hi * hi, rr - tt if rr > tt else 0, rr + tt, w * w
+
+
+def _gauge_inside(X, M, e: int, r: Radius, t: Radius):
+    """Is each offset (X, M, e) (core.offset_exact; ints, or int64 arrays with
+    e = 0) within t of S_r(0) by the gauge at x = X/4^e, tau = M/2^(2e+1)?
+    Each input is one correctly rounded int division."""
+    d = 1 << 2 * e
+    try:
+        x, tau = X / d, M / (2 * d)
+    except OverflowError:
+        raise ValueError("offset too large for the float gauge") from None
+    return gauge_min(np.atleast_1d(x), np.atleast_1d(tau), float(r), float(t)) <= _ACCEPT
+
+
 def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:
     """Is y within spec.thickening of the sphere of radius spec.radius?
 
-    Exact integer screens settle almost every query, for every input; only
-    points whose distance to the sphere is sandwiched between the triangle
-    lower bound and the dilation-witness upper bound go to the certified
-    minimizer.
+    The exact screens (_screens) on the offset y x^-1 settle almost every
+    query, for every input; only points sandwiched between the triangle bound
+    and the dilation-witness bound go to the gauge (_gauge_inside).
     """
     off = offset_exact(y, spec.center)
-    (ru, rv), (tu, tv) = radius_parts(spec.radius), radius_parts(spec.thickening)
-    w = math.lcm(rv, tv)
-    r, t, w2 = ru * (w // rv), tu * (w // tv), w * w  # radius r/w, thickening t/w
-    # quick-out: |lam - r| > t, i.e. lam^2 outside [(r-t)^2, (r+t)^2]
-    if offset_cmp(off, (r + t) ** 2, w2) > 0:
-        return BoundaryResult(False, "exact-out")
-    if r > t and offset_cmp(off, (r - t) ** 2, w2) < 0:
+    out_lo, out_hi, in_lo, in_hi, w2 = _screens(spec.radius, spec.thickening)
+    if offset_cmp(off, out_hi, w2) > 0 or offset_cmp(off, out_lo, w2) < 0:
         return BoundaryResult(False, "exact-out")
     # horizontal offsets (M = 0) realize the triangle bound, dist = |lam - r|,
     # so surviving the quick-out screens already certifies membership
-    if off[1] == 0:
+    if off[1] == 0 or (offset_cmp(off, in_lo, w2) >= 0 and offset_cmp(off, in_hi, w2) <= 0):
         return BoundaryResult(True, "exact-in")
-    # quick-in: dilation witness sqrt|lam^2 - r^2| <= t
-    if offset_cmp(off, r * r - t * t, w2) >= 0 and offset_cmp(off, r * r + t * t, w2) <= 0:
-        return BoundaryResult(True, "exact-in")
-    row = _row(multiply(y, inverse(spec.center)))
-    val = gauge_min(row[None, :-1], row[-1:], float(spec.radius), float(spec.thickening))
-    inside = bool(val[0] <= _ACCEPT)
+    inside = bool(_gauge_inside(*off, spec.radius, spec.thickening)[0])
     return BoundaryResult(inside, "minimizer-in" if inside else "minimizer-out")
 
 
@@ -574,27 +574,24 @@ def _t_boundary(n: int, k: int, t: Radius, cap: int) -> FiberSet:
     """The fibers of d_t B_k(0), each one band lo <= |m| <= hi (module docstring)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    u, v = radius_parts(t)
-    V, K = v * v, k * k * v * v
-    y, x = _disk(n, *radius_parts(k + Fraction(u, v)), cap)
+    out_lo, out_hi, in_lo, in_hi, w2 = _screens(k, t)
+    y, x = _disk(n, math.isqrt(out_hi), math.isqrt(w2), cap)  # B_(k+t): (k+t)^2 = out_hi / w2
     par = np.sum(y[:n] * y[n:], axis=0) % 2
-    # one group per occurring (|y|^2, parity); any of its fibers stands for it
+    # one group per occurring (|y|^2, parity): the screens and the gauge read nothing else
     group = np.full((int(x.max()) + 1, 2), -1)
-    group[x, par] = np.arange(x.size)
-    gx, gp = np.nonzero(group >= 0)
-    z = np.tile(y[:, group[gx, gp]].T.astype(float), (2, 1))
+    group[x, par] = 0
+    gx, gp = np.nonzero(group == 0)
     group[gx, gp] = np.arange(gx.size)
 
-    def least(p):  # least |m| of the class with lam^2 >= p / V
-        b = _halfwidth(p, V, gx, strict=True).astype(np.int64) + 1
+    def least(p):  # least |m| of the class with lam^2 >= p / w2
+        b = _halfwidth(p, w2, gx, strict=True).astype(np.int64) + 1
         return b + (b - gp) % 2
 
-    def most(p):  # greatest |m| of the class with lam^2 <= p / V
-        b = _halfwidth(p, V, gx).astype(np.int64)
+    def most(p):  # greatest |m| of the class with lam^2 <= p / w2
+        b = _halfwidth(p, w2, gx).astype(np.int64)
         return b - (b - gp) % 2
 
-    a_lo, a_hi = least(max(k * v - u, 0) ** 2), most((k * v + u) ** 2)
-    q_lo, q_hi = least(max(K - u * u, 0)), most(K + u * u)
+    a_lo, a_hi, q_lo, q_hi = least(out_lo), most(out_hi), least(in_lo), most(in_hi)
     # the annulus runs below and above the quick-in band, walked away from it, hold
     # their members first: bisect their member counts in lockstep, one call a step
     start = np.concatenate([np.minimum(a_hi, q_lo - 2), np.maximum(a_lo, q_hi + 2)])
@@ -610,8 +607,7 @@ def _t_boundary(n: int, k: int, t: Radius, cap: int) -> FiberSet:
         if not live.size:
             break
         mid = (found[live] + bound[live] + 1) // 2
-        tau = (start[live] + step[live] * (mid - 1)) / 2.0
-        inside = gauge_min(z[live], tau, float(k), u / v) <= _ACCEPT
+        inside = _gauge_inside(gx[live % gx.size], start[live] + step[live] * (mid - 1), 0, k, t)
         found[live] = np.where(inside, mid, found[live])
         bound[live] = np.where(inside, bound[live], mid - 1)
     edge = start + step * found  # the first non-member of each run

@@ -216,6 +216,8 @@ def random_lss_config(R: float, eps: float, n: int = 1,
     r_tilde by a dilation.  All three shell memberships then clear the
     dilation-witness screen or land within the minimizer tolerance.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
     dim = 2 * n + 1
@@ -689,6 +691,10 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
     workers > 1 each worker takes one contiguous block of trials, and
     blocks merge in trial order.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if max_chain < 2:
+        raise ValueError("max_chain must be >= 2")
     if not R > 1:
         raise ValueError("R must exceed 1")
     block = max(1, -(-trials // max(1, workers)))

@@ -32,9 +32,10 @@ minimum unchanged.  Everything here is float numerics; exact integer
 screens live in the ball module and only route the ambiguous band through
 this solver.
 
-Points are rows [Re z, Im z, tau] stacked on a first axis, and each entry
-takes a batch (one point is a batch of one): `gauge_min` the rows' z and
-tau with one t or one per row, `sphere_distance` the rows themselves.
+Each entry takes a batch (one point is a batch of one): `gauge_min(x, tau,
+r, t)` |z|^2 = x and tau per row, with one t or one per row, and
+`sphere_distance` points as rows [Re z, Im z, tau] stacked on a first axis,
+whose argmins it maps back to rows itself (_gauge_argmin).
 """
 
 from __future__ import annotations
@@ -218,23 +219,31 @@ def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
     return lam, qt, c, cs, sn
 
 
-def gauge_min(z_flat, tau, r: float, t, return_argmin: bool = False):
-    """min_{||xi||=1} F_t(xi) per row of z_flat (N, 2n) and tau (N,).
+def gauge_min(x, tau, r: float, t) -> np.ndarray:
+    """min_{||xi||=1} F_t(xi) per row of x = |z|^2 (N,) and tau (N,).
 
     A value <= 1 certifies dist((z, tau), S_r(0)) <= t.  t is a scalar or
     one value per row; a row's value does not depend on the rest of its
-    batch.  With return_argmin, also the minimisers xi (N, 2n+1).
+    batch.  A non-finite input or value raises ValueError.
     """
     if not 0 <= r < math.inf:
         raise ValueError("radius r must be nonnegative and finite")
     if not np.all((np.asarray(t) > 0) & (np.asarray(t) < math.inf)):
         raise ValueError("tolerance t must be positive and finite")
-    z_flat = np.asarray(z_flat, dtype=float)
+    x, tau = np.asarray(x, dtype=float), np.asarray(tau, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(tau))):
+        raise ValueError("gauge input |z|^2 and tau must be finite")
+    values = _secular_batched(*_gauge_secular(x, tau, r, t)[:3])[0]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("gauge value is not finite")
+    return values
+
+
+def _gauge_argmin(z_flat: np.ndarray, tau: np.ndarray, r: float, t):
+    """gauge_min's values for rows z_flat (N, 2n) and its argmins (N, 2n+1), unchecked."""
     x = np.sum(z_flat * z_flat, axis=1)
-    lam, qt, c, cs, sn = _gauge_secular(x, np.asarray(tau, dtype=float), r, t)
+    lam, qt, c, cs, sn = _gauge_secular(x, tau, r, t)
     values, xi = _secular_batched(lam, qt, c)
-    if not return_argmin:
-        return values
     n = z_flat.shape[1] // 2
     zn = np.sqrt(x)
     z_hat = np.zeros_like(z_flat)
@@ -280,7 +289,7 @@ def sphere_distance(rows, r: float) -> tuple[np.ndarray, np.ndarray]:
     live = np.flatnonzero(solve & (hi - lo > tol))
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        val, arg = gauge_min(z_flat[live], tau[live], r, mid, return_argmin=True)
+        val, arg = _gauge_argmin(z_flat[live], tau[live], r, mid)
         ok = val <= 1.0
         hi[live[ok]], xi[live[ok]], accepted[live[ok]] = mid[ok], arg[ok], True
         lo[live[~ok]] = mid[~ok]

@@ -10,6 +10,7 @@ import importlib.util
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -147,6 +148,23 @@ def band_membership(coords, n, k, t):
     return np.array([tuple(r) in band for r in coords.tolist()], dtype=bool)
 
 
+def near_band_queries(count=2400):
+    """(y, spec) within 1.2 t of S_r(x) about random continuous centers, r/t <= 320, n = 1, 2."""
+    rng = np.random.default_rng(20261019)
+    out = []
+    for i in range(count):
+        n = 1 + i % 2
+        t = float(rng.uniform(0.05, 2.0))
+        r = t * float(rng.uniform(0.5, 320.0))
+        center = hg.ContinuousPoint(tuple(complex(*rng.normal(0, 3, 2)) for _ in range(n)),
+                                    float(rng.normal(0, 10)))
+        xi = rng.standard_normal(2 * n + 1)
+        xi /= np.linalg.norm(xi)
+        lam = max(float(rng.uniform(r - 1.2 * t, r + 1.2 * t)), 0.0)
+        out.append((hg.multiply(sq.sphere_point(lam, xi), center), balls.BallSpec(center, r, t)))
+    return out
+
+
 def oracle_sphere_dist(p, r, rng, starts=6):
     """Multistart downhill minimization of d(p, .) over the dilated sphere."""
     y = hg.as_continuous(p)
@@ -264,6 +282,18 @@ class TestCardinality:
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapError):
             balls.enumerate_ball(1, 40, cap=1000)
+
+    def test_caps_checked_before_histogram_count(self):
+        # ball_cardinality allocates floor(k^2) + 1 histogram rows, so a grid or
+        # a ball beyond cap is refused without it (|B_5| = 2547 > 200 >= 11^2)
+        with mock.patch.object(balls, "ball_cardinality", side_effect=AssertionError("counted")):
+            with pytest.raises(ResourceCapError, match="grid"):
+                balls.enumerate_ball(1, 10 ** 6, cap=1000)
+            with pytest.raises(ResourceCapError, match="points"):
+                balls.enumerate_ball(1, 5, cap=200)
+        with mock.patch.object(balls, "ball_cardinality", return_value=0):
+            with pytest.raises(AssertionError, match="disagrees"):
+                balls.enumerate_ball(1, 2)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -518,6 +548,24 @@ class TestBoundaryContains:
         with pytest.raises(ValueError):
             hg.dist_le_exact(e, e, math.inf)
 
+    def test_gauge_overflow_refused(self):
+        # |z|^2 = 1e600 has no float: once a silent minimizer-out from a NaN
+        y = hg.ContinuousPoint((1e300 + 0j,), 1.0)
+        spec = balls.BallSpec(hg.continuous_identity(1), 9e299, 2e299)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="float gauge"):
+                balls.boundary_contains(y, spec)
+
+    def test_continuous_near_band_decisions_pinned(self):
+        # (inside, route) per query, recorded while the gauge input still came
+        # from the float product y x^-1 rather than the exact offset
+        res = [balls.boundary_contains(y, spec) for y, spec in near_band_queries()]
+        blob = "".join(f"{int(b.inside)} {b.route}\n" for b in res)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "a2b72c663144943649be1b1583f70893610af213b437f7795d8fae4427d4745c")
+        assert sum(b.route.startswith("minimizer") for b in res) == 1953
+
     def test_numpy_scalar_radii(self):
         e = hg.lattice_identity(1)
         for row in annulus_rows(1, 5, Fraction(1, 2)).tolist()[::7]:
@@ -638,12 +686,16 @@ class TestTBoundary:
         want = [row for row in coords.tolist() if balls.boundary_contains(
             hg.LatticePoint(tuple(row[:2]), tuple(row[2:4]), row[4]), spec).inside]
         solved, probes = [], []
+        # a horizontal point per (|z|^2, parity) of the disk: the screens read only |z|^2 and m
+        box = np.indices((9,) * 4).reshape(4, -1).T - 4
+        rep = {(int(z @ z), int(z[:2] @ z[2:]) % 2): z.tolist() for z in box}
 
-        def record(z_flat, tau, r, tf):
-            solved.extend(zip(np.sum(z_flat * z_flat, axis=1).tolist(), np.abs(tau).tolist()))
-            probes.extend(hg.LatticePoint(tuple(map(int, z[:2])), tuple(map(int, z[2:])), round(2 * m))
-                          for z, m in zip(z_flat.tolist(), tau.tolist()))
-            return sq.gauge_min(z_flat, tau, r, tf)
+        def record(x, tau, r, tf):
+            solved.extend(zip(x.tolist(), np.abs(tau).tolist()))
+            for s, m in zip(x.tolist(), (2 * tau).round().astype(int).tolist()):
+                z = rep[int(s), m % 2]
+                probes.append(hg.LatticePoint(tuple(z[:2]), tuple(z[2:]), m))
+            return sq.gauge_min(x, tau, r, tf)
 
         with mock.patch.object(balls, "gauge_min", record):
             got = balls.t_boundary_coords(2, k, t)

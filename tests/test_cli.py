@@ -267,6 +267,13 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert f"argument {argv[-2]}: " in err and repr(argv[-1]) in err
 
+    @pytest.mark.parametrize("max_chain", ["0", "1", "-2"])
+    def test_intersect_max_chain_below_two_is_usage(self, capsys, max_chain):
+        # once printed "longest_chain_found": 2 beside "max_chain": 0 with exit 0
+        code, out, err = run(capsys, "intersect", "--trials", "2", "--max-chain", max_chain)
+        assert (code, out) == (64, "")
+        assert "max_chain must be >= 2" in err
+
     @pytest.mark.parametrize("count", ["+1", " 1", "0_1"])
     def test_count_parses_as_int(self, capsys, count):
         # a count accepts what int() accepts; only values below 1 are refused

@@ -502,6 +502,19 @@ class TestIntersectionSearch:
         assert rep["longest_chain_found"] == 2
         assert rep["attempts_length3"] == 0
 
+    @pytest.mark.parametrize("max_chain", [0, 1, -2])
+    def test_max_chain_below_two_refused(self, max_chain):
+        # a chain of two is built before the bound is read, so it cannot go lower
+        with pytest.raises(ValueError, match="max_chain must be >= 2"):
+            sp.intersection_search(1, 1e4, trials=2, max_chain=max_chain)
+
+    def test_rank_below_one_refused(self):
+        # once an AttributeError from the row kernels
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sp.intersection_search(0, 1e4, trials=2)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sp.random_lss_config(1e4, 0.5, 0, seed=1)
+
     def test_preserved_artifact_recertifies(self):
         # evidence written by the acceptance run must stay verifiable
         path = (Path(__file__).resolve().parent.parent

@@ -40,6 +40,11 @@ def generic_min(P, q, c):
     return float(values[0]), vecs @ xi[0]
 
 
+def sq_x(z_flat):
+    """|z|^2 per row, the gauge's horizontal input."""
+    return np.sum(np.atleast_2d(z_flat) ** 2, axis=1)
+
+
 def gauge_matrix(z_flat, tau, r, t):
     """(M, v) with F_t(xi) = ||M xi - v||^2 for y = (z, tau) against S_r(0).
 
@@ -130,12 +135,14 @@ class TestSphereGauge:
         zs = rng.standard_normal((25, 2)) * 2
         taus = rng.standard_normal(25) * 2
         ts = rng.uniform(0.05, 2.0, 25)
-        vb = sq.gauge_min(zs, taus, 1.3, 0.4)
-        assert vb.tolist() == [sq.gauge_min(zs[i:i + 1], taus[i:i + 1], 1.3, 0.4)[0]
+        xs = sq_x(zs)
+        vb = sq.gauge_min(xs, taus, 1.3, 0.4)
+        assert vb.tolist() == [sq.gauge_min(xs[i:i + 1], taus[i:i + 1], 1.3, 0.4)[0]
                                for i in range(25)]
-        vb, xb = sq.gauge_min(zs, taus, 1.3, ts, return_argmin=True)
+        vb, xb = sq._gauge_argmin(zs, taus, 1.3, ts)
+        assert vb.tobytes() == sq.gauge_min(xs, taus, 1.3, ts).tobytes()  # sphere_distance's values
         for i in range(25):
-            v, x = sq.gauge_min(zs[i:i + 1], taus[i:i + 1], 1.3, ts[i:i + 1], return_argmin=True)
+            v, x = sq._gauge_argmin(zs[i:i + 1], taus[i:i + 1], 1.3, ts[i:i + 1])
             assert vb[i:i + 1].tobytes() == v.tobytes() and xb[i:i + 1].tobytes() == x.tobytes()
 
     def test_sphere_point_lies_on_sphere(self):
@@ -148,18 +155,31 @@ class TestSphereGauge:
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            sq.gauge_min(np.zeros((1, 2)), np.zeros(1), 1.0, 0.0)
+            sq.gauge_min(np.zeros(1), np.zeros(1), 1.0, 0.0)
         with pytest.raises(ValueError):
-            sq.gauge_min(np.zeros((3, 2)), np.zeros(3), 1.0, np.array([0.5, 0.0, 0.5]))
+            sq.gauge_min(np.zeros(3), np.zeros(3), 1.0, np.array([0.5, 0.0, 0.5]))
 
     @pytest.mark.parametrize("r, t", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
                                       (1.0, math.inf)])
     def test_bad_radius_or_tolerance_refused(self, r, t):
         # once answered nan, nan, 0.2418 and -1e-318 instead of refusing
         with pytest.raises(ValueError):
-            sq.gauge_min(np.ones((1, 2)), np.array([0.5]), r, t)
+            sq.gauge_min(np.full(1, 2.0), np.array([0.5]), r, t)
         with pytest.raises(ValueError):
-            sq.gauge_min(np.ones((3, 2)), np.arange(3.0), r, np.array([1.0, t, 1.0]))
+            sq.gauge_min(np.full(3, 2.0), np.arange(3.0), r, np.array([1.0, t, 1.0]))
+
+    @pytest.mark.parametrize("x, tau", [(math.inf, 0.5), (math.nan, 0.5), (2.0, math.inf),
+                                        (2.0, -math.inf), (2.0, math.nan)])
+    def test_non_finite_gauge_input_refused(self, x, tau):
+        with pytest.raises(ValueError):
+            sq.gauge_min(np.array([x]), np.array([tau]), 1.0, 0.5)
+        with pytest.raises(ValueError):
+            sq.gauge_min(np.array([2.0, x]), np.array([0.5, tau]), 1.0, 0.5)
+
+    def test_non_finite_gauge_value_refused(self):
+        # finite inputs whose gauge terms overflow: gamma^2 = (r |z| / 2 t^2)^2
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            sq.gauge_min(np.array([1e300]), np.array([1.0]), 1e10, 1e-10)
 
 
 def gauge_cases():
@@ -184,7 +204,7 @@ class TestStructuredGauge:
         for z, tau, r, t in gauge_cases():
             M, v = gauge_matrix(z, tau, r, t)
             want, _ = generic_min(M.T @ M, -M.T @ v, float(v @ v))
-            got, xi = sq.gauge_min(z[None], np.array([tau]), r, t, return_argmin=True)
+            got, xi = sq._gauge_argmin(z[None], np.array([tau]), r, t)
             got, xi = got[0], xi[0]
             tol = 1e-12 * max(1.0, abs(want))
             assert abs(got - want) <= tol, (z, tau, r, t)
@@ -197,13 +217,14 @@ class TestStructuredGauge:
             rows = [(z, tau) for z, tau, _, _ in gauge_cases() if z.size == 2 * n]
             zs = np.stack([z for z, _ in rows])
             taus = np.array([tau for _, tau in rows])
-            got = sq.gauge_min(zs, taus, 1.3, 0.6)
-            assert got.tolist() == [sq.gauge_min(z[None], np.array([tau]), 1.3, 0.6)[0]
+            xs = sq_x(zs)
+            got = sq.gauge_min(xs, taus, 1.3, 0.6)
+            assert got.tolist() == [sq.gauge_min(sq_x(z), np.array([tau]), 1.3, 0.6)[0]
                                     for z, tau in rows]
             # one t per row: each row as in its own one-row call
             ts = np.array([t for z, _, _, t in gauge_cases() if z.size == 2 * n])
-            got = sq.gauge_min(zs, taus, 1.3, ts)
-            assert got.tolist() == [sq.gauge_min(zs[i:i + 1], taus[i:i + 1], 1.3, ts[i:i + 1])[0]
+            got = sq.gauge_min(xs, taus, 1.3, ts)
+            assert got.tolist() == [sq.gauge_min(xs[i:i + 1], taus[i:i + 1], 1.3, ts[i:i + 1])[0]
                                     for i in range(len(rows))]
 
     @pytest.mark.parametrize("steps", [1, 3, sq._NEWTON_STEPS])
@@ -230,7 +251,7 @@ class TestStructuredGauge:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
-        sq.gauge_min(np.ones((3, 2)), np.arange(3.0), 1.5, np.array([0.4, 0.5, 0.6]))
+        sq.gauge_min(np.full(3, 2.0), np.arange(3.0), 1.5, np.array([0.4, 0.5, 0.6]))
         sq.sphere_distance(sq._row(y)[None], 1.5)
 
 
@@ -300,7 +321,7 @@ class TestSphereDistance:
             with pytest.raises(ValueError):
                 sq.sphere_distance(sq._row(y)[None], r)
         with pytest.raises(ValueError):
-            sq.gauge_min(np.ones((1, 2)), np.array([0.5]), 1.0, math.nan)
+            sq.gauge_min(np.full(1, 2.0), np.array([0.5]), 1.0, math.nan)
 
     def test_witness_is_valid(self):
         # the nearest row lies on the sphere at the reported distance, also
