@@ -295,11 +295,13 @@ class BallSpec:
     center: Point
     radius: Union[int, float, Fraction]
     thickening: Union[int, float, Fraction] = 0
+    screens: tuple = field(init=False, repr=False, compare=False)  # _screens(radius, thickening)
 
     def __post_init__(self) -> None:
         if radius_parts(self.radius)[0] == 0:
             raise ValueError("radius must be positive")
-        radius_parts(self.thickening)  # ValueError unless finite and nonnegative
+        # ValueError unless the thickening is finite and nonnegative
+        object.__setattr__(self, "screens", _screens(self.radius, self.thickening))
 
 
 def _lattice_points(n: int, coords: np.ndarray, cap: int) -> list[LatticePoint]:
@@ -559,7 +561,7 @@ def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:
     and the dilation-witness bound go to the gauge (_gauge_inside).
     """
     off = offset_exact(y, spec.center)
-    out_lo, out_hi, in_lo, in_hi, w2 = _screens(spec.radius, spec.thickening)
+    out_lo, out_hi, in_lo, in_hi, w2 = spec.screens
     if offset_cmp(off, out_hi, w2) > 0 or offset_cmp(off, out_lo, w2) < 0:
         return BoundaryResult(False, "exact-out")
     # horizontal offsets (M = 0) realize the triangle bound, dist = |lam - r|,
