@@ -295,13 +295,13 @@ class BallSpec:
     center: Point
     radius: Union[int, float, Fraction]
     thickening: Union[int, float, Fraction] = 0
-    screens: tuple = field(init=False, repr=False, compare=False)  # _screens(radius, thickening)
+    screens: tuple = field(init=False, repr=False, compare=False)  # _screens of radius, thickening
 
     def __post_init__(self) -> None:
-        if radius_parts(self.radius)[0] == 0:
+        r, t = radius_parts(self.radius), radius_parts(self.thickening)  # finite, nonnegative
+        if r[0] == 0:
             raise ValueError("radius must be positive")
-        # ValueError unless the thickening is finite and nonnegative
-        object.__setattr__(self, "screens", _screens(self.radius, self.thickening))
+        object.__setattr__(self, "screens", _screens(r, t))
 
 
 def _lattice_points(n: int, coords: np.ndarray, cap: int) -> list[LatticePoint]:
@@ -530,11 +530,11 @@ class BoundaryResult:
         return self.inside
 
 
-def _screens(r: Radius, t: Radius) -> tuple[int, int, int, int, int]:
-    """(out_lo, out_hi, in_lo, in_hi, w^2): d^2 outside [(r-t)^2, (r+t)^2] / w^2
-    is out, d^2 inside [r^2-t^2, r^2+t^2] / w^2 is in (lower ends clipped at 0),
-    with r and t over their least common denominator w."""
-    (ru, rv), (tu, tv) = radius_parts(r), radius_parts(t)
+def _screens(r: tuple[int, int], t: tuple[int, int]) -> tuple[int, int, int, int, int]:
+    """(out_lo, out_hi, in_lo, in_hi, w^2) for r and t as radius_parts: d^2 outside
+    [(r-t)^2, (r+t)^2] / w^2 is out, d^2 inside [r^2-t^2, r^2+t^2] / w^2 is in
+    (lower ends clipped at 0), with r and t over their least common denominator w."""
+    (ru, rv), (tu, tv) = r, t
     w = rv if rv == tv else math.lcm(rv, tv)
     r, t = ru * (w // rv), tu * (w // tv)
     lo, hi, rr, tt = r - t, r + t, r * r, t * t
@@ -576,7 +576,7 @@ def _t_boundary(n: int, k: int, t: Radius, cap: int) -> FiberSet:
     """The fibers of d_t B_k(0), each one band lo <= |m| <= hi (module docstring)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out_lo, out_hi, in_lo, in_hi, w2 = _screens(k, t)
+    out_lo, out_hi, in_lo, in_hi, w2 = _screens((k, 1), radius_parts(t))
     y, x = _disk(n, math.isqrt(out_hi), math.isqrt(w2), cap)  # B_(k+t): (k+t)^2 = out_hi / w2
     par = np.sum(y[:n] * y[n:], axis=0) % 2
     # one group per occurring (|y|^2, parity): the screens and the gauge read nothing else
