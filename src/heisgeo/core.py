@@ -21,8 +21,9 @@ lambda^2 tau), and satisfies the closed form
 Comparing a distance with a radius reduces to an integer comparison for
 every point type: a float is a dyadic rational, so offset_exact scales the
 offset p q^-1 by a power-of-two dilation to integer coordinates, and
-offset_cmp compares its squared distance with a rational.  Counting never
-touches floating point.
+offset_cmp compares its squared distance with a rational.  dist_cmp decides
+one pair; dist_cmp_table decides a whole family of pairs with the same
+integer formula on arrays.  Counting never touches floating point.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 Radius = Union[int, Fraction]
 
@@ -273,6 +277,76 @@ def dist_cmp(p: Point, q: Point, r: Union[Radius, float]) -> int:
     """sign(d(p, q) - r), exact for any two points and any finite r >= 0."""
     u, v = radius_parts(r)
     return offset_cmp(offset_exact(p, q), u * u, v * v)
+
+
+def radii_over(radii: Iterable[Union[Radius, float]]) -> tuple[list[int], int]:
+    """(nums, w): radii[k] == nums[k] / w exactly, over the least common denominator w."""
+    parts = [radius_parts(r) for r in radii]
+    w = math.lcm(*(v for _, v in parts))
+    return [u * (w // v) for u, v in parts], w
+
+
+def _table_terms(ps: Sequence[Point], qs: Sequence[Point], nums, w: int):
+    """(X, M, U, q) of offset_cmp for every pair (p_i, q_j) at one scale.
+
+    Every point is brought to the finest dilation scale 2^E of the call, so
+    the offset p_i q_j^-1 has |z|^2 = X[i, j], doubled central coordinate
+    M[i, j], and the radius nums[i, j] / w compares as U = nums^2 4^E
+    against q = w^2.  The arrays are int64 while an a-priori bound on every
+    term of the formula is at most 2^62 (|A|, |B| <= h and |T| <= s give
+    X <= 8 n h^2 and |M| <= 2 s + 2 n h^2), Python-int object arrays beyond.
+    """
+    forms = [_dyadic(p) for p in ps]
+    if qs is not ps:
+        forms += [_dyadic(q) for q in qs]
+    n = len(forms[0][0])
+    big_e = max(f[3] for f in forms)
+    rows = []
+    for a, b, t, e in forms:
+        if len(a) != n:
+            raise ValueError("rank mismatch")
+        s = big_e - e
+        rows.append((*a, *b, t) if s == 0 else (*(x << s for x in a), *(y << s for y in b), t << 2 * s))
+    cols = list(zip(*rows))  # A_1..A_n, B_1..B_n, T
+    h = max(map(abs, chain.from_iterable(cols[:-1])), default=0)
+    s = max(map(abs, cols[-1]))
+    if not isinstance(nums, np.ndarray):
+        nums = np.array(nums, dtype=object)  # NumPy would guess uint64 or float64 for big ints
+    if nums.dtype.kind not in "iuO":
+        raise TypeError("radius numerators must be integers")
+    if nums.min() < 0:
+        raise ValueError("radius must be nonnegative")
+    u = int(nums.max())
+    xb, mb, ub, q = 8 * n * h * h, 2 * s + 2 * n * h * h, u * u << 2 * big_e, w * w
+    small = max(q * max(xb, mb), 4 * ub * max(ub, q * xb), (q * mb) ** 2) <= 2 ** 62
+    dtype = np.int64 if small else object
+    c = np.array(cols, dtype=dtype)
+    cq = c if qs is ps else c[:, len(ps):]
+    d = c[:, :len(ps), None] - cq[:, None, :]  # (dA, dB, dT)[k, i, j]
+    # Im<z_p, z_q> = dA . B_q - dB . A_q, as Im<z_q, z_q> = 0
+    X = (d[:2 * n] * d[:2 * n]).sum(axis=0)
+    M = d[2 * n] - (d[:n] * cq[n:2 * n, None, :] - d[n:2 * n] * cq[:n, None, :]).sum(axis=0)
+    r = nums.astype(dtype)
+    return X, M, r * r * (1 << 2 * big_e), q
+
+
+def dist_cmp_table(ps: Sequence[Point], qs: Sequence[Point], nums, w: int = 1) -> np.ndarray:
+    """sign(d(ps[i], qs[j]) - nums[i, j] / w) for every pair, as an int8 table.
+
+    The family form of dist_cmp, exact for any points: nums holds
+    nonnegative integers and broadcasts to (len(ps), len(qs)), one radius
+    per column as a vector or one per pair as a matrix (radii_over puts
+    radii over one denominator w).  Each point's _dyadic form is taken
+    once, and every entry is offset_cmp's integer formula, evaluated on
+    arrays (see _table_terms for the int64 / Python-int switch).
+    """
+    if not ps or not qs:
+        return np.zeros((len(ps), len(qs)), dtype=np.int8)
+    X, M, U, q = _table_terms(ps, qs, nums, w)
+    qX = q * X
+    out = np.sign((q * M) ** 2 - 4 * U * np.maximum(U - qX, 0)).astype(np.int8)
+    out[U < qX] = 1
+    return out
 
 
 def dist_le_exact(p: Point, q: Point, r: Union[Radius, float]) -> bool:

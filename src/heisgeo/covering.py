@@ -5,9 +5,13 @@ extracts a well-separated sphere family capturing more than half of a
 discrete measure, and a multi-scale one that chains such families across
 kappa rounds until it either certifies a mass bound or emits a candidate
 chain for the intersection-dimension test.  Every distance-against-radius
-check is exact (core.dist_cmp), for lattice and continuous points and for
-int, Fraction and float radii alike; only sphere-to-sphere distances fall
-back to a certified numeric minimization.
+check is exact, for lattice and continuous points and for int, Fraction and
+float radii alike, and so is every threshold built from radii: a sum of
+radii is formed over their common denominator, never in floats.  The
+carpet machinery (selection, incrementality, multiplicity, colouring,
+separation) reads one core.dist_cmp_table per call and runs its greedy
+loops over plain booleans; single queries go through core.dist_cmp.  Only
+sphere-to-sphere distances fall back to a certified numeric minimization.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .balls import DEFAULT_CAP, BallSpec, boundary_contains
-from .core import ContinuousPoint, LatticePoint, Point, dist_cmp, point_to_json
+from .core import (ContinuousPoint, LatticePoint, Point, dist_cmp, dist_cmp_table, point_to_json,
+                   radii_over)
 from .errors import HypothesisViolation, ResourceCapError
 from .spherequad import (_mul_rows, _norm_rows, _point, _row, _sphere_rows, _unit_rows,
                          sphere_distance)
@@ -191,39 +196,39 @@ class HeightParams:
 
 # --- separation predicates -----------------------------------------------------
 
-def _gap_at_least(b1: BallSpec, b2: BallSpec, w: Num) -> bool:
-    """max(0, d(centers) - r1 - r2) >= w, exact where possible."""
-    if w <= 0:
-        return True
-    thresh = w + b1.radius + b2.radius
-    return not _dist_lt(b1.center, b2.center, thresh)
+def _radii_table(balls: Sequence[BallSpec]) -> tuple[np.ndarray, int]:
+    """The balls' radii as integers over one denominator w: int64 while a sum
+    of three stays in range, Python ints beyond."""
+    nums, w = radii_over(b.radius for b in balls)
+    return np.array(nums, dtype=np.int64 if max(nums, default=0) < 2 ** 61 else object), w
 
 
-def _gap_at_most(b1: BallSpec, b2: BallSpec, w: Num) -> bool:
-    if w < 0:
-        return False
-    return _dist_le(b1.center, b2.center, w + b1.radius + b2.radius)
+def _cmp_centers(balls: Sequence[BallSpec], nums, w: int) -> np.ndarray:
+    """sign(d(c_i, c_j) - nums[i, j] / w) over the balls' centers."""
+    centers = [b.center for b in balls]
+    return dist_cmp_table(centers, centers, nums, w)
 
 
 def is_well_separated(balls: Sequence[BallSpec]) -> bool:
     """Pairwise ball gaps all reach the smallest radius in the family.
 
     The gap is the conservative lower bound d(centers) - r1 - r2, so a
-    True answer never admits a violating family.
+    True answer never admits a violating family.  The thresholds
+    r_min + r_i + r_j are summed exactly, over the radii's common
+    denominator.
     """
     if not balls:
         raise ValueError("empty ball collection")
-    rmin = min(b.radius for b in balls)
-    return all(
-        _gap_at_least(balls[i], balls[j], rmin)
-        for i in range(len(balls))
-        for j in range(i + 1, len(balls))
-    )
+    if len(balls) == 1:
+        return True
+    nums, w = _radii_table(balls)
+    close = _cmp_centers(balls, np.add.outer(nums + nums.min(), nums), w) < 0
+    return int(np.count_nonzero(close)) == len(balls)  # the diagonal is always close
 
 
 def _sphere_gap_certified(b1: BallSpec, b2: BallSpec, w: Num) -> bool:
     """Triangle-inequality lower bounds alone prove sphere distance >= w."""
-    r1, r2 = b1.radius, b2.radius
+    r1, r2, w = Fraction(b1.radius), Fraction(b2.radius), Fraction(w)
     if not _dist_lt(b1.center, b2.center, w + r1 + r2):
         return True
     # one sphere deep inside the other: d(x, y) >= r_big - D - r_small
@@ -300,29 +305,28 @@ def besicovitch_select(carpet: Carpet) -> list[BallSpec]:
     """
     order = sorted(carpet.balls, key=lambda b: point_key(b.center))
     order.sort(key=lambda b: b.radius, reverse=True)
-    chosen: list[BallSpec] = []
-    for ball in order:
-        if not any(_dist_le(ball.center, s.center, s.radius) for s in chosen):
-            chosen.append(ball)
-    return chosen
+    inside = (_cmp_centers(order, *_radii_table(order)) <= 0).tolist()  # [i][j]: c_i in ball j
+    chosen: list[int] = []
+    for i, row in enumerate(inside):
+        if not any(row[j] for j in chosen):
+            chosen.append(i)
+    return [order[i] for i in chosen]
 
 
 def is_incremental(seq: Sequence[BallSpec]) -> bool:
     """Radii nonincreasing and no center inside an earlier ball."""
-    for i, b in enumerate(seq):
-        if i and seq[i - 1].radius < b.radius:
-            return False
-        if any(_dist_le(b.center, e.center, e.radius) for e in seq[:i]):
-            return False
-    return True
+    if any(a.radius < b.radius for a, b in zip(seq, seq[1:])):
+        return False
+    return not np.tril(_cmp_centers(seq, *_radii_table(seq)) <= 0, -1).any()
 
 
 def selection_multiplicity(balls: Sequence[BallSpec], points: Iterable[Point]) -> int:
     """max over the sample of how many balls contain each point."""
-    best = 0
-    for y in points:
-        best = max(best, sum(1 for b in balls if _dist_le(y, b.center, b.radius)))
-    return best
+    points = list(points)
+    if not points or not balls:
+        return 0
+    inside = dist_cmp_table(points, [b.center for b in balls], *_radii_table(balls)) <= 0
+    return int(inside.sum(axis=1).max())
 
 
 class ColourPartition(NamedTuple):
@@ -348,13 +352,13 @@ def colour_partition(seq: Sequence[BallSpec], chi: int) -> ColourPartition:
         raise ValueError("chi must be a positive integer")
     if not is_incremental(seq):
         raise ValueError("colour_partition needs an incremental sequence")
+    # ball i clashes with an earlier ball j when d(c_i, c_j) <= r_(i-1) + r_i + r_j
+    nums, w = _radii_table(seq)
+    window = np.concatenate((nums[:1], nums[:-1]))
+    near = (_cmp_centers(seq, np.add.outer(window + nums, nums), w) <= 0).tolist()
     colours: list[int] = []
-    for i, ball in enumerate(seq):
-        if i == 0:
-            colours.append(0)
-            continue
-        window = seq[i - 1].radius
-        clash = {colours[j] for j in range(i) if _gap_at_most(seq[j], ball, window)}
+    for i, row in enumerate(near):
+        clash = {colours[j] for j in range(i) if row[j]}
         c = 0
         while c in clash:
             c += 1

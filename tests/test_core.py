@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +230,139 @@ class TestExactComparison:
                 assert res.inside and res.route.startswith("exact-")
             count += 1
         assert count > 1000
+
+
+def scalar_table(ps, qs, radii):
+    """The reference: one dist_cmp per pair; radii[i][j] per pair, or radii[j] per column."""
+    def radius(i, j):
+        return radii[i][j] if isinstance(radii[0], (list, tuple)) else radii[j]
+    return [[hg.core.dist_cmp(p, q, radius(i, j)) for j, q in enumerate(qs)] for i, p in enumerate(ps)]
+
+
+def table_of(ps, qs, radii):
+    """dist_cmp_table over radii given as numbers, put over one denominator."""
+    if isinstance(radii[0], (list, tuple)):
+        flat, w = hg.core.radii_over(r for row in radii for r in row)
+        nums = np.array(flat, dtype=object).reshape(len(ps), len(qs))
+    else:
+        nums, w = hg.core.radii_over(radii)
+    return hg.core.dist_cmp_table(ps, qs, nums, w).tolist()
+
+
+def table_dtype(ps, qs, radii):
+    nums, w = hg.core.radii_over(radii)
+    return hg.core._table_terms(ps, qs, nums, w)[0].dtype
+
+
+def random_lattice(rng, n, span, depth):
+    a = tuple(rng.randint(-span, span) for _ in range(n))
+    b = tuple(rng.randint(-span, span) for _ in range(n))
+    return hg.LatticePoint(a, b, sum(x * y for x, y in zip(a, b)) + 2 * rng.randint(-depth, depth))
+
+
+def mixed_dyadic(rng, n):
+    """A continuous point whose coordinates carry different dyadic exponents."""
+    def coord():
+        return rng.randint(-400, 400) / 2 ** rng.randint(0, 12)
+    return hg.ContinuousPoint(tuple(complex(coord(), coord()) for _ in range(n)), coord())
+
+
+class TestDistCmpTable:
+    def test_lattice_entries_match_scalar(self):
+        rng = random.Random(3)
+        for n in (1, 2, 3):
+            ps = [random_lattice(rng, n, 12, 36) for _ in range(30)]
+            qs = ps[:10] + [random_lattice(rng, n, 12, 36) for _ in range(15)]
+            radii = [rng.randint(0, 9) for _ in qs]
+            assert table_of(ps, qs, radii) == scalar_table(ps, qs, radii)
+            assert table_of(qs, qs, radii) == scalar_table(qs, qs, radii)
+            assert table_dtype(ps, qs, radii) == np.int64
+
+    def test_continuous_mixed_exponents_and_radius_types(self):
+        rng = random.Random(5)
+        special = [0, 0.0, 2.0 ** -40, 0.1, Fraction(1, 3), Fraction(50001, 10000), 7, 2.5]
+        for n in (1, 2):
+            ps = [mixed_dyadic(rng, n) if k % 3 else random_lattice(rng, n, 9, 30)
+                  for k in range(24)]
+            qs = ps[:6] + [mixed_dyadic(rng, n) for _ in range(12)]
+
+            def radius():
+                kind = rng.randrange(4)
+                if kind == 0:
+                    return rng.choice(special)
+                if kind == 1:
+                    return rng.randint(0, 40)
+                if kind == 2:
+                    return Fraction(rng.randint(0, 400), rng.randint(1, 12))
+                return rng.uniform(0, 40)
+
+            per_column = [radius() for _ in qs]
+            per_pair = [[radius() for _ in qs] for _ in ps]
+            assert table_of(ps, qs, per_column) == scalar_table(ps, qs, per_column)
+            assert table_of(ps, qs, per_pair) == scalar_table(ps, qs, per_pair)
+
+    def test_zero_entries_on_spheres(self):
+        # d(y, 0) = p exactly: the table must read 0 where the float metric cannot tell
+        pairs = list(pythagorean_points())[::40]
+        ps = [y for y, _ in pairs] + [hg.continuous_identity(1)]
+        qs = [hg.continuous_identity(1), hg.lattice_identity(1)]
+        radii = [[p, Fraction(2 * p - 1, 2)] for _, p in pairs] + [[0, 0]]
+        table = table_of(ps, qs, radii)
+        assert table == scalar_table(ps, qs, radii)
+        assert [row[0] for row in table] == [0] * len(ps)
+        assert [row[1] for row in table[:-1]] == [1] * len(pairs)
+
+    def test_zero_radius_rules(self):
+        from heisgeo import covering
+
+        rng = random.Random(8)
+        ps = [random_lattice(rng, 1, 3, 4) for _ in range(12)] + [mixed_dyadic(rng, 1)]
+        table = table_of(ps, ps, [0] * len(ps))
+        for i, p in enumerate(ps):
+            for j, q in enumerate(ps):
+                assert (table[i][j] <= 0) == covering._dist_le(p, q, 0) == (p == q)
+                assert (table[i][j] < 0) == covering._dist_lt(p, q, 0) is False
+
+    def test_python_int_path_past_int64(self):
+        rng = random.Random(13)
+        big = 2 ** 40
+        far = []
+        for _ in range(6):
+            a, b = big + rng.randint(-50, 50), rng.randint(-50, 50)
+            far.append(hg.LatticePoint((a,), (b,), a * b % 2 + 2 * rng.randint(-10 ** 6, 10 ** 6)))
+        near = [random_lattice(rng, 1, 20, 60) for _ in range(8)]
+        cases = [
+            (far + near, far + near, [rng.randint(0, 2 ** 41) for _ in range(14)]),
+            (near, near, [Fraction(50001, 10000)] * 8),
+            (near, near, [Fraction(rng.randint(1, 10 ** 9), 10 ** 8) for _ in near]),
+            ([mixed_dyadic(rng, 1), hg.ContinuousPoint((complex(5e-324, 1e300),), 0.1)],
+             near, [2.5] * 8),
+        ]
+        for ps, qs, radii in cases:
+            assert table_dtype(ps, qs, radii) == object
+            assert table_of(ps, qs, radii) == scalar_table(ps, qs, radii)
+
+    def test_int64_path_near_its_bound(self):
+        # corners of |a|, |b| <= 2^14, |m| <= 2^29 with radii up to 23000
+        h, s = 2 ** 14, 2 ** 29
+        corners = [hg.LatticePoint((a,), (b,), m) for a in (-h, h) for b in (-h, h)
+                   for m in (-s, s, a * b % 2)]
+        radii = [0, 1, 23000, 22999, 17, 2 ** 14, 20000, 1, 3, 5, 7, 23000]
+        assert table_dtype(corners, corners, radii) == np.int64
+        assert table_of(corners, corners, radii) == scalar_table(corners, corners, radii)
+
+    def test_refusals_and_empty_families(self):
+        p1, p2 = hg.lattice_identity(1), hg.lattice_identity(2)
+        with pytest.raises(ValueError, match="rank"):
+            hg.core.dist_cmp_table([p1], [p2], [1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            hg.core.dist_cmp_table([p1], [p1], [-1])
+        with pytest.raises(ValueError, match="finite"):
+            hg.core.dist_cmp_table([hg.ContinuousPoint((0j,), math.inf)], [p1], [1])
+        assert hg.core.dist_cmp_table([], [p1], [1]).shape == (0, 1)
+        assert hg.core.dist_cmp_table([p1], [], []).shape == (1, 0)
+        assert hg.core.radii_over([]) == ([], 1)
+        assert hg.core.radii_over([1, 0.5, Fraction(1, 3)]) == ([6, 3, 2], 6)
 
 
 class TestIsometries:

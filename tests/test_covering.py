@@ -104,6 +104,23 @@ class TestBallSeparation:
         with pytest.raises(ValueError):
             cv.is_sphere_separated([])
 
+    def test_thresholds_are_exact_sums(self):
+        # centers 1 apart: the gap 1 - 1 - 2^-60 is below r_min = 2^-60, but the
+        # float sum 2^-60 + 1.0 + 2^-60 rounds to 1.0, which the distance reaches
+        tiny = 2.0 ** -60
+        for one, small in ((1.0, tiny), (Fraction(1), Fraction(tiny)), (1, tiny)):
+            pair = [BallSpec(hg.ContinuousPoint((0j,), 0.0), one),
+                    BallSpec(hg.ContinuousPoint((1 + 0j,), 0.0), small)]
+            assert not cv.is_well_separated(pair)
+            # the small sphere's center lies on the big sphere: nothing is certified
+            assert not cv._sphere_gap_certified(*pair, tiny)
+        # the clash threshold r_0 + r_1 + r_0 = 2 + 3 * 2^-52 rounds up to
+        # 2 + 2^-50 in floats, which the centers' distance reaches
+        r0, r1 = 1 + 2.0 ** -52, 2.0 ** -52
+        seq = [BallSpec(hg.ContinuousPoint((0j,), 0.0), r0),
+               BallSpec(hg.ContinuousPoint((2 + 2.0 ** -50 + 0j,), 0.0), r1)]
+        assert cv.colour_partition(seq, 2).chi_used == 1
+
 
 # float.hex of sphere_pair_distance, recorded from the object-level
 # projections (one scalar bisection per start and round) before the four
@@ -273,6 +290,173 @@ class TestColouring:
             cv.colour_partition([BallSpec(axis(0), 1), BallSpec(axis(3), 2)], chi=2)
         with pytest.raises(ValueError):
             cv.colour_partition([BallSpec(axis(0), 1)], chi=0)
+
+
+# --- the carpet machinery against one dist_cmp per pair --------------------------
+
+def ref_select(carpet):
+    order = sorted(carpet.balls, key=lambda b: cv.point_key(b.center))
+    order.sort(key=lambda b: b.radius, reverse=True)
+    chosen = []
+    for ball in order:
+        if not any(hg.core.dist_cmp(ball.center, s.center, s.radius) <= 0 for s in chosen):
+            chosen.append(ball)
+    return chosen
+
+
+def ref_incremental(seq):
+    return all(
+        not (i and seq[i - 1].radius < b.radius)
+        and not any(hg.core.dist_cmp(b.center, e.center, e.radius) <= 0 for e in seq[:i])
+        for i, b in enumerate(seq))
+
+
+def ref_multiplicity(balls, points):
+    return max((sum(hg.core.dist_cmp(y, b.center, b.radius) <= 0 for b in balls) for y in points),
+               default=0)
+
+
+def ref_colours(seq):
+    colours = []
+    for i, ball in enumerate(seq):
+        window = Fraction(seq[i - 1].radius) if i else 0
+        clash = {colours[j] for j in range(i) if hg.core.dist_cmp(
+            seq[j].center, ball.center, window + Fraction(seq[j].radius) + Fraction(ball.radius)) <= 0}
+        colours.append(min(set(range(len(clash) + 1)) - clash))
+    return colours
+
+
+def ref_separated(balls):
+    rmin = min(Fraction(b.radius) for b in balls)
+    return all(hg.core.dist_cmp(bi.center, bj.center, rmin + Fraction(bi.radius) + Fraction(bj.radius)) >= 0
+               for i, bi in enumerate(balls) for bj in balls[i + 1:])
+
+
+def mixed_carpet(rng, count, scale):
+    """Continuous centers with mixed dyadic exponents, scaled by 2^scale,
+    and int, Fraction and float radii."""
+    balls, seen = [], set()
+    while len(balls) < count:
+        def coord(span):
+            return int(rng.integers(-span, span + 1)) / 2 ** int(rng.integers(0, 8)) * 2.0 ** scale
+        c = hg.ContinuousPoint((complex(coord(40), coord(40)),), coord(400) * 2.0 ** scale)
+        if c in seen:
+            continue
+        seen.add(c)
+        kind = int(rng.integers(0, 3))
+        r = (int(rng.integers(1, 20)), Fraction(int(rng.integers(1, 200)), int(rng.integers(1, 13))),
+             float(rng.uniform(0.5, 20)))[kind]
+        balls.append(BallSpec(c, r * 2.0 ** scale if kind == 2 else r * Fraction(2) ** scale))
+    return cv.Carpet(tuple(balls))
+
+
+class TestCarpetTables:
+    @pytest.mark.parametrize("scale", [0, 40, -30])
+    def test_match_scalar_loops(self, scale):
+        # scale 40 and float radii run the Python-int path of the table
+        rng = np.random.default_rng(17 + abs(scale))
+        for k in range(6):
+            carpet = random_carpet(rng, count=30) if k == 0 and scale == 0 else mixed_carpet(rng, 24, scale)
+            chosen = cv.besicovitch_select(carpet)
+            assert chosen == ref_select(carpet)
+            assert cv.is_incremental(chosen) and ref_incremental(chosen)
+            assert cv.is_incremental(carpet.balls) == ref_incremental(carpet.balls)
+            base = carpet.base
+            assert cv.selection_multiplicity(chosen, base) == ref_multiplicity(chosen, base)
+            assert cv.selection_multiplicity(carpet.balls, base[:7]) == ref_multiplicity(
+                carpet.balls, base[:7])
+            part = cv.colour_partition(chosen, 3)
+            colours = ref_colours(chosen)
+            assert part.classes == [[b for b, c in zip(chosen, colours) if c == used]
+                                    for used in range(max(colours) + 1)]
+            for balls in part.classes + [chosen, list(carpet.balls[:5])]:
+                assert cv.is_well_separated(balls) == ref_separated(balls)
+
+    def test_benchmark_carpets_take_int64_path(self):
+        # geometric-search carpets, with the largest threshold any routine forms
+        for seed in range(5):
+            carpet = lattice_carpet(np.random.default_rng(seed))
+            centers = list(carpet.base)
+            nums, w = cv._radii_table(carpet.balls)
+            for thresholds in (nums, np.full((40, 40), 3 * nums.max())):
+                X, M, _, _ = hg.core._table_terms(centers, centers, thresholds, w)
+                assert X.dtype == M.dtype == np.int64
+
+    def test_no_scalar_call_per_pair(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dist_cmp called from a carpet routine")
+
+        carpet = random_carpet(np.random.default_rng(19), count=40)
+        want = ref_select(carpet)
+        monkeypatch.setattr(cv, "dist_cmp", refuse)
+        chosen = cv.besicovitch_select(carpet)
+        assert chosen == want
+        assert cv.is_incremental(chosen)
+        assert cv.selection_multiplicity(chosen, carpet.base) >= 1
+        part = cv.colour_partition(chosen, 12)
+        assert all(cv.is_well_separated(cls) for cls in part.classes)
+
+
+def lattice_carpet(rng, count=40, box=12, rmax=8):
+    """The benchmark's geometric-search carpet: rank 1, |a|, |b| <= box."""
+    balls, seen = [], set()
+    while len(balls) < count:
+        a = int(rng.integers(-box, box + 1))
+        b = int(rng.integers(-box, box + 1))
+        c = hg.LatticePoint((a,), (b,), a * b + 2 * int(rng.integers(-3 * box, 3 * box + 1)))
+        if c in seen:
+            continue
+        seen.add(c)
+        balls.append(BallSpec(c, int(rng.integers(1, rmax + 1))))
+    return cv.Carpet(tuple(balls))
+
+
+def continuous_carpet(rng, n, count=30, box=12):
+    """Centers with mixed dyadic exponents and Fraction radii."""
+    balls, seen = [], set()
+    while len(balls) < count:
+        z = tuple(complex(int(rng.integers(-4 * box, 4 * box + 1)) / 2 ** int(rng.integers(0, 4)),
+                          int(rng.integers(-4 * box, 4 * box + 1)) / 2 ** int(rng.integers(0, 4)))
+                  for _ in range(n))
+        tau = int(rng.integers(-40 * box, 40 * box + 1)) / 2 ** int(rng.integers(0, 7))
+        c = hg.ContinuousPoint(z, tau)
+        if c in seen:
+            continue
+        seen.add(c)
+        balls.append(BallSpec(c, Fraction(int(rng.integers(1, 33)), int(rng.integers(1, 5)))))
+    return cv.Carpet(tuple(balls))
+
+
+def carpet_record(seed):
+    rng = np.random.default_rng(seed)
+    carpet = lattice_carpet(rng) if seed % 2 == 0 else continuous_carpet(rng, 1 + seed % 4 // 2)
+    base = carpet.base
+    chosen = cv.besicovitch_select(carpet)
+    part = cv.colour_partition(chosen, 4)
+    return {
+        "chosen": [cv._ball_doc(b) for b in chosen],
+        "incremental": [cv.is_incremental(carpet.balls), cv.is_incremental(chosen)],
+        "multiplicity": [cv.selection_multiplicity(chosen, base),
+                         cv.selection_multiplicity(carpet.balls, base)],
+        "classes": [[cv._ball_doc(b) for b in cls] for cls in part.classes],
+        "chi_used": part.chi_used,
+        "separated": [cv.is_well_separated(cls) for cls in part.classes]
+        + [cv.is_well_separated(chosen), cv.is_well_separated(carpet.balls[:4])],
+    }
+
+
+# SHA-256 of the selections, incrementality and separation verdicts,
+# multiplicities and colour classes of 200 seeded carpets, recorded from the
+# per-pair dist_cmp loops before the carpet routines read one table per call
+CARPET_CORPUS_SHA256 = "305dcf4ed5cd2728c45e066055db7f0c7c2696f6f694a11793baeeef31d24ec2"
+
+
+def test_carpet_corpus_pinned():
+    docs = [carpet_record(seed) for seed in range(200)]
+    blob = json.dumps(docs, sort_keys=True, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == CARPET_CORPUS_SHA256
+    verdicts = [v for doc in docs for v in doc["separated"] + doc["incremental"]]
+    assert 0 < sum(verdicts) < len(verdicts)  # the corpus decides both ways
 
 
 def center_rows(pts):
