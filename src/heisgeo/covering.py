@@ -315,6 +315,8 @@ def besicovitch_select(carpet: Carpet) -> list[BallSpec]:
 
 def is_incremental(seq: Sequence[BallSpec]) -> bool:
     """Radii nonincreasing and no center inside an earlier ball."""
+    if len(seq) < 2:
+        return True
     if any(a.radius < b.radius for a, b in zip(seq, seq[1:])):
         return False
     return not np.tril(_cmp_centers(seq, *_radii_table(seq)) <= 0, -1).any()
@@ -352,6 +354,8 @@ def colour_partition(seq: Sequence[BallSpec], chi: int) -> ColourPartition:
         raise ValueError("chi must be a positive integer")
     if not is_incremental(seq):
         raise ValueError("colour_partition needs an incremental sequence")
+    if len(seq) < 2:
+        return ColourPartition([list(seq)] if seq else [], chi, len(seq))
     # ball i clashes with an earlier ball j when d(c_i, c_j) <= r_(i-1) + r_i + r_j
     nums, w = _radii_table(seq)
     window = np.concatenate((nums[:1], nums[:-1]))
@@ -498,10 +502,10 @@ def _shell_mass_checklist(
     """Hypothesis: nu(boundary_t B) > eps * nu(B) for every stack ball."""
     support = nu.support
     for level, carpet in enumerate(stack.carpets, start=1):
-        for ball in carpet.balls:
-            ball_mass = nu.mass(
-                y for y in support if _dist_le(y, ball.center, ball.radius)
-            )
+        centers = [b.center for b in carpet.balls]
+        inside = (dist_cmp_table(support, centers, *_radii_table(carpet.balls)) <= 0).T.tolist()
+        for ball, hits in zip(carpet.balls, inside):
+            ball_mass = nu.mass(y for y, hit in zip(support, hits) if hit)
             shell_mass = nu.mass(
                 y for y in support if _shell_contains(y, ball, t, cache)
             )
