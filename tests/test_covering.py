@@ -546,9 +546,14 @@ class TestCoveringNet:
     @pytest.mark.parametrize("n, rho, count, digest", [
         (1, 0.3, 6453, "f983bbba642629c2d5345925a5356a5f9047f3294be54104c4d766665060e307"),
         (2, 1.0, 649, "85924fe9d33812747256c2255bd8e98a13e984cb63143859b5a1bbf9e1cecde4"),
+        (1, 0.45, 1445, "8f772a26f7e4b4dadeaeebb2e827fc336605942b7204d21005bd2280db17abb1"),
+        (1, 0.7, 277, "0a9e2d23c7b03a01e9d7a8d5d645cba236c676c3b9fe19f37f6476445ada00b6"),
+        (2, 1.6, 59, "acb0b42d3d16062b4f7eb2281e72ffb708cf0b4e529cee3214784b2c6bad0577"),
+        (1, 0.25, 12869, "3d8fa7587fa98ccf3e76c243f48fe5127cb7fb7fad2758246c38e23ee4b558a8"),
     ])
     def test_pinned_centers(self, n, rho, count, digest):
-        # both pins were taken from the plain greedy loop
+        # the first two pins were taken from the plain greedy loop, the
+        # other four from the windowed sweep that preceded the stencil sweep
         got, pts = cv.covering_net(n, rho)
         assert got == count
         rows = np.ascontiguousarray(center_rows(pts), dtype="<f8")
