@@ -277,10 +277,13 @@ def is_sphere_separated(balls: Sequence[BallSpec]) -> bool:
     True is certified only when the triangle bounds or the exact concentric
     comparison settle every pair; otherwise it rests on the upper bound
     from sphere_pair_distance, whose witness pair certifies only False.
+    The estimate may fall short of rmin by _SPHERE_SEP_TOL * min(1, rmin):
+    absolute for rmin >= 1, relative below, so a tiny sphere still fails.
     """
     if not balls:
         raise ValueError("empty ball collection")
     rmin = min(b.radius for b in balls)
+    tol = _SPHERE_SEP_TOL * min(1.0, float(rmin))
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
             bi, bj = balls[i], balls[j]
@@ -290,7 +293,7 @@ def is_sphere_separated(balls: Sequence[BallSpec]) -> bool:
                 continue
             if _sphere_gap_certified(bi, bj, rmin):
                 continue
-            if sphere_pair_distance(bi, bj) < float(rmin) - _SPHERE_SEP_TOL:
+            if sphere_pair_distance(bi, bj) < float(rmin) - tol:
                 return False
     return True
 
@@ -385,33 +388,36 @@ def _metric_d_rows(rows: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(0.5 * (x + np.hypot(x, two_delta)))
 
 
-def _net_reach(h: float, half: float, n: int) -> tuple[int, ...]:
-    """Cells per axis, each way, that can hold a point within half of a center.
+def _net_stencil(side: int, h: float, n: int) -> np.ndarray:
+    """Flat offsets, in a C-order cube grid of the given side and step h, of
+    the cells that can lie within 4h (the net's rho/2) of a center in the
+    unit ball.
 
-    d >= |dz|, so every horizontal coordinate lies within half of the
-    center's.  d^2 >= |2 Delta| / 2 with 2 Delta = 2 dtau - twist, and
-    |twist| = |omega(dz, c_z)| <= |dz| |c_z| <= half for a center in the
-    unit ball, so |dtau| <= half^2 + half / 2.  One extra cell on each
-    side absorbs rounding.
+    With x = |dz|^2, d <= H iff |2 Delta| <= 2 H sqrt(H^2 - x), so |dz| <= H.
+    2 Delta = 2 dtau - twist and |twist| = |omega(dz, c_z)| <= |dz| |c_z|
+    <= |dz|, so |dtau| <= H sqrt(H^2 - x) + |dz| / 2.  In cells, with e the
+    horizontal offset and t the vertical one: |e| <= 4 and
+    |t| <= 4 h sqrt(16 - |e|^2) + |e| / 2.  Widening both by 1e-3 of a cell
+    absorbs the rounding of the grid and of d.
     """
-    horizontal = math.ceil(half / h) + 1
-    return (horizontal,) * (2 * n) + (math.ceil((half * half + half / 2.0) / h) + 1,)
+    r = 4.001
+    reach = [min(4, side - 1)] * (2 * n) + [min(int(r * r * h + r / 2 + 1e-3), side - 1)]
+    box = np.indices([2 * w + 1 for w in reach]).reshape(2 * n + 1, -1).T - reach
+    e2 = np.einsum("ij,ij->i", box[:, :-1], box[:, :-1])
+    bound = r * h * np.sqrt(np.maximum(r * r - e2, 0.0)) + np.sqrt(e2) / 2.0 + 1e-3
+    return box[(e2 <= r * r) & (np.abs(box[:, -1]) <= bound)] @ side ** np.arange(2 * n, -1, -1)
 
 
-def _clear_near(mask: np.ndarray, grid: np.ndarray, at: tuple, half: float, n: int,
-                reach: Sequence[int]) -> None:
-    """Clear every set cell of mask within half of the grid cell at, scanning
-    only the cells within reach of it."""
-    box = tuple(slice(max(i - w, 0), i + w + 1) for i, w in zip(at, reach))
-    window = mask[box]
-    # The center's own cell (d = 0) joins the rows, so a block with any other
-    # cell has two rows or more: NumPy evaluates a one-row `rows @ q` with
-    # another routine than a longer block, and for n >= 2 the two round the
-    # twist differently.
-    pick = window.copy()
-    pick[tuple(i - s.start for i, s in zip(at, box))] = True
-    near = _metric_d_rows(grid[box][pick], grid[at], n) <= half
-    window[pick] &= ~near
+def _clear_near(padded: np.ndarray, pad: int, flat_grid: np.ndarray, c: int,
+                offsets: np.ndarray, half: float, n: int) -> np.ndarray:
+    """Clear the set cells c + offsets of the flat mask stored from padded[pad]
+    that lie within half of cell c, and return them.  An offset that wraps
+    past a grid edge names another cell, decided by its true coordinates.
+    """
+    near = c + offsets[padded[c + pad + offsets]]
+    near = near[_metric_d_rows(flat_grid[near], flat_grid[c], n) <= half]
+    padded[pad + near] = False
+    return near
 
 
 def covering_net(n: int, rho: float, cap: int = DEFAULT_CAP) -> tuple[int, list[ContinuousPoint]]:
@@ -423,17 +429,21 @@ def covering_net(n: int, rho: float, cap: int = DEFAULT_CAP) -> tuple[int, list[
     (Re z | Im z | tau); a point becomes a center when it is more than
     rho/2 from every earlier center, so every sample point is covered.
 
-    The sweep keeps a mask of the sample points no center covers yet.
-    Each new center clears the masked cells within rho/2 of it, looking
-    only inside the window of `_net_reach`, and the next center is the
+    The sweep keeps a flat mask of the sample points no center covers yet,
+    padded at both ends by the largest offset of `_net_stencil`, so the
+    stencil's cells around any center never leave the mask.  Each new
+    center clears the masked stencil cells within rho/2 of it, its own
+    cell among them, and owns the cells it clears; the next center is the
     first masked cell after it: every cell before it is a center or
     covered already.  That picks exactly the centers of the plain greedy
     loop, which keeps a point iff min_j d(c_j, point) > rho/2.
     `_metric_d_rows` with the cell and the center swapped gives
     bit-identical values: dz and 2 Delta are only negated exactly (each
     twist term is the same dot product either way), and neither |dz|^2
-    nor the hypot sees the sign.  Coverage is then checked again from the
-    final centers alone, with a fresh mask.
+    nor the hypot sees the sign.  Coverage is then checked from the owners
+    alone: every sample point must be owned by a center, each center by
+    itself, and the distances to each center, recomputed as one block of
+    its cells, must be within rho/2.
 
     A grid of more than cap cells raises ResourceCapError before anything
     is allocated.
@@ -451,28 +461,36 @@ def covering_net(n: int, rho: float, cap: int = DEFAULT_CAP) -> tuple[int, list[
         raise ResourceCapError(
             f"net grid of {cells} cells exceeds cap {cap}", predicted=cells, cap=cap)
     axis = np.arange(-span, span + 1, dtype=float) * h
-    grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
-    flat_grid = grid.reshape(-1, dim)
+    flat_grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     in_ball = np.einsum("ij,ij->i", flat_grid, flat_grid) <= 1.0 + 1e-12
-    in_ball = in_ball.reshape(grid.shape[:-1])
     half = float(rho) / 2.0
-    reach = _net_reach(h, half, n)
+    offsets = _net_stencil(2 * span + 1, h, n)
+    pad = int(offsets.max())
 
-    uncovered = in_ball.copy()
-    flat = uncovered.reshape(-1)
+    padded = np.pad(in_ball, pad)
+    flat = padded[pad : pad + cells]
+    owner = np.full(cells, -1, dtype=np.intp)
     centers, pos = [cells // 2], 0  # the origin is the middle cell
     while True:
-        at = np.unravel_index(centers[-1], uncovered.shape)
-        _clear_near(uncovered, grid, at, half, n, reach)
+        owner[_clear_near(padded, pad, flat_grid, centers[-1], offsets, half, n)] = len(centers) - 1
         pos += int(np.argmax(flat[pos:]))
         if not flat[pos]:
             break
         centers.append(pos)
 
-    left = in_ball.copy()
-    for at in zip(*np.unravel_index(centers, left.shape)):
-        _clear_near(left, grid, at, half, n, reach)
-    if left.any():
+    # The recheck runs `_metric_d_rows` on each center's block of owned cells,
+    # as the sweep did: for n >= 2 a twist taken over all cells at once (by
+    # einsum) rounds differently, and so does a one-row `rows @ q`, which is
+    # why each block holds its center's own row (d = 0)
+    owned = owner[in_ball]
+    covered = (owned.min() >= 0 and owned.max() < len(centers)
+               and np.array_equal(owner[centers], np.arange(len(centers))))
+    if covered:
+        ends = np.cumsum(np.bincount(owned))[:-1]
+        blocks = np.split(flat_grid[in_ball][np.argsort(owned, kind="stable")], ends)
+        covered = all((_metric_d_rows(rows, flat_grid[c], n) <= half).all()
+                      for c, rows in zip(centers, blocks))
+    if not covered:
         raise RuntimeError("net left a grid point uncovered; grid resolution bug")
     points = [_point(row) for row in flat_grid[centers]]
     return len(points), points

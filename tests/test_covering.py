@@ -121,6 +121,15 @@ class TestBallSeparation:
                BallSpec(hg.ContinuousPoint((2 + 2.0 ** -50 + 0j,), 0.0), r1)]
         assert cv.colour_partition(seq, 2).chi_used == 1
 
+    @pytest.mark.parametrize("small", [1e-7, 2.0 ** -60])
+    def test_sphere_tolerance_scales_with_tiny_radius(self, small):
+        # the small sphere's center lies on the unit sphere, so the spheres
+        # meet; an absolute 1e-6 tolerance would let any estimate pass
+        pair = [BallSpec(hg.ContinuousPoint((0j,), 0.0), 1.0),
+                BallSpec(hg.ContinuousPoint((1 + 0j,), 0.0), small)]
+        assert cv.sphere_pair_distance(*pair) < small
+        assert not cv.is_sphere_separated(pair)
+
 
 # float.hex of sphere_pair_distance, recorded from the object-level
 # projections (one scalar bisection per start and round) before the four
@@ -521,7 +530,7 @@ class TestCoveringNet:
 
     @pytest.mark.parametrize("n, rho", [(1, 0.5), (1, 0.7), (2, 1.4)])
     def test_window_is_conservative(self, n, rho):
-        # clearing inside the window leaves the same cells as clearing
+        # clearing through the stencil leaves the same cells as clearing
         # over the whole grid, for centers across the ball and on its rim,
         # where the twist bound is tightest
         h, half = rho / 8.0, rho / 2.0
@@ -532,16 +541,39 @@ class TestCoveringNet:
         inside = np.argwhere(norm <= 1.0 + 1e-12)
         rim = np.argwhere((norm <= 1.0 + 1e-12) & (norm > 0.8))
         picks = [tuple(at) for cells in (inside, rim) for at in cells[:: len(cells) // 40]]
-        reach = cv._net_reach(h, half, n)
-        assert reach[0] == 5
-        whole = (len(axis),) * (2 * n + 1)
+        flat_grid = grid.reshape(-1, 2 * n + 1)
+        cells = len(flat_grid)
+        offsets = cv._net_stencil(len(axis), h, n)
+        pad = int(offsets.max())
+        assert 10 * len(offsets) < cells
         for at in picks:
-            windowed = np.ones(grid.shape[:-1], dtype=bool)
-            everywhere = windowed.copy()
-            cv._clear_near(windowed, grid, at, half, n, reach)
-            cv._clear_near(everywhere, grid, at, half, n, whole)
-            assert np.array_equal(windowed, everywhere), at
-            assert not windowed[at]
+            c = int(np.ravel_multi_index(at, grid.shape[:-1]))
+            padded = np.zeros(cells + 2 * pad, dtype=bool)
+            padded[pad : pad + cells] = True
+            everywhere = np.ones(cells, dtype=bool)
+            near = cv._clear_near(padded, pad, flat_grid, c, offsets, half, n)
+            cv._clear_near(everywhere, 0, flat_grid, c, np.arange(-c, cells - c), half, n)
+            assert np.array_equal(padded[pad : pad + cells], everywhere), at
+            assert c in near
+
+    @pytest.mark.parametrize("n, rho", [(1, 0.5), (2, 1.4)])
+    @pytest.mark.parametrize("fake", [0.0, math.inf])
+    def test_recheck_catches_a_corrupt_sweep(self, n, rho, fake, monkeypatch):
+        # the third center's sweep sees every distance as fake: with 0 it
+        # owns cells beyond rho/2 of it, with inf it clears nothing, not even
+        # itself, and is taken again as the next center; the owner recheck
+        # must refuse both nets
+        honest, calls = cv._metric_d_rows, []
+
+        def corrupt(rows, q, n):
+            calls.append(len(rows))
+            d = honest(rows, q, n)
+            return np.full_like(d, fake) if len(calls) == 3 else d
+
+        monkeypatch.setattr(cv, "_metric_d_rows", corrupt)
+        with pytest.raises(RuntimeError, match="net"):
+            cv.covering_net(n, rho)
+        assert calls[2] > 1
 
     @pytest.mark.parametrize("n, rho, count, digest", [
         (1, 0.3, 6453, "f983bbba642629c2d5345925a5356a5f9047f3294be54104c4d766665060e307"),
