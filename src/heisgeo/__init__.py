@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "ContinuousPoint", "LatticePoint", "SphereCoords", "angular_gap",
-        "as_continuous", "continuous_identity", "dilate", "dist_eq_exact",
-        "dist_le_exact", "generator", "homogeneous_norm", "imag_inner",
-        "inverse", "isometry_flip", "isometry_rotate", "lattice_identity",
-        "lattice_rotate_quarter", "metric_d", "multiply", "offset_exact",
-        "point_from_json", "point_to_json", "project_unit_sphere",
+        "ContinuousPoint", "LatticePoint", "as_continuous",
+        "continuous_identity", "dilate", "dist_eq_exact", "dist_le_exact",
+        "generator", "homogeneous_norm", "inverse", "isometry_flip",
+        "isometry_rotate", "lattice_identity", "lattice_rotate_quarter",
+        "metric_d", "multiply", "offset_exact", "point_from_json",
+        "point_to_json",
     ),
     "covering": (
         "BoundgenResult", "Carpet", "Chain", "ColourPartition",
@@ -37,8 +37,7 @@ _EXPORTS = {
     "separation": (
         "DEFAULT_CLOSEBALL_C", "DEFAULT_CLOSEBALL_R", "ChainConfig",
         "CloseballResult", "LssConfig", "LssResult", "certify_chain",
-        "closeball_R_estimate", "closeball_witness", "intersection_search",
-        "lss_bound", "lss_check", "lss_threshold_estimate",
+        "closeball_witness", "intersection_search", "lss_bound", "lss_check",
         "random_lss_config",
     ),
 }

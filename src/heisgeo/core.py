@@ -106,21 +106,6 @@ class ContinuousPoint:
 Point = Union[LatticePoint, ContinuousPoint]
 
 
-@dataclass(frozen=True)
-class SphereCoords:
-    """Dilation-normalised coordinates: p = delta_lambda(p_hat), d(p_hat, 0) = 1.
-
-    rho holds the moduli |z_hat_j| (not renormalised to the unit sphere of
-    C^n), phi the phases in (-pi, pi] with phi_j = 0 whenever rho_j = 0.
-    """
-
-    lam: float
-    z_hat: tuple[complex, ...]
-    tau_hat: float
-    rho: tuple[float, ...]
-    phi: tuple[float, ...]
-
-
 def lattice_identity(n: int) -> LatticePoint:
     return LatticePoint((0,) * n, (0,) * n, 0)
 
@@ -133,15 +118,6 @@ def as_continuous(p: Point) -> ContinuousPoint:
     if isinstance(p, ContinuousPoint):
         return p
     return ContinuousPoint(p.z(), float(p.m) / 2.0)
-
-
-def imag_inner(p: Point, q: Point) -> float:
-    """Im<z_p, z_q>; exact int when both arguments are lattice points."""
-    if isinstance(p, LatticePoint) and isinstance(q, LatticePoint):
-        return sum(x * v - y * u for x, y, u, v in zip(p.a, p.b, q.a, q.b))
-    zp = p.z() if isinstance(p, LatticePoint) else p.z
-    zq = q.z() if isinstance(q, LatticePoint) else q.z
-    return sum((w.conjugate() * u).imag for w, u in zip(zp, zq))
 
 
 def multiply(p: Point, q: Point) -> Point:
@@ -361,38 +337,6 @@ def dist_eq_exact(p: Point, q: Point, r: Union[Radius, float]) -> bool:
     if r == 0:
         raise ValueError("radius must be positive")
     return dist_cmp(p, q, r) == 0
-
-
-def project_unit_sphere(p: Point) -> SphereCoords:
-    """Normalise p to the unit sphere along its dilation orbit."""
-    cp = as_continuous(p)
-    lam = homogeneous_norm(cp)
-    if lam == 0.0:
-        raise ValueError("identity has no spherical projection")
-    z_hat = tuple(w / lam for w in cp.z)
-    tau_hat = cp.tau / (lam * lam)
-    rho = tuple(abs(w) for w in z_hat)
-    phi = []
-    for w, r in zip(z_hat, rho):
-        if r == 0.0:
-            phi.append(0.0)
-        else:
-            ph = cmath.phase(w)
-            phi.append(math.pi if ph == -math.pi else ph)
-    return SphereCoords(lam, z_hat, tau_hat, rho, tuple(phi))
-
-
-def angular_gap(p: Point, q: Point, j: int) -> float:
-    """Absolute angle between the j-th horizontal phases of p and q.
-
-    Phases are dilation invariant, so this reads them off the raw
-    coordinates; a vanishing modulus on either side gives 0 by convention.
-    """
-    zp = (p.z() if isinstance(p, LatticePoint) else p.z)[j]
-    zq = (q.z() if isinstance(q, LatticePoint) else q.z)[j]
-    if zp == 0 or zq == 0:
-        return 0.0
-    return abs(cmath.phase(zq / zp))
 
 
 def isometry_flip(p: Point) -> Point:

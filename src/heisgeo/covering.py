@@ -505,17 +505,12 @@ class BoundgenResult(NamedTuple):
     report: dict
 
 
-def _shell_contains(y: Point, ball: BallSpec, thick: Num, cache: dict) -> bool:
-    key = (point_key(y), point_key(ball.center), ball.radius, thick)
-    hit = cache.get(key)
-    if hit is None:
-        hit = bool(boundary_contains(y, BallSpec(ball.center, ball.radius, thick)))
-        cache[key] = hit
-    return hit
+def _shell_contains(y: Point, ball: BallSpec, thick: Num) -> bool:
+    return bool(boundary_contains(y, BallSpec(ball.center, ball.radius, thick)))
 
 
 def _shell_mass_checklist(
-    nu: DiscreteMeasure, stack: Stack, eps: Fraction, t: Num, cache: dict
+    nu: DiscreteMeasure, stack: Stack, eps: Fraction, t: Num
 ) -> tuple[bool, str]:
     """Hypothesis: nu(boundary_t B) > eps * nu(B) for every stack ball."""
     support = nu.support
@@ -525,7 +520,7 @@ def _shell_mass_checklist(
         for ball, hits in zip(carpet.balls, inside):
             ball_mass = nu.mass(y for y, hit in zip(support, hits) if hit)
             shell_mass = nu.mass(
-                y for y in support if _shell_contains(y, ball, t, cache)
+                y for y in support if _shell_contains(y, ball, t)
             )
             if not shell_mass > eps * ball_mass:
                 detail = (
@@ -582,7 +577,6 @@ def boundgen_select(
     F_pts = sorted({point_key(p): p for p in F}.values(), key=point_key)
     p = stack.height
     p_required = math.ceil(Fraction(2 * chi) / (eps * delta))
-    cache: dict = {}
 
     total = nu.total
     nu_F = nu.mass(F_pts)
@@ -591,7 +585,7 @@ def boundgen_select(
     growth_ok, growth_detail = _radii_growth_checklist(stack, t)
     shells_ok, shells_detail = (True, "")
     if _verify:
-        shells_ok, shells_detail = _shell_mass_checklist(nu, stack, eps, t, cache)
+        shells_ok, shells_detail = _shell_mass_checklist(nu, stack, eps, t)
     checklist = {
         "finite_measure": total > 0,
         "mass_fraction": nu_F > delta * total,
@@ -621,7 +615,7 @@ def boundgen_select(
             captured = tuple(
                 y
                 for y in F_pts
-                if any(_shell_contains(y, B, thick, cache) for B in V)
+                if any(_shell_contains(y, B, thick) for B in V)
             )
             cap_mass = nu.mass(captured)
             if 2 * cap_mass > nu_F:
@@ -784,7 +778,6 @@ def maintech_chain(
     from .separation import ChainConfig, certify_chain  # `heisgeo net` loads covering alone
 
     heights = stack_height(params)
-    cache: dict = {}
     F_pts = sorted({point_key(p): p for p in F}.values(), key=point_key)
     if not force:
         for i in range(1, stack.height):
@@ -800,7 +793,7 @@ def maintech_chain(
             raise HypothesisViolation(
                 "radii_floor", f"rmin U_1 = {stack.carpets[0].rmin} is not > 7 max(t, R)"
             )
-        shells_ok, detail = _shell_mass_checklist(nu, stack, params.eps, t, cache)
+        shells_ok, detail = _shell_mass_checklist(nu, stack, params.eps, t)
         if not shells_ok:
             raise HypothesisViolation("shell_mass", detail)
         if stack.height < heights.q:
@@ -864,7 +857,7 @@ def maintech_chain(
     radii: list[Num] = []
     for i in range(params.kappa):
         ball = next(
-            b for b in selections[i] if _shell_contains(x, b, thicks[i], cache)
+            b for b in selections[i] if _shell_contains(x, b, thicks[i])
         )
         centers.append(ball.center)
         radii.append(ball.radius)

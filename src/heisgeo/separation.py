@@ -22,9 +22,10 @@ Both polishes run ``_nelder_mead``, SciPy's Nelder-Mead step for step on
 Python floats, over ``core``'s float product and distance; numpy alone is
 needed at run time, and a norm stays ``x.dot(x)`` (BLAS, not a Python sum).
 
-The unnamed constants of the underlying estimates (the threshold scale
-for separation, the branch constant for the inner ball) are measured
-empirically by the ``*_estimate`` helpers and frozen as defaults.
+The inner ball's scale gap R and branch constant C are frozen as
+defaults.  The test suite's ``closeball_R_estimate`` measures the scale
+at which the witness verifies in every sampled direction and checks that
+it stays below DEFAULT_CLOSEBALL_R.
 """
 
 import math
@@ -43,7 +44,6 @@ from .core import (
     _dist_parts,
     _mul_parts,
     as_continuous,
-    continuous_identity,
     dilate,
     homogeneous_norm,
     inverse,
@@ -58,8 +58,8 @@ from .errors import HypothesisViolation
 from .spherequad import (_dot_rows, _mul_rows, _norm_rows, _parts, _point, _row,
                          _sphere_rows, _unit_rows, sphere_point)
 
-# measured by closeball_R_estimate / lss_threshold_estimate at desk scale;
-# generous margins over the observed feasibility thresholds
+# a generous margin over the feasibility edge that the tests' estimator
+# (closeball_R_estimate in tests/test_separation.py) measures
 DEFAULT_CLOSEBALL_R = 8.0
 DEFAULT_CLOSEBALL_C = 2.0
 
@@ -218,6 +218,10 @@ def random_lss_config(R: float, eps: float, n: int = 1,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    if not R > 1:
+        raise ValueError("R must exceed 1")
     if rng is None:
         rng = np.random.default_rng(seed)
     dim = 2 * n + 1
@@ -243,48 +247,6 @@ def random_lss_config(R: float, eps: float, n: int = 1,
             continue
         return cfg
     raise RuntimeError("configuration sampling failed to certify; widen tolerances")
-
-
-def lss_threshold_estimate(eps: float, n: int = 1, configs: int = 12,
-                           seed: int = 0, r_lo: float = 1.01,
-                           r_hi: float = 1e4, iters: int = 30) -> dict:
-    """Empirical estimate of the scale above which the bound always held.
-
-    Bisection in log scale on the minimum gap over a fixed family of
-    sampled configurations; purely observational, recorded in reports.
-    """
-
-    def min_gap(R: float) -> float:
-        worst = math.inf
-        for i in range(configs):
-            cfg = random_lss_config(R, eps, n, seed=seed * 1009 + i)
-            res = lss_check(cfg.p, cfg.q, cfg.t, cfg.t_tilde, cfg.r, cfg.r_tilde, eps, R)
-            worst = min(worst, res.gap)
-        return worst
-
-    gap_hi = min_gap(r_hi)
-    gap_lo = min_gap(r_lo)
-    lo, hi = r_lo, r_hi
-    if gap_lo >= 0.0:
-        estimate = r_lo
-    else:
-        for _ in range(iters):
-            mid = math.sqrt(lo * hi)
-            if min_gap(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        estimate = hi
-    return {
-        "eps": eps,
-        "n": n,
-        "configs": configs,
-        "seed": seed,
-        "range": [r_lo, r_hi],
-        "estimate": estimate,
-        "gap_at_low_end": gap_lo,
-        "gap_at_high_end": gap_hi,
-    }
 
 
 # --- inner ball witness ------------------------------------------------------
@@ -420,46 +382,6 @@ def closeball_witness(p: Point, p_prime: Point, r: float, *,
         "violation": None if verified else [float(v) for v in worst_xi],
     }
     return CloseballResult(q, verified, report)
-
-
-def closeball_R_estimate(r: float = 0.5, n: int = 1, directions: int = 24,
-                         seed: int = 3, hi: float = 512.0) -> dict:
-    """Smallest scale factor at which the witness verified in every direction.
-
-    Doubling then log-bisection over the ratio rho / (2r); observational,
-    like the separation threshold estimate.
-    """
-    rng = np.random.default_rng(seed)
-    dim = 2 * n + 1
-    dirs = [_unit(rng.standard_normal(dim)) for _ in range(directions)]
-    dirs.extend(np.eye(dim)[i] * s for i in range(dim) for s in (1.0, -1.0))
-    origin = continuous_identity(n)
-
-    def feasible(scale: float) -> bool:
-        rho = 2.0 * scale * r * 1.0001
-        for u in dirs:
-            res = closeball_witness(sphere_point(rho, u), origin, r, R=scale,
-                                    samples=96)
-            if not res.verified:
-                return False
-        return True
-
-    lo_scale = 1.0
-    scale = 2.0
-    while not feasible(scale):
-        lo_scale, scale = scale, scale * 2.0
-        if scale > hi:
-            return {"estimate": None, "feasible_at_hi": False, "hi": hi,
-                    "directions": len(dirs), "seed": seed, "r": r}
-    lo, feas = lo_scale, scale
-    for _ in range(18):
-        mid = math.sqrt(lo * feas)
-        if feasible(mid):
-            feas = mid
-        else:
-            lo = mid
-    return {"estimate": feas, "feasible_at_hi": True, "hi": hi,
-            "directions": len(dirs), "seed": seed, "r": r}
 
 
 # --- intersection chains ------------------------------------------------------
@@ -693,6 +615,8 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     if max_chain < 2:
         raise ValueError("max_chain must be >= 2")
     if not R > 1:

@@ -405,40 +405,6 @@ class TestIsometries:
             assert hg.dist_le_exact(hg.lattice_rotate_quarter(p, (c,)), e, r) == hg.dist_le_exact(p, e, r)
 
 
-class TestSphereProjection:
-    def test_projection_lands_on_unit_sphere(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            p = random_continuous(rng, n=2)
-            if hg.homogeneous_norm(p) < 1e-6:
-                continue
-            sc = hg.project_unit_sphere(p)
-            hat = hg.ContinuousPoint(sc.z_hat, sc.tau_hat)
-            assert hg.homogeneous_norm(hat) == pytest.approx(1.0, abs=1e-10)
-            assert hg.dilate(sc.lam, hat).tau == pytest.approx(p.tau, abs=1e-9)
-
-    def test_identity_rejected(self):
-        with pytest.raises(ValueError):
-            hg.project_unit_sphere(hg.continuous_identity(1))
-
-    def test_angular_gap_conventions(self):
-        p = hg.ContinuousPoint((1 + 0j,), 0.0)
-        q = hg.ContinuousPoint((0 + 1j,), 0.0)
-        z = hg.ContinuousPoint((0j,), 1.0)
-        assert hg.angular_gap(p, q, 0) == pytest.approx(math.pi / 2)
-        assert hg.angular_gap(p, z, 0) == 0.0
-        assert hg.angular_gap(p, p, 0) == 0.0
-        # dilation invariance
-        assert hg.angular_gap(hg.dilate(3.0, p), q, 0) == pytest.approx(math.pi / 2)
-
-    def test_angular_gap_range(self):
-        rng = random.Random(37)
-        for _ in range(100):
-            p, q = random_continuous(rng), random_continuous(rng)
-            g = hg.angular_gap(p, q, 0)
-            assert 0.0 <= g <= math.pi + 1e-12
-
-
 class TestSerialisation:
     @given(lattice_points(n=2, coord=15))
     def test_lattice_roundtrip(self, p):

@@ -151,12 +151,19 @@ class TestLssCheck:
             assert flipped.gap == pytest.approx(base.gap, abs=1e-9)
             assert rotated.gap == pytest.approx(base.gap, abs=1e-9)
 
-    def test_threshold_estimate_shape(self):
-        rep = sp.lss_threshold_estimate(0.5, n=1, configs=3, seed=0,
-                                        r_lo=1.01, r_hi=1e3, iters=8)
-        assert rep["eps"] == 0.5
-        assert 1.01 <= rep["estimate"] <= 1e3
-        assert rep["gap_at_high_end"] > 0.0
+    @pytest.mark.parametrize("eps, R, match", [
+        (1.5, 1e4, "eps"), (-0.2, 1e4, "eps"), (0.0, 1e4, "eps"), (1.0, 1e4, "eps"),
+        (0.5, 0.5, "R"), (0.5, 1.0, "R"),
+    ])
+    def test_config_refuses_out_of_range_arguments(self, eps, R, match):
+        # lss_check's eps_range and scale clauses, refused before any draw
+        # (once 32 draws and a RuntimeError, or a ZeroDivisionError at eps = 0)
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} before refusing")
+
+        with pytest.raises(ValueError, match=match):
+            sp.random_lss_config(R, eps, n=1, rng=NoDraws())
 
 
 class TestCloseball:
@@ -219,9 +226,40 @@ class TestCloseball:
         assert res.verified
 
     def test_threshold_estimate(self):
-        rep = sp.closeball_R_estimate(r=0.5, n=1, directions=5, seed=3, hi=64.0)
+        estimate = closeball_R_estimate(r=0.5, n=1, directions=5, seed=3, hi=64.0)
         # measured feasibility edge sits well inside the shipped default
-        assert 1.0 < rep["estimate"] < sp.DEFAULT_CLOSEBALL_R
+        assert 1.0 < estimate < sp.DEFAULT_CLOSEBALL_R
+
+
+def closeball_R_estimate(r, n, directions, seed, hi):
+    """Smallest scale factor at which the witness verified in every direction.
+
+    Doubling then log-bisection over the ratio rho / (2r); None when even
+    hi fails.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 2 * n + 1
+    dirs = [unit(rng, dim) for _ in range(directions)]
+    dirs.extend(np.eye(dim)[i] * s for i in range(dim) for s in (1.0, -1.0))
+    origin = continuous_identity(n)
+
+    def feasible(scale):
+        rho = 2.0 * scale * r * 1.0001
+        return all(sp.closeball_witness(sphere_point(rho, u), origin, r, R=scale,
+                                        samples=96).verified for u in dirs)
+
+    lo, feas = 1.0, 2.0
+    while not feasible(feas):
+        lo, feas = feas, feas * 2.0
+        if feas > hi:
+            return None
+    for _ in range(18):
+        mid = math.sqrt(lo * feas)
+        if feasible(mid):
+            feas = mid
+        else:
+            lo = mid
+    return feas
 
 
 NELDER_MEAD = sp._nelder_mead
@@ -507,6 +545,11 @@ class TestIntersectionSearch:
         # a chain of two is built before the bound is read, so it cannot go lower
         with pytest.raises(ValueError, match="max_chain must be >= 2"):
             sp.intersection_search(1, 1e4, trials=2, max_chain=max_chain)
+
+    def test_negative_trials_refused(self):
+        # once a report with "trials": -5 and empty length_counts
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            sp.intersection_search(1, 1e4, -5)
 
     def test_rank_below_one_refused(self):
         # once an AttributeError from the row kernels
