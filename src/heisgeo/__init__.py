@@ -14,9 +14,8 @@ _EXPORTS = {
         "ContinuousPoint", "LatticePoint", "as_continuous",
         "continuous_identity", "dilate", "dist_eq_exact", "dist_le_exact",
         "generator", "homogeneous_norm", "inverse", "isometry_flip",
-        "isometry_rotate", "lattice_identity", "lattice_rotate_quarter",
-        "metric_d", "multiply", "offset_exact", "point_from_json",
-        "point_to_json",
+        "isometry_rotate", "lattice_identity", "metric_d", "multiply",
+        "offset_exact", "point_from_json", "point_to_json",
     ),
     "covering": (
         "BoundgenResult", "Carpet", "Chain", "ColourPartition",

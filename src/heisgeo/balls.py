@@ -16,7 +16,7 @@ merging intervals fiber by fiber.  Counts never materialize points;
 enumeration writes each point once, already lex-sorted.
 
 The group G is generated by the quarter turns z_j -> i z_j of one pair
-(core.lattice_rotate_quarter), the permutations of the pairs (a_j, b_j) and
+((a_j, b_j) -> (-b_j, a_j)), the permutations of the pairs (a_j, b_j) and
 the flip (a <-> b in every pair, m -> -m).  Each g in G is an automorphism of
 H^n(Z): turns and permutations are unitary and keep omega, the product's
 twist; the flip negates omega, and m -> -m makes up for it.  g keeps |z|^2

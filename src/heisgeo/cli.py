@@ -205,6 +205,9 @@ def _random_carpet(rng, count: int, box: int, rmax: int):
     """Lattice carpet with unique centers and integer radii."""
     from . import covering as cv
 
+    centers = (2 * box + 1) ** 2 * (6 * box + 1)  # the distinct (a, b, m) that can be drawn
+    if count > centers:
+        raise UsageError(f"--count {count} exceeds the {centers} distinct centers")
     balls = []
     seen = set()
     while len(balls) < count:

@@ -354,17 +354,6 @@ def isometry_rotate(theta: Sequence[float], p: Point) -> ContinuousPoint:
     return ContinuousPoint(tuple(cmath.exp(1j * t) * w for t, w in zip(theta, cp.z)), cp.tau)
 
 
-def lattice_rotate_quarter(p: LatticePoint, counts: Sequence[int]) -> LatticePoint:
-    """Quarter-turn rotations z_j -> i^{c_j} z_j, the lattice-preserving case."""
-    if len(counts) != p.n:
-        raise ValueError("need one count per coordinate")
-    a, b = list(p.a), list(p.b)
-    for j, c in enumerate(counts):
-        for _ in range(c % 4):
-            a[j], b[j] = -b[j], a[j]
-    return LatticePoint(tuple(a), tuple(b), p.m)
-
-
 # --- serialisation ---------------------------------------------------------
 
 def point_to_json(p: Point) -> str:

@@ -10,8 +10,9 @@ float radii alike, and so is every threshold built from radii: a sum of
 radii is formed over their common denominator, never in floats.  The
 carpet machinery (selection, incrementality, multiplicity, colouring,
 separation) reads one core.dist_cmp_table per call and runs its greedy
-loops over plain booleans; single queries go through core.dist_cmp.  Only
-sphere-to-sphere distances fall back to a certified numeric minimization.
+loops over plain booleans; single queries go through core.dist_cmp.  Sphere
+separation is decided by triangle bounds and boundary_contains' shell test;
+sphere_pair_distance is a float measurement that no verdict reads.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .spherequad import (_mul_rows, _norm_rows, _point, _row, _sphere_rows, _uni
                          sphere_distance)
 
 Num = Union[int, float, Fraction]
-
-_SPHERE_SEP_TOL = 1e-6
 
 
 # --- point and number plumbing -----------------------------------------------
@@ -274,28 +273,21 @@ def sphere_pair_distance(b1: BallSpec, b2: BallSpec, rounds: int = 80) -> float:
 def is_sphere_separated(balls: Sequence[BallSpec]) -> bool:
     """Pairwise sphere-to-sphere distances all reach the smallest radius.
 
-    True is certified only when the triangle bounds or the exact concentric
-    comparison settle every pair; otherwise it rests on the upper bound
-    from sphere_pair_distance, whose witness pair certifies only False.
-    The estimate may fall short of rmin by _SPHERE_SEP_TOL * min(1, rmin):
-    absolute for rmin >= 1, relative below, so a tiny sphere still fails.
+    A pair passes on _sphere_gap_certified's triangle bounds (which decide
+    exact ties and the concentric case), or when one center lies outside the
+    other sphere's shell of thickness r + rmin, r its own radius: every point
+    of its sphere is then farther than rmin from the other sphere.  So True
+    is exact wherever boundary_contains is, that is, up to its gauge band
+    (ROADMAP item 2).  False means some pair is left uncertified, not that
+    its spheres come closer than rmin.
     """
     if not balls:
         raise ValueError("empty ball collection")
-    rmin = min(b.radius for b in balls)
-    tol = _SPHERE_SEP_TOL * min(1.0, float(rmin))
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            bi, bj = balls[i], balls[j]
-            if bi.center == bj.center:
-                if abs(Fraction(bi.radius) - Fraction(bj.radius)) < Fraction(rmin):
-                    return False
-                continue
-            if _sphere_gap_certified(bi, bj, rmin):
-                continue
-            if sphere_pair_distance(bi, bj) < float(rmin) - tol:
-                return False
-    return True
+    rmin = Fraction(min(b.radius for b in balls))
+    return all(_sphere_gap_certified(a, b, rmin)
+               or not _shell_contains(a.center, b, Fraction(a.radius) + rmin)
+               or not _shell_contains(b.center, a, Fraction(b.radius) + rmin)
+               for i, a in enumerate(balls) for b in balls[i + 1:])
 
 
 # --- Besicovitch selection and colouring ---------------------------------------
@@ -564,8 +556,12 @@ def boundgen_select(
     enforced, since the shell-mass hypothesis caps the usable height of any
     finite instance far below that p (see the package notes).
 
-    postconditions.sphere_separated is is_sphere_separated's verdict, so a
-    True is certified only when its exact screens settle every pair.
+    postconditions.sphere_separated is is_sphere_separated's verdict: a True
+    is exact wherever boundary_contains is, up to its gauge band (ROADMAP
+    item 2).  A center chosen at stage l lies outside the 2 r_l shell of
+    every earlier sphere, and its radius and rmin are both at most r_l, so
+    the shell test certifies those pairs; pairs in one colour class are
+    well separated outright.
     """
     eps, delta = Fraction(eps), Fraction(delta)
     if not 0 < eps < 1 or not 0 < delta < 1:
@@ -624,7 +620,7 @@ def boundgen_select(
                 if not separated:
                     raise RuntimeError(
                         "postcondition (i) failed: selected sphere family "
-                        "is not well-separated"
+                        "is not certified well-separated"
                     )
                 report = {
                     "input_digest": _boundgen_digest(nu, F_pts, stack, eps, delta, t, chi),

@@ -111,6 +111,8 @@ def make_torus_action(n: int, alpha: Sequence[float], resolution: int) -> Weight
         raise ValueError("resolution must be >= 2")
     if len(alpha) != 2 * n:
         raise ValueError("alpha must have 2n entries")
+    if not all(math.isfinite(float(a)) for a in alpha):
+        raise ValueError(f"alpha entries must be finite, got {list(alpha)}")
     L = int(resolution)
     shifts = [round(float(a) * L) % L for a in alpha]
     states = tuple(itertools.product(range(L), repeat=2 * n))
@@ -129,16 +131,22 @@ def make_torus_action(n: int, alpha: Sequence[float], resolution: int) -> Weight
 
 
 def action_from_spec(spec: dict) -> WeightedAction:
-    """Rebuild an action from its JSON spec document."""
+    """Rebuild an action from its JSON spec document; a malformed one raises ValueError."""
+    if not isinstance(spec, dict):
+        raise ValueError("an action spec must be a JSON object")
     kind = spec.get("type")
+    if kind not in ("quotient", "torus"):
+        raise ValueError(f"unknown action type {kind!r}")
+    keys = ("n", "m") if kind == "quotient" else ("n", "alpha", "resolution")
+    missing = [key for key in keys if key not in spec]
+    if missing:
+        raise ValueError(f"{kind} action spec lacks {', '.join(map(repr, missing))}")
     if kind == "quotient":
         masses = spec.get("masses")
         if masses is not None:
             masses = [Fraction(s) for s in masses]
         return make_quotient_action(spec["n"], spec["m"], masses)
-    if kind == "torus":
-        return make_torus_action(spec["n"], spec["alpha"], spec["resolution"])
-    raise ValueError(f"unknown action type {kind!r}")
+    return make_torus_action(spec["n"], spec["alpha"], spec["resolution"])
 
 
 def rn_derivative(action: WeightedAction, g: LatticePoint, x) -> Fraction:

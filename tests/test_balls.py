@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import heisgeo as hg
 from heisgeo import balls, spherequad as sq
 from heisgeo.errors import ResourceCapError
+from lattice_symmetry import lattice_rotate_quarter
 
 E1 = hg.generator(1, 0)
 IE1 = hg.generator(1, 0, imaginary=True)
@@ -88,9 +89,9 @@ def symmetry_images(y):
     images = []
     for j in range(n):
         counts = [int(i == j) for i in range(n)]
-        turned = [hg.lattice_rotate_quarter(hg.LatticePoint(tuple(c[:n]), tuple(c[n:]),
-                                                            sum(c[i] * c[n + i] for i in range(n))),
-                                            counts)
+        turned = [lattice_rotate_quarter(hg.LatticePoint(tuple(c[:n]), tuple(c[n:]),
+                                                         sum(c[i] * c[n + i] for i in range(n))),
+                                         counts)
                   for c in y.T.tolist()]
         images.append(np.array([list(p.a) + list(p.b) for p in turned], dtype=np.int64).T)
     for i in range(n - 1):
@@ -599,7 +600,7 @@ class TestBoundaryContains:
             base = balls.boundary_contains(y, spec).inside
             assert balls.boundary_contains(hg.isometry_flip(y), spec).inside == base
             assert balls.boundary_contains(
-                hg.lattice_rotate_quarter(y, (1,)), spec).inside == base
+                lattice_rotate_quarter(y, (1,)), spec).inside == base
 
 
 class TestTBoundary:

@@ -267,6 +267,14 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert f"argument {argv[-2]}: " in err and repr(argv[-1]) in err
 
+    @pytest.mark.parametrize("cmd", ["bcp", "colour"])
+    def test_count_above_distinct_centers_is_usage(self, capsys, cmd):
+        # 25 * 25 * 73 = 45625 distinct (a, b, m) can be drawn; one more
+        # once looped forever looking for a new center
+        code, out, err = run(capsys, cmd, "--trials", "1", "--count", "45626")
+        assert (code, out) == (64, "")
+        assert "--count 45626 exceeds the 45625 distinct centers" in err
+
     @pytest.mark.parametrize("max_chain", ["0", "1", "-2"])
     def test_intersect_max_chain_below_two_is_usage(self, capsys, max_chain):
         # once printed "longest_chain_found": 2 beside "max_chain": 0 with exit 0
@@ -453,6 +461,18 @@ class TestActionFile:
         assert code == 0
         assert out.splitlines()[3] == "k,x_id,value,abs_err"
         assert len(out.splitlines()) == 4 + 8
+
+    @pytest.mark.parametrize("cmd", ["ergodic", "maximal"])
+    @pytest.mark.parametrize("text, problem", [
+        ('{"type": "torus", "n": 1, "alpha": [Infinity, 0.5], "resolution": 8}', "finite"),
+        ('{"type": "quotient", "m": 3}', "lacks 'n'"),
+    ])
+    def test_malformed_spec_is_usage(self, capsys, tmp_path, cmd, text, problem):
+        spec = tmp_path / "action.json"
+        spec.write_text(text)
+        code, out, err = run(capsys, cmd, "--action", str(spec))
+        assert (code, out) == (64, "")
+        assert problem in err
 
     def test_maximal_rows_hold(self, capsys):
         code, out, _ = run(capsys, "maximal", "--trials", "2", "--k-max", "4",

@@ -213,6 +213,65 @@ class TestSphereSeparation:
                                           BallSpec(hg.LatticePoint(*c2), r2))
             assert got == pytest.approx(float.fromhex(want), rel=1e-9, abs=0), (c1, c2)
 
+    def test_exact_ties_stay_separated(self):
+        # gaps equal to rmin: 6 - 2 - 2 = 2 between axis spheres, and
+        # 5 - 2 - 1 = 2 between nested ones; a closed shell test cannot
+        # decide a tie, the non-strict triangle bounds do
+        assert cv.is_sphere_separated([BallSpec(axis(0), 2), BallSpec(axis(6), 2)])
+        assert cv.is_sphere_separated([BallSpec(axis(0), 5), BallSpec(axis(1), 2)])
+
+    def test_uncertified_pair_is_not_separated(self):
+        # the float estimate reads about 4.03 >= rmin = 3, but that is an
+        # upper bound; neither center clears the other sphere's shell
+        pair = [BallSpec(lat(0, -9, 44), 3), BallSpec(lat(8, -11, -112), 5)]
+        assert not cv._sphere_gap_certified(*pair, 3)
+        assert not cv.is_sphere_separated(pair)
+
+    def test_separated_pairs_reach_rmin_by_the_estimate(self):
+        # random two-ball lattice families with nearby centers; every pair
+        # called separated must keep the float estimate, an upper bound on
+        # the true distance, at or above rmin
+        rng = np.random.default_rng(5)
+        checked = by_shell = 0
+        for _ in range(100):
+            pair = []
+            for _ in range(2):
+                a, b = (int(v) for v in rng.integers(-4, 5, size=2))
+                m = a * b + 2 * int(rng.integers(-8, 9))
+                pair.append(BallSpec(lat(a, b, m), int(rng.integers(1, 6))))
+            if not cv.is_sphere_separated(pair):
+                continue
+            rmin = min(b.radius for b in pair)
+            assert cv.sphere_pair_distance(*pair, rounds=2) >= rmin * (1 - 1e-9), pair
+            checked += 1
+            by_shell += not cv._sphere_gap_certified(*pair, rmin)
+        assert checked >= 20 and by_shell >= 4
+
+    def test_no_numeric_path(self, monkeypatch):
+        # the verdicts and the boundgen families come from the exact screens alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("numeric sphere distance called")
+
+        families = [
+            ([BallSpec(axis(0), 1), BallSpec(axis(0), 3)], True),
+            ([BallSpec(axis(0), 2), BallSpec(axis(0), 3)], False),
+            ([BallSpec(axis(0), 2), BallSpec(axis(9), 2)], True),
+            ([BallSpec(axis(0), 9), BallSpec(axis(2), 1)], True),
+            ([BallSpec(axis(0), 2), BallSpec(axis(5), 2)], False),
+            ([BallSpec(axis(0), 2), BallSpec(axis(6), 2)], True),
+        ]
+        instances = [((3, 2, 4), {}, 4), ((4, 3, 5), {"seed": 2}, 4),
+                     ((3, 2, 5), {"clusters": 2, "seed": 4}, 6),
+                     *(((3, 3, 3), {"clusters": 2, "seed": s}, 6) for s in (0, 1, 2))]
+        monkeypatch.setattr(cv, "sphere_pair_distance", refuse)
+        monkeypatch.setattr(cv, "sphere_distance", refuse)
+        for family, want in families:
+            assert cv.is_sphere_separated(family) is want, family
+        for args, kwargs, chi in instances:
+            nu, F, stack, eps, delta, t = cv.synthetic_boundgen_instance(*args, **kwargs)
+            res = cv.boundgen_select(nu, F, stack, eps, delta, t, chi=chi)
+            assert res.report["postconditions"]["sphere_separated"]
+
 
 class TestBesicovitchSelection:
     def test_single_ball(self):

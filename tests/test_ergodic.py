@@ -5,6 +5,7 @@ before anything else relies on it; averages, Folner ratios and the
 coboundary display are then verified as exact rational identities.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -142,6 +143,12 @@ class TestTorusAction:
             er.make_torus_action(1, (0.3, 0.4), 1)
         with pytest.raises(ValueError):
             er.make_torus_action(1, (0.3,), 8)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_alpha_refused(self, bad):
+        # round(inf * L) raised OverflowError before the check
+        with pytest.raises(ValueError, match="finite"):
+            er.make_torus_action(1, (bad, 0.5), 8)
 
     def test_center_acts_trivially(self):
         act = er.make_torus_action(1, (0.375, 0.625), 8)
@@ -618,6 +625,21 @@ class TestInterfaces:
     def test_unknown_spec_type(self):
         with pytest.raises(ValueError):
             er.action_from_spec({"type": "flow"})
+
+    @pytest.mark.parametrize("spec, missing", [
+        ({"type": "quotient", "m": 3}, "'n'"),
+        ({"type": "quotient", "n": 1}, "'m'"),
+        ({"type": "torus", "alpha": [0.5, 0.5], "resolution": 8}, "'n'"),
+        ({"type": "torus", "n": 1}, "'alpha', 'resolution'"),
+    ])
+    def test_missing_spec_key_named(self, spec, missing):
+        # the key lookups raised KeyError before the check
+        with pytest.raises(ValueError, match=f"lacks {missing}$"):
+            er.action_from_spec(spec)
+
+    def test_spec_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            er.action_from_spec([1, 2])
 
     def test_constant_rows_have_zero_error(self):
         act = skewed_quotient()
