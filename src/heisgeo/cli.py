@@ -362,7 +362,7 @@ def _build_action(args):
     if args.masses == "linear":
         size = args.m ** 3
         total = size * (size + 1) // 2
-        weights = [Fraction(i + 1, total) for i in range(size)]
+        weights = (Fraction(i + 1, total) for i in range(size))  # drawn after the state cap
         return er.make_quotient_action(1, args.m, weights)
     return er.make_quotient_action(1, args.m)
 

@@ -25,6 +25,9 @@ from .errors import ResourceCapError
 
 Rational = Union[int, Fraction]
 
+# each state costs about 180 bytes (its tuple and Fraction mass): ~0.2 GB here
+_MAX_STATES = 10 ** 6
+
 
 @dataclass(frozen=True, eq=False)
 class WeightedAction:
@@ -47,6 +50,15 @@ class WeightedAction:
 
     def act(self, g: LatticePoint, x):
         return self.label_mul(self.label_of(g), x)
+
+
+def _check_states(base: int, dims: int) -> None:
+    """Refuse an action of base^dims states (base >= 2) above _MAX_STATES before
+    building one; past 64 factors the predicted count is a lower bound."""
+    predicted = base ** min(dims, 64)
+    if predicted > _MAX_STATES:
+        raise ResourceCapError(f"{base}^{dims} states exceed cap {_MAX_STATES}",
+                               predicted=predicted, cap=_MAX_STATES)
 
 
 def _validated_masses(states, masses) -> dict:
@@ -80,6 +92,7 @@ def make_quotient_action(n: int, m: int, masses=None) -> WeightedAction:
         raise ValueError("m must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_states(m, 2 * n + 1)
     states = tuple(itertools.product(range(m), repeat=2 * n + 1))
     mass = _validated_masses(states, masses)
 
@@ -114,6 +127,7 @@ def make_torus_action(n: int, alpha: Sequence[float], resolution: int) -> Weight
     if not all(math.isfinite(float(a)) for a in alpha):
         raise ValueError(f"alpha entries must be finite, got {list(alpha)}")
     L = int(resolution)
+    _check_states(L, 2 * n)
     shifts = [round(float(a) * L) % L for a in alpha]
     states = tuple(itertools.product(range(L), repeat=2 * n))
     mass = {x: Fraction(1, len(states)) for x in states}

@@ -440,11 +440,14 @@ def certify_chain(config: ChainConfig, witness: Optional[Point] = None) -> dict:
     return out
 
 
-def _chain_doc(config: ChainConfig, witness: Point) -> Optional[dict]:
-    """The chain's report entry, or None when certify_chain fails a clause."""
+def _certified(config: ChainConfig, witness: Point) -> Optional[tuple]:
+    """(config, witness, certify_chain's clauses) when every clause holds, else None."""
     conditions = certify_chain(config, witness)
-    if not all(conditions.values()):
-        return None
+    return (config, witness, conditions) if all(conditions.values()) else None
+
+
+def _chain_doc(config: ChainConfig, witness: Point, conditions: dict) -> dict:
+    """A certified chain's report entry, built only for the reported ones."""
     return {
         "points": [point_to_json(x) for x in config.points],
         "radii": list(config.radii),
@@ -549,9 +552,9 @@ def _run_trials(args) -> list[dict]:
     configs = {}
     for i in np.setdiff1d(np.arange(len(rngs)), pending):
         config = ChainConfig((_point(x1[i]), _point(x2[i])), draws[i][2:], draws[i][:2], R)
-        doc = _chain_doc(config, _point(witness[i]))
-        if doc is not None:
-            outs[i].update(length=2, chain=doc)
+        chain = _certified(config, _point(witness[i]))
+        if chain is not None:
+            outs[i].update(length=2, chain=chain)
             configs[i] = config
     if max_chain < 3 or not configs:
         return outs
@@ -590,9 +593,9 @@ def _run_trials(args) -> list[dict]:
             best, best_v = _polish(best, shells, best_v)
         outs[i]["violation3"] = best_v
         if best is not None and best_v <= 0.0:
-            doc = _chain_doc(ChainConfig(points, radii, thicks, R), _point(best))
-            if doc is not None:
-                outs[i].update(length=3, chain=doc)
+            chain = _certified(ChainConfig(points, radii, thicks, R), _point(best))
+            if chain is not None:
+                outs[i].update(length=3, chain=chain)
     return outs
 
 
@@ -636,7 +639,7 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
     counts: dict[int, int] = {}
     for d in results:
         counts[d["length"]] = counts.get(d["length"], 0) + 1
-    certificates = [d["chain"] for d in results if d["length"] == longest and d["chain"]]
+    chains = [d["chain"] for d in results if d["length"] == longest and d["chain"]]
     near3 = [d["violation3"] for d in results if "violation3" in d]
     return {
         "n": n,
@@ -646,7 +649,7 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
         "max_chain": max_chain,
         "longest_chain_found": longest,
         "length_counts": counts,
-        "certificates": certificates[:3],
+        "certificates": [_chain_doc(*c) for c in chains[:3]],
         "best_violation_length3": min(near3) if near3 else None,
         "attempts_length3": len(near3),
     }

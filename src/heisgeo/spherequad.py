@@ -35,7 +35,12 @@ this solver.
 Each entry takes a batch (one point is a batch of one): `gauge_min(x, tau,
 r, t)` |z|^2 = x and tau per row, with one t or one per row, and
 `sphere_distance` points as rows [Re z, Im z, tau] stacked on a first axis,
-whose argmins it maps back to rows itself (_gauge_argmin).
+whose argmins it maps back to rows itself (_gauge_argmin).  The Newton
+iteration of a small batch, up to _ROW_LOOP_ROWS rows still to solve, runs
+row by row on Python floats, where NumPy's fixed cost per call would
+dominate; a larger batch iterates as arrays over its unfinished rows.  Both
+apply the same float operations in the same order, so a row's value still
+does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ import numpy as np
 from .core import ContinuousPoint, Point, as_continuous
 
 _NEWTON_STEPS = 100  # cap; the Newton root converges in a handful of steps
-_NEWTON_RTOL = 4 * np.finfo(float).eps
+_NEWTON_RTOL = 4 * 2.0 ** -52
+_ROW_LOOP_ROWS = 48  # live rows solved one by one on floats; arrays win from 64-80 rows
 _HARD_EPS = 1e-30
 _DIST_RTOL = 1e-12  # sphere_distance bisects to this fraction of max(bracket, 1)
 
@@ -120,32 +126,74 @@ def _secular_root(gap: np.ndarray, qq: np.ndarray, lo: np.ndarray, hi: np.ndarra
     best of the lower bounds |q_i| - gap_i and |q| - max gap; a step that
     leaves the shrinking bracket is replaced by its midpoint.  A row stops
     once its step or its bracket is below _NEWTON_RTOL relative, so its
-    root does not depend on the other rows of the batch.
+    root does not depend on the other rows of the batch.  Up to
+    _ROW_LOOP_ROWS live rows iterate one at a time on Python floats
+    (_newton_row), more as arrays over the rows still live; both run the
+    same float operations in the same order.
     """
-    lo, hi = lo.copy(), hi.copy()
-    start = np.maximum((np.sqrt(qq) - gap).max(axis=1),
-                       np.sqrt(qq.sum(axis=1)) - gap.max(axis=1))
-    s = np.clip(start, lo, hi)
-    live = live.copy()
+    s = np.clip(np.maximum((np.sqrt(qq) - gap).max(axis=1),
+                           np.sqrt(np.add.reduce(qq, axis=1)) - gap.max(axis=1)), lo, hi)
+    idx = np.flatnonzero(live)
+    if idx.size <= _ROW_LOOP_ROWS and gap.shape[1] < 8:  # see _newton_row
+        try:
+            s[idx] = [_newton_row(*row) for row in zip(gap[idx].tolist(), qq[idx].tolist(),
+                                                       lo[idx].tolist(), hi[idx].tolist(),
+                                                       s[idx].tolist())]
+            return s
+        except ZeroDivisionError:  # NumPy's answer is inf or nan there: iterate as arrays
+            pass
+    gap, qq, lo, hi, x = gap[idx], qq[idx], lo[idx], hi[idx], s[idx]
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_STEPS):
-            if not live.any():
+            if not idx.size:
                 break
-            d = gap + s[:, None]
+            d = gap + x[:, None]
             w = qq / (d * d)
-            phi = w.sum(axis=1)
-            dphi = (w / d).sum(axis=1)  # -phi'(s) / 2
+            phi = np.add.reduce(w, axis=1)
+            dphi = np.add.reduce(w / d, axis=1)  # -phi'(s) / 2
             root = np.sqrt(phi)
             below = root > 1.0
-            lo = np.where(live & below, s, lo)
-            hi = np.where(live & ~below, s, hi)
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
             # Newton step psi / psi', with psi' = dphi / phi^(3/2)
             step = phi * (root - 1.0) / dphi
-            new = s + step
-            done = (np.abs(step) <= _NEWTON_RTOL * s) | (hi - lo <= _NEWTON_RTOL * hi)
+            new = x + step
+            done = (np.abs(step) <= _NEWTON_RTOL * x) | (hi - lo <= _NEWTON_RTOL * hi)
             new = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
-            live &= ~done
-            s = np.where(live, new, s)
+            if done.any():  # a finished row keeps the s at which it stopped
+                s[idx[done]] = x[done]
+                keep = ~done
+                idx, new = idx[keep], new[keep]
+                gap, qq, lo, hi = gap[keep], qq[keep], lo[keep], hi[keep]
+            x = new
+    s[idx] = x
+    return s
+
+
+def _newton_row(gap: list, qq: list, lo: float, hi: float, s: float) -> float:
+    """_secular_root's Newton iteration for one live row, on Python floats.
+
+    The float operations are the array loop's, in its order: sums run left
+    to right from the first term, as NumPy reduces fewer than 8 terms, and
+    a division by zero raises where NumPy would give inf or nan.
+    """
+    for _ in range(_NEWTON_STEPS):
+        phi = dphi = -0.0
+        for g, q in zip(gap, qq):
+            d = g + s
+            w = q / (d * d)
+            phi += w
+            dphi += w / d
+        root = math.sqrt(phi)
+        if root > 1.0:
+            lo = s
+        else:
+            hi = s
+        step = phi * (root - 1.0) / dphi
+        new = s + step
+        if abs(step) <= _NEWTON_RTOL * s or hi - lo <= _NEWTON_RTOL * hi:
+            return s
+        s = new if lo < new < hi else 0.5 * (lo + hi)
     return s
 
 
@@ -160,26 +208,25 @@ def _secular_batched(lam: np.ndarray, qt: np.ndarray, c: np.ndarray):
     # decreasing in s > 0; want phi(s) = 1, i.e. s = lam1 - mu.
     gap = lam - lam1[:, None]
     qq = qt * qt
-    qn = np.sqrt(np.sum(qq, axis=1))
-    scale = np.maximum(np.max(gap, axis=1), qn)
-    scale = np.maximum(scale, 1e-300)
+    qn = np.sqrt(np.add.reduce(qq, axis=1))
+    scale = np.maximum(np.maximum(gap.max(axis=1), qn), 1e-300)
     s_floor = 1e-18 * scale
-    hard = np.sum(qq / (gap + s_floor[:, None]) ** 2, axis=1) < 1.0
+    hard = np.add.reduce(qq / (gap + s_floor[:, None]) ** 2, axis=1) < 1.0
     s = _secular_root(gap, qq, s_floor, np.maximum(qn, s_floor * 2), ~hard)
     xi = -qt / (gap + s[:, None])
-    if np.any(hard):
+    if hard.any():
         # q has no weight on the bottom eigenspace and the fixed part of xi is
         # short: pad along the bottom eigenvector to reach the sphere.
         gap_h = gap[hard]
         qt_h = qt[hard]
         safe = gap_h > np.maximum(_HARD_EPS, 1e-14 * scale[hard])[:, None]
         fixed = np.where(safe, -qt_h / np.where(safe, gap_h, 1.0), 0.0)
-        pad = np.sqrt(np.maximum(0.0, 1.0 - np.sum(fixed * fixed, axis=1)))
+        pad = np.sqrt(np.maximum(0.0, 1.0 - np.add.reduce(fixed * fixed, axis=1)))
         fixed[:, 0] += pad
         xi[hard] = fixed
         s[hard] = 0.0
     mu = lam1 - s
-    values = mu + c + np.sum(qt * xi, axis=1)
+    values = mu + c + np.add.reduce(qt * xi, axis=1)
     return values, xi
 
 
@@ -203,19 +250,26 @@ def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         mu_lo = np.where(mu_hi > 0, (alpha * beta) ** 2 / mu_hi, 0.0)
     # eigenvector of mu_lo from the row of B - mu_lo I that avoids cancellation
-    v1 = np.where(delta >= 0, delta + rad, b)
-    v2 = np.where(delta >= 0, -b, delta - rad)
+    up = delta >= 0
+    v1 = np.where(up, delta + rad, b)
+    v2 = np.where(up, -b, delta - rad)
     nv = np.hypot(v1, v2)
     flat = nv == 0  # B = alpha^2 I: any basis
-    nv = np.where(flat, 1.0, nv)
+    nv[flat] = 1.0
     cs = np.where(flat, 1.0, v1 / nv)
     sn = v2 / nv
-    lam = np.stack([np.minimum(mu_lo, beta), np.full_like(zn, beta), np.maximum(mu_hi, beta)],
-                   axis=1)
-    q_g = -(tau / (t * t)) * gamma
-    q_tau = -(tau / (t * t)) * beta
-    qt = np.stack([cs * q_g + sn * q_tau, -(alpha / t) * zn, cs * q_tau - sn * q_g], axis=1)
-    c = x / (t * t) + (tau / (t * t)) ** 2
+    lam = np.empty((zn.size, 3))
+    lam[:, 0] = np.minimum(mu_lo, beta)
+    lam[:, 1] = beta
+    lam[:, 2] = np.maximum(mu_hi, beta)
+    u = tau / (t * t)
+    q_g = -u * gamma
+    q_tau = -u * beta
+    qt = np.empty_like(lam)
+    qt[:, 0] = cs * q_g + sn * q_tau
+    qt[:, 1] = -(alpha / t) * zn
+    qt[:, 2] = cs * q_tau - sn * q_g
+    c = x / (t * t) + u ** 2
     return lam, qt, c, cs, sn
 
 
@@ -224,17 +278,26 @@ def gauge_min(x, tau, r: float, t) -> np.ndarray:
 
     A value <= 1 certifies dist((z, tau), S_r(0)) <= t.  t is a scalar or
     one value per row; a row's value does not depend on the rest of its
-    batch.  A non-finite input or value raises ValueError.
+    batch.  A negative |z|^2, a non-finite input or value, or a t whose
+    square underflows to 0 raises ValueError.
     """
     if not 0 <= r < math.inf:
         raise ValueError("radius r must be nonnegative and finite")
-    if not np.all((np.asarray(t) > 0) & (np.asarray(t) < math.inf)):
+    tn = np.asarray(t)
+    if not ((tn > 0) & (tn < math.inf)).all():
         raise ValueError("tolerance t must be positive and finite")
+    if not (tn * tn > 0).all():
+        raise ValueError("tolerance t is too small: t*t underflows to 0")
     x, tau = np.asarray(x, dtype=float), np.asarray(tau, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(tau))):
-        raise ValueError("gauge input |z|^2 and tau must be finite")
-    values = _secular_batched(*_gauge_secular(x, tau, r, t)[:3])[0]
-    if not np.all(np.isfinite(values)):
+    if not ((x >= 0) & (x < math.inf)).all():
+        raise ValueError("gauge input |z|^2 must be nonnegative and finite")
+    if not np.isfinite(tau).all():
+        raise ValueError("gauge input tau must be finite")
+    try:
+        values = _secular_batched(*_gauge_secular(x, tau, r, t)[:3])[0]
+    except OverflowError:  # (alpha beta)^2 of a float alpha = r/t beyond about 2e51
+        raise ValueError("gauge terms overflow: r/t is too large") from None
+    if not np.isfinite(values).all():
         raise ValueError("gauge value is not finite")
     return values
 

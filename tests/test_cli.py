@@ -474,6 +474,13 @@ class TestActionFile:
         assert (code, out) == (64, "")
         assert problem in err
 
+    @pytest.mark.parametrize("cmd", ["ergodic", "maximal"])
+    def test_state_cap_is_exit_3(self, capsys, cmd):
+        # 10^9 states (with linear masses for maximal) exhausted memory instead
+        code, out, err = run(capsys, cmd, "--m", "1000")
+        assert (code, out) == (3, "")
+        assert "exceed cap" in err
+
     def test_maximal_rows_hold(self, capsys):
         code, out, _ = run(capsys, "maximal", "--trials", "2", "--k-max", "4",
                            "--seed", "7")

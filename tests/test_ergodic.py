@@ -77,6 +77,16 @@ class TestQuotientAction:
         assert len(uniform_quotient().states) == 27
         assert len(er.make_quotient_action(1, 2).states) == 8
 
+    def test_state_table_capped(self, monkeypatch):
+        # m^(2n+1) = 10^9 state tuples were built with no cap
+        with pytest.raises(ResourceCapError) as info:
+            er.make_quotient_action(1, 1000)
+        assert (info.value.predicted, info.value.cap) == (10 ** 9, er._MAX_STATES)
+        monkeypatch.setattr(er, "_MAX_STATES", 27)
+        assert len(er.make_quotient_action(1, 3).states) == 27  # at the cap
+        with pytest.raises(ResourceCapError):
+            er.make_quotient_action(1, 4)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             er.make_quotient_action(1, 1)
@@ -149,6 +159,13 @@ class TestTorusAction:
         # round(inf * L) raised OverflowError before the check
         with pytest.raises(ValueError, match="finite"):
             er.make_torus_action(1, (bad, 0.5), 8)
+
+    def test_state_table_capped(self):
+        # L^(2n) = 10^10 state tuples were built with no cap
+        spec = {"type": "torus", "n": 1, "alpha": [0.3, 0.4], "resolution": 100000}
+        with pytest.raises(ResourceCapError) as info:
+            er.action_from_spec(spec)
+        assert (info.value.predicted, info.value.cap) == (10 ** 10, er._MAX_STATES)
 
     def test_center_acts_trivially(self):
         act = er.make_torus_action(1, (0.375, 0.625), 8)

@@ -1,6 +1,8 @@
 """Secular solver and sphere-gauge reductions against independent oracles."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +178,23 @@ class TestSphereGauge:
         with pytest.raises(ValueError):
             sq.gauge_min(np.array([2.0, x]), np.array([0.5, tau]), 1.0, 0.5)
 
+    @pytest.mark.parametrize("x, tau, r, t, message", [
+        (0.0, 0.0, 1e-200, 1e-200, r"t\*t underflows"),  # once a ZeroDivisionError
+        (-1.0, 0.5, 1.0, 0.5, r"\|z\|\^2 must be nonnegative"),  # once warned from sqrt first
+    ])
+    def test_tiny_tolerance_and_negative_norm_refused(self, x, tau, r, t, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                sq.gauge_min(np.array([x]), np.array([tau]), r, t)
+            with pytest.raises(ValueError, match=message):
+                sq.gauge_min(np.array([2.0, x]), np.array([0.5, tau]), r, np.array([0.5, t]))
+
+    def test_overflowing_gauge_terms_refused(self):
+        # (alpha beta)^2 of a float r/t = 1e60 once raised OverflowError
+        with pytest.raises(ValueError, match="overflow"):
+            sq.gauge_min(np.array([1.0]), np.array([0.0]), 1e60, 1.0)
+
     def test_non_finite_gauge_value_refused(self):
         # finite inputs whose gauge terms overflow: gamma^2 = (r |z| / 2 t^2)^2
         with np.errstate(all="ignore"), pytest.raises(ValueError):
@@ -253,6 +272,96 @@ class TestStructuredGauge:
         y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
         sq.gauge_min(np.full(3, 2.0), np.arange(3.0), 1.5, np.array([0.4, 0.5, 0.6]))
         sq.sphere_distance(sq._row(y)[None], 1.5)
+
+
+def pin_corpus():
+    """Seeded gauge batches (z_flat, tau, r, t) of 1-40 rows for the byte pins.
+
+    Six kinds in turn, each with one scalar t or one t per row: generic
+    rows; integer rows with zero z and zero tau among them; hard-case rows
+    (tau = 0 and z short, or both zero); rows near S_r at r/t up to 1e4;
+    tiny rows (scales 1e-150..1e-100, r = 0 every other batch), on which
+    the secular loop meets inf or 0/0; and mixed scales with r/t from 1e-3.
+    """
+    rng = np.random.default_rng(2310)
+    batches = []
+    for i in range(360):
+        size, n = int(rng.integers(1, 41)), int(rng.integers(1, 3))
+        kind, per_row = i % 6, i % 12 < 6
+        tau = rng.standard_normal(size) * 3
+        t = rng.uniform(0.05, 2.0, size) if per_row else float(rng.uniform(0.05, 2.0))
+        r = float(rng.uniform(0.2, 3.0))
+        z = rng.standard_normal((size, 2 * n)) * 2
+        if kind == 1:
+            z = rng.integers(-4, 5, (size, 2 * n)).astype(float)
+            tau = rng.integers(-20, 21, size).astype(float)
+            z[rng.random(size) < 0.3] = 0.0
+            tau[rng.random(size) < 0.3] = 0.0
+            r = float(rng.integers(1, 6))
+            t = rng.integers(1, 3, size).astype(float) if per_row else 0.5
+        elif kind == 2:
+            z *= rng.uniform(0.0, 0.3, (size, 1))
+            tau[:] = 0.0
+            z[rng.random(size) < 0.2] = 0.0
+        elif kind == 3:
+            r = float(np.max(t) * 10 ** rng.uniform(1, 4))
+            xi = rng.standard_normal((size, 2 * n + 1))
+            xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+            z = r * xi[:, :-1] + 0.5 * np.reshape(t, (-1, 1)) * rng.standard_normal((size, 2 * n))
+            tau = r * r * xi[:, -1] + 0.5 * (t * t + r * t) * rng.standard_normal(size)
+        elif kind == 4:
+            scale = 10 ** rng.uniform(-150, -100)
+            z *= scale
+            tau *= scale * scale
+            r = 0.0 if i % 24 < 12 else r * scale
+            t = t * scale
+        elif kind == 5:
+            z *= 10 ** rng.uniform(-3, 3, (size, 1))
+            tau *= 10 ** rng.uniform(-3, 3, size)
+            r = float(np.max(t) * 10 ** rng.uniform(-3, 4))
+        batches.append((z, tau, r, t))
+    return batches
+
+
+def corpus_digests():
+    """SHA-256 of gauge_min's values (or its refusal) and of _gauge_argmin's values
+    and argmins over pin_corpus()."""
+    h = {key: hashlib.sha256() for key in ("gauge_min", "argmin_values", "argmins")}
+    with np.errstate(all="ignore"):
+        for z, tau, r, t in pin_corpus():
+            try:
+                h["gauge_min"].update(sq.gauge_min(np.sum(z * z, axis=1), tau, r, t).tobytes())
+            except ValueError:
+                h["gauge_min"].update(b"refused")
+            values, xi = sq._gauge_argmin(z, tau, r, t)
+            h["argmin_values"].update(values.tobytes())
+            h["argmins"].update(xi.tobytes())
+    return {key: d.hexdigest() for key, d in h.items()}
+
+
+# recorded from the solver before its row loop existed
+CORPUS_SHA256 = {
+    "gauge_min": "2abfef927775b7be1b69aa388168fa4a261e24608d0dc803a399d0e6d7034f81",
+    "argmin_values": "2abfef927775b7be1b69aa388168fa4a261e24608d0dc803a399d0e6d7034f81",
+    "argmins": "48502a975fd93f3c91ab9cb335be13d31750405588b0a2f6bbc81fbd7393c856",
+}
+
+
+class TestGaugePins:
+    @pytest.mark.parametrize("rows", [0, 10 ** 9])  # every batch as arrays, or per row
+    def test_corpus_pinned(self, rows, monkeypatch):
+        monkeypatch.setattr(sq, "_ROW_LOOP_ROWS", rows)
+        assert corpus_digests() == CORPUS_SHA256
+
+    def test_row_loop_matches_array_loop(self, monkeypatch):
+        # every batch of the corpus solved per row and as arrays, byte for byte
+        outputs = []
+        for rows in (0, 10 ** 9):
+            monkeypatch.setattr(sq, "_ROW_LOOP_ROWS", rows)
+            with np.errstate(all="ignore"):
+                outputs.append([b"".join(a.tobytes() for a in sq._gauge_argmin(z, tau, r, t))
+                                for z, tau, r, t in pin_corpus()])
+        assert outputs[0] == outputs[1]
 
 
 class TestSphereDistance:
