@@ -8,7 +8,7 @@ origin the fiber over y with X = |y|^2 is
 
     { m : v^4 m^2 <= 4 u^2 (u^2 - v^2 X), m in the parity class },
 
-whose bound comes from the one overflow-checked helper _halfwidth.  A
+whose bound _halfwidth computes in the width core._int_dtype picks.  A
 translate g B or B g moves each fiber as a whole, so balls about any center,
 shifted balls sigma B, the difference B triangle sigma B and the shells
 B_i minus B_(i-1) are all fiber sets built by intersecting, subtracting and
@@ -66,8 +66,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (LatticePoint, Point, Radius, lattice_identity, offset_cmp, offset_exact,
-                   radius_parts)
+from .core import (LatticePoint, Point, Radius, _int_dtype, _isqrt_vec, lattice_identity,
+                   offset_cmp, offset_exact, radius_parts)
 from .errors import ResourceCapError
 from .spherequad import gauge_min
 
@@ -79,14 +79,6 @@ _HIST_BLOCK = 1 << 16  # grid cells, or |y|^2 values, per block: bounds ball_car
 
 # --- integer helpers --------------------------------------------------------
 
-def _isqrt_vec(x: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(x)) for nonnegative int64, exactly."""
-    r = np.floor(np.sqrt(x.astype(np.float64))).astype(np.int64)
-    r = np.where((r + 1) * (r + 1) <= x, r + 1, r)
-    r = np.where(r * r > x, r - 1, r)
-    return r
-
-
 def _count_congruent(lo, hi, residue, modulus):
     """# integers in [lo, hi] congruent to residue mod modulus, elementwise; 0 when lo > hi."""
     return np.maximum((hi - residue) // modulus - (lo - 1 - residue) // modulus, 0)
@@ -97,18 +89,15 @@ def _halfwidth(p: int, q: int, x: np.ndarray, strict: bool = False) -> np.ndarra
 
     x holds X = |y|^2 and p >= 0.  As d^2 = (X + sqrt(X^2 + m^2)) / 2, the
     bound is X <= p/q and q^2 m^2 <= 4 p (p - q X), with terms at most
-    4 p max(p, q X) (4 u^4 for a ball of radius u/v): int64 while that is at
-    most 2^62, Python integers beyond.
+    4 p max(p, q X) (4 u^4 for a ball of radius u/v), the bound passed to
+    core._int_dtype.
     """
-    if 4 * p * max(p, q * int(np.max(x, initial=0))) <= 2 ** 62:
-        isqrt = _isqrt_vec
-    else:
-        x = np.asarray(x).astype(object)
-        isqrt = np.frompyfunc(math.isqrt, 1, 1)
+    bound = 4 * p * max(p, q * int(np.max(x, initial=0)))
+    x = np.asarray(x).astype(_int_dtype(bound), copy=False)
     t = 4 * p * (p - q * x)
     if strict:
-        return np.where(t > 0, isqrt(np.maximum(t - 1, 0)) // q, -1)
-    return np.where(p - q * x >= 0, isqrt(np.maximum(t, 0)) // q, -1)
+        return np.where(t > 0, _isqrt_vec(np.maximum(t - 1, 0)) // q, -1)
+    return np.where(p - q * x >= 0, _isqrt_vec(np.maximum(t, 0)) // q, -1)
 
 
 def _disk(n: int, u: int, v: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,6 +116,14 @@ def _disk(n: int, u: int, v: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return np.compress(keep, grid, axis=1), x[keep]
 
 
+def _fit_int64(x: np.ndarray) -> np.ndarray:
+    """x as int64; ValueError where an entry does not fit."""
+    try:
+        return x.astype(np.int64, copy=False)
+    except OverflowError:
+        raise ValueError("a lattice coordinate does not fit int64") from None
+
+
 def _merge_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Join intervals of one parity class in the same group that overlap or touch.
 
@@ -136,8 +133,12 @@ def _merge_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """
     if lo.size == 0:
         return np.empty(0, dtype=np.int64), hi[:0]
-    span = hi.max() - lo.min() + 3
-    order = np.argsort(group * span + (lo - lo.min()))
+    low, high = int(lo.min()), int(hi.max())
+    span = high - low + 3
+    # the keys below reach |bounds| + (groups + 1) span
+    wide = _int_dtype(max(-low, high) + (int(group.max()) + 1) * span)
+    group, lo, hi = (v.astype(wide, copy=False) for v in (group, lo, hi))
+    order = np.argsort(group * span + (lo - low))
     group, lo, hi = group[order], lo[order], hi[order]
     # a running max of hi restarted per group: each group is offset above the last
     offset = group * span
@@ -184,11 +185,13 @@ class FiberSet:
         return int(np.sum(self.sizes()))
 
     def rows(self) -> np.ndarray:
-        """Every point once as (a_1..a_n, b_1..b_n, m), lex-sorted."""
+        """Every point once as (a_1..a_n, b_1..b_n, m), lex-sorted; ValueError
+        when an m does not fit int64."""
+        lo, _ = _fit_int64(self.lo), _fit_int64(self.hi)
         sizes = self.sizes().astype(np.int64)
         heads = np.empty((sizes.size, self.y.shape[0] + 1), dtype=np.int64)
         heads[:, :-1] = self.y.T
-        heads[:, -1] = self.lo.astype(np.int64) - 2 * (np.cumsum(sizes) - sizes)
+        heads[:, -1] = lo - 2 * (np.cumsum(sizes) - sizes)
         out = np.repeat(heads, sizes, axis=0)  # head m is lo - 2 * (points before the entry)
         out[:, -1] += np.arange(0, 2 * out.shape[0], 2)
         return out
@@ -197,15 +200,19 @@ class FiberSet:
         """S * g, or g * S when left.
 
         Points shift by z_g and each fiber's m by m_g +- Im<z_y, z_g>, a
-        constant per fiber, so entry order and parity classes are kept.
+        constant per fiber, so entry order and parity classes are kept.  The
+        sums take core._int_dtype of their bound; a shifted y outside int64
+        raises ValueError.
         """
-        n = self.y.shape[0] // 2
-        ga = np.array(g.a, dtype=np.int64)
-        gb = np.array(g.b, dtype=np.int64)
-        twist = gb @ self.y[:n] - ga @ self.y[n:]
+        n, zg = self.y.shape[0] // 2, g.a + g.b
+        h, ymax = max(map(abs, zg)), int(np.abs(self.y).max(initial=0))
+        edge = max(-int(self.lo.min(initial=0)), int(self.hi.max(initial=0)))  # lo <= hi
+        wide = _int_dtype(max(ymax + h, edge + abs(g.m) + 2 * n * h * ymax))
+        y, zg = self.y.astype(wide, copy=False), np.array(zg, dtype=wide)
+        twist = zg[n:] @ y[:n] - zg[:n] @ y[n:]
         shift = g.m + (-twist if left else twist)
-        zg = np.concatenate([ga, gb])[:, None]
-        return FiberSet(self.y + zg, self.lo + shift, self.hi + shift)
+        return FiberSet(_fit_int64(y + zg[:, None]), self.lo.astype(wide, copy=False) + shift,
+                        self.hi.astype(wide, copy=False) + shift)
 
     def _match(self, other: "FiberSet") -> np.ndarray:
         """Index of other's entry over each entry's fiber, or -1.
@@ -304,18 +311,6 @@ class BallSpec:
         object.__setattr__(self, "screens", _screens(r, t))
 
 
-def _lattice_points(n: int, coords: np.ndarray, cap: int) -> list[LatticePoint]:
-    if coords.shape[0] > cap:
-        raise ResourceCapError(
-            f"materializing {coords.shape[0]} points exceeds cap {cap}",
-            predicted=coords.shape[0], cap=cap,
-        )
-    return [
-        LatticePoint(tuple(row[:n]), tuple(row[n:2 * n]), int(row[2 * n]))
-        for row in coords.tolist()
-    ]
-
-
 @dataclass(frozen=True)
 class BallTable:
     """Enumerated lattice ball; coords rows are (a_1..a_n, b_1..b_n, m), lex-sorted."""
@@ -330,7 +325,12 @@ class BallTable:
         return self.coords.shape[0]
 
     def points(self, cap: int = 10 ** 6) -> list[LatticePoint]:
-        return _lattice_points(self.n, self.coords, cap)
+        count, n = self.cardinality, self.n
+        if count > cap:
+            raise ResourceCapError(f"materializing {count} points exceeds cap {cap}",
+                                   predicted=count, cap=cap)
+        return [LatticePoint(tuple(row[:n]), tuple(row[n:2 * n]), int(row[2 * n]))
+                for row in self.coords.tolist()]
 
 
 def _pair_hist(u: int, v: int) -> np.ndarray:
@@ -376,8 +376,8 @@ def ball_cardinality(n: int, r: Radius) -> int:
         return 1
     H = _horizontal_hist(n, u, v)
     # every partial sum is at most |disk grid| * (halfwidth at y = 0, plus 1)
-    if (2 * (u // v) + 1) ** (2 * n) * (2 * u * u // (v * v) + 1) >= 2 ** 63:
-        H = H.astype(object)
+    bound = (2 * (u // v) + 1) ** (2 * n) * (2 * u * u // (v * v) + 1)
+    H = H.astype(_int_dtype(bound), copy=False)
     total = 0
     for start in range(0, H.shape[0], _HIST_BLOCK):
         block = H[start:start + _HIST_BLOCK]

@@ -41,11 +41,6 @@ import numpy as np
 Radius = Union[int, Fraction]
 
 
-def _as_int_tuple(xs: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(x) for x in xs)
-    return out
-
-
 @dataclass(frozen=True)
 class LatticePoint:
     """Lattice element (a + ib, m/2) with the parity invariant m = <a,b> mod 2."""
@@ -55,8 +50,8 @@ class LatticePoint:
     m: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_int_tuple(self.a))
-        object.__setattr__(self, "b", _as_int_tuple(self.b))
+        object.__setattr__(self, "a", tuple(map(int, self.a)))
+        object.__setattr__(self, "b", tuple(map(int, self.b)))
         object.__setattr__(self, "m", int(self.m))
         if len(self.a) != len(self.b):
             raise ValueError("a and b must have the same length")
@@ -262,15 +257,31 @@ def radii_over(radii: Iterable[Union[Radius, float]]) -> tuple[list[int], int]:
     return [u * (w // v) for u, v in parts], w
 
 
+def _int_dtype(bound: int):
+    """Width of exact integer arrays on which the caller forms no term or partial
+    sum above its a-priori bound in absolute value: int64 while bound <= 2^62,
+    Python-int object arrays beyond.  Every such array in the package asks here."""
+    return np.int64 if bound <= 2 ** 62 else object
+
+
+def _isqrt_vec(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(x)) for nonnegative int64 or Python-int object arrays, exactly."""
+    if x.dtype == object:
+        return np.frompyfunc(math.isqrt, 1, 1)(x)
+    r = np.floor(np.sqrt(x.astype(np.float64))).astype(np.int64)
+    r = np.where((r + 1) * (r + 1) <= x, r + 1, r)
+    return np.where(r * r > x, r - 1, r)
+
+
 def _table_terms(ps: Sequence[Point], qs: Sequence[Point], nums, w: int):
     """(X, M, U, q) of offset_cmp for every pair (p_i, q_j) at one scale.
 
     Every point is brought to the finest dilation scale 2^E of the call, so
     the offset p_i q_j^-1 has |z|^2 = X[i, j], doubled central coordinate
     M[i, j], and the radius nums[i, j] / w compares as U = nums^2 4^E
-    against q = w^2.  The arrays are int64 while an a-priori bound on every
-    term of the formula is at most 2^62 (|A|, |B| <= h and |T| <= s give
-    X <= 8 n h^2 and |M| <= 2 s + 2 n h^2), Python-int object arrays beyond.
+    against q = w^2.  The arrays take _int_dtype of an a-priori bound on
+    every term of the formula (|A|, |B| <= h and |T| <= s give X <= 8 n h^2
+    and |M| <= 2 s + 2 n h^2).
     """
     forms = [_dyadic(p) for p in ps]
     if qs is not ps:
@@ -294,8 +305,7 @@ def _table_terms(ps: Sequence[Point], qs: Sequence[Point], nums, w: int):
         raise ValueError("radius must be nonnegative")
     u = int(nums.max())
     xb, mb, ub, q = 8 * n * h * h, 2 * s + 2 * n * h * h, u * u << 2 * big_e, w * w
-    small = max(q * max(xb, mb), 4 * ub * max(ub, q * xb), (q * mb) ** 2) <= 2 ** 62
-    dtype = np.int64 if small else object
+    dtype = _int_dtype(max(q * max(xb, mb), 4 * ub * max(ub, q * xb), (q * mb) ** 2))
     c = np.array(cols, dtype=dtype)
     cq = c if qs is ps else c[:, len(ps):]
     d = c[:, :len(ps), None] - cq[:, None, :]  # (dA, dB, dT)[k, i, j]

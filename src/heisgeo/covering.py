@@ -27,8 +27,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .balls import DEFAULT_CAP, BallSpec, boundary_contains
-from .core import (ContinuousPoint, LatticePoint, Point, dist_cmp, dist_cmp_table, point_to_json,
-                   radii_over)
+from .core import (ContinuousPoint, LatticePoint, Point, _int_dtype, dist_cmp, dist_cmp_table,
+                   point_to_json, radii_over)
 from .errors import HypothesisViolation, ResourceCapError
 from .spherequad import (_mul_rows, _norm_rows, _point, _row, _sphere_rows, _unit_rows,
                          sphere_distance)
@@ -48,15 +48,6 @@ def point_key(p: Point):
         tuple(z.imag for z in p.z),
         p.tau,
     )
-
-
-def _dist_le(p: Point, q: Point, w: Num) -> bool:
-    """d(p, q) <= w, exact for every point type and radius."""
-    return w >= 0 and dist_cmp(p, q, w) <= 0
-
-
-def _dist_lt(p: Point, q: Point, w: Num) -> bool:
-    return w > 0 and dist_cmp(p, q, w) < 0
 
 
 def _num_doc(x: Num):
@@ -97,12 +88,9 @@ class Carpet:
     def __post_init__(self) -> None:
         if not self.balls:
             raise ValueError("carpet must cover a nonempty base")
-        seen = set()
-        for b in self.balls:
-            k = point_key(b.center)
-            if k in seen:
-                raise ValueError("carpet has two balls at one center")
-            seen.add(k)
+        keys = [point_key(b.center) for b in self.balls]
+        if len(set(keys)) != len(keys):
+            raise ValueError("carpet has two balls at one center")
 
     @property
     def base(self) -> tuple[Point, ...]:
@@ -196,10 +184,10 @@ class HeightParams:
 # --- separation predicates -----------------------------------------------------
 
 def _radii_table(balls: Sequence[BallSpec]) -> tuple[np.ndarray, int]:
-    """The balls' radii as integers over one denominator w: int64 while a sum
-    of three stays in range, Python ints beyond."""
+    """The balls' radii as integers over one denominator w, in core._int_dtype
+    of 3 max(nums): no routine forms a threshold above a sum of three."""
     nums, w = radii_over(b.radius for b in balls)
-    return np.array(nums, dtype=np.int64 if max(nums, default=0) < 2 ** 61 else object), w
+    return np.array(nums, dtype=_int_dtype(3 * max(nums, default=0))), w
 
 
 def _cmp_centers(balls: Sequence[BallSpec], nums, w: int) -> np.ndarray:
@@ -228,12 +216,12 @@ def is_well_separated(balls: Sequence[BallSpec]) -> bool:
 def _sphere_gap_certified(b1: BallSpec, b2: BallSpec, w: Num) -> bool:
     """Triangle-inequality lower bounds alone prove sphere distance >= w."""
     r1, r2, w = Fraction(b1.radius), Fraction(b2.radius), Fraction(w)
-    if not _dist_lt(b1.center, b2.center, w + r1 + r2):
+    if dist_cmp(b1.center, b2.center, w + r1 + r2) >= 0:
         return True
     # one sphere deep inside the other: d(x, y) >= r_big - D - r_small
-    if r1 - r2 - w >= 0 and _dist_le(b1.center, b2.center, r1 - r2 - w):
+    if r1 - r2 - w >= 0 and dist_cmp(b1.center, b2.center, r1 - r2 - w) <= 0:
         return True
-    if r2 - r1 - w >= 0 and _dist_le(b1.center, b2.center, r2 - r1 - w):
+    if r2 - r1 - w >= 0 and dist_cmp(b1.center, b2.center, r2 - r1 - w) <= 0:
         return True
     return False
 
@@ -652,7 +640,7 @@ def boundgen_select(
         best_cls, best_mass = None, Fraction(-1)
         for cls in partition.classes:
             mass = nu.mass(
-                y for y in E if any(_dist_le(y, b.center, b.radius) for b in cls)
+                y for y in E if any(dist_cmp(y, b.center, b.radius) <= 0 for b in cls)
             )
             if mass > best_mass:
                 best_cls, best_mass = cls, mass

@@ -19,14 +19,17 @@ from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .balls import DEFAULT_CAP, FiberSet, _isqrt_vec, _t_boundary, ball_cardinality
-from .core import LatticePoint, Radius, generator, inverse
+from .balls import DEFAULT_CAP, FiberSet, _t_boundary, ball_cardinality
+from .core import LatticePoint, Radius, _int_dtype, _isqrt_vec, generator, inverse
 from .errors import ResourceCapError
 
 Rational = Union[int, Fraction]
 
 # each state costs about 180 bytes (its tuple and Fraction mass): ~0.2 GB here
 _MAX_STATES = 10 ** 6
+# the act table has one entry per (label, state) pair, and its build and the
+# weighted sums hold 24-48 bytes per entry at once (n = 1, 2): 0.1-0.2 GB here
+_MAX_ACT_ENTRIES = 4 * 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,13 +55,13 @@ class WeightedAction:
         return self.label_mul(self.label_of(g), x)
 
 
-def _check_states(base: int, dims: int) -> None:
-    """Refuse an action of base^dims states (base >= 2) above _MAX_STATES before
-    building one; past 64 factors the predicted count is a lower bound."""
+def _check_cap(base: int, dims: int, cap: int, what: str) -> None:
+    """Refuse base^dims items (base >= 2) above cap before building any; past
+    64 factors the predicted count is a lower bound."""
     predicted = base ** min(dims, 64)
-    if predicted > _MAX_STATES:
-        raise ResourceCapError(f"{base}^{dims} states exceed cap {_MAX_STATES}",
-                               predicted=predicted, cap=_MAX_STATES)
+    if predicted > cap:
+        raise ResourceCapError(f"{base}^{dims} {what} exceed cap {cap}",
+                               predicted=predicted, cap=cap)
 
 
 def _validated_masses(states, masses) -> dict:
@@ -92,7 +95,7 @@ def make_quotient_action(n: int, m: int, masses=None) -> WeightedAction:
         raise ValueError("m must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_states(m, 2 * n + 1)
+    _check_cap(m, 2 * n + 1, _MAX_STATES, "states")
     states = tuple(itertools.product(range(m), repeat=2 * n + 1))
     mass = _validated_masses(states, masses)
 
@@ -102,11 +105,8 @@ def make_quotient_action(n: int, m: int, masses=None) -> WeightedAction:
         return tuple(x % m for x in g.a) + tuple(y % m for y in g.b) + (c,)
 
     def label_mul(p: tuple, q: tuple) -> tuple:
-        corner = p[2 * n] + q[2 * n]
-        corner += sum(p[j] * q[n + j] for j in range(n))
-        return tuple(
-            (p[j] + q[j]) % m for j in range(2 * n)
-        ) + (corner % m,)
+        corner = p[2 * n] + q[2 * n] + sum(p[j] * q[n + j] for j in range(n))
+        return tuple((p[j] + q[j]) % m for j in range(2 * n)) + (corner % m,)
 
     spec = {"type": "quotient", "n": n, "m": m,
             "masses": [str(mass[x]) for x in states]}
@@ -127,7 +127,7 @@ def make_torus_action(n: int, alpha: Sequence[float], resolution: int) -> Weight
     if not all(math.isfinite(float(a)) for a in alpha):
         raise ValueError(f"alpha entries must be finite, got {list(alpha)}")
     L = int(resolution)
-    _check_states(L, 2 * n)
+    _check_cap(L, 2 * n, _MAX_STATES, "states")
     shifts = [round(float(a) * L) % L for a in alpha]
     states = tuple(itertools.product(range(L), repeat=2 * n))
     mass = {x: Fraction(1, len(states)) for x in states}
@@ -245,9 +245,11 @@ def _tables(action: WeightedAction) -> tuple[np.ndarray, list]:
     The states are the labels' digit grid in C order, and label_mul is
     integer arithmetic on the digits, so one call on broadcast digit
     columns acts with every label on every state, and the images' grid
-    positions are their state indices.
+    positions are their state indices.  More than _MAX_ACT_ENTRIES entries
+    raise ResourceCapError before anything is built.
     """
     states = action.states
+    _check_cap(len(states), 2, _MAX_ACT_ENTRIES, "act table entries")
     digits = np.array(states, dtype=np.int64).T
     images = action.label_mul(tuple(digits[:, :, None]), tuple(digits[:, None, :]))
     act = np.ravel_multi_index(images, tuple(digits.max(axis=1) + 1))
@@ -261,14 +263,12 @@ def _weighted_sums(action: WeightedAction, counts: np.ndarray, func=lambda y: 1)
     g runs over the label counts (_label_counts).  With masses wt / W
     (_tables) and f = fnum / F over least common denominators, the sums are
     num / (F wt(x)) and den / wt(x) for integers that one pass over the act
-    table gives for all states: int64 while sum(counts) max(wt)
-    max(|fnum|, 1) <= 2^62 bounds every term and partial sum, Python
-    integers beyond.
+    table gives for all states, in core._int_dtype of sum(counts) max(wt)
+    max(|fnum|, 1), which bounds every term and partial sum.
     """
     act, wt = _tables(action)
     fnum, scale = _common_denominator([Fraction(func(y)) for y in action.states])
-    bound = max(int(counts.sum()), 1) * max(wt) * max([1, *map(abs, fnum)])
-    dtype = np.int64 if bound <= 2 ** 62 else object
+    dtype = _int_dtype(max(int(counts.sum()), 1) * max(wt) * max([1, *map(abs, fnum)]))
     cnt = counts.astype(dtype)
     moved = np.array(wt, dtype=dtype)[act]
     num = (cnt @ (moved * np.array(fnum, dtype=dtype)[act])).tolist()
@@ -292,25 +292,26 @@ def weighted_average(action: WeightedAction, f, k: int, x,
     return AverageResult(k, num[i] / den[i], num[i], den[i])
 
 
+def _weight_ratio(action: WeightedAction, fibers: FiberSet, k: int, x, cap: int) -> Fraction:
+    """(sum_{g in fibers} w_g(x)) / (sum_{B_k} w_g(x)), exact."""
+    _, num = _weighted_sums(action, _label_counts(action, fibers))
+    _, den = _weighted_sums(action, _ball_counts(action, k, cap))
+    i = action.states.index(x)
+    return num[i] / den[i]
+
+
 def nsfc_ratio(action: WeightedAction, k: int, sigma: LatticePoint, x,
                cap: int = DEFAULT_CAP) -> Fraction:
     """Non-singular Folner ratio over B_k triangle sigma B_k, exact."""
     ball = FiberSet.ball(action.n, k, cap=cap)
-    delta = ball.symmetric_difference(ball.translate(sigma, left=True))
-    _, num = _weighted_sums(action, _label_counts(action, delta))
-    _, den = _weighted_sums(action, _ball_counts(action, k, cap))
-    i = action.states.index(x)
-    return num[i] / den[i]
+    return _weight_ratio(action, ball.symmetric_difference(ball.translate(sigma, left=True)),
+                         k, x, cap)
 
 
 def boundary_weight_ratio(action: WeightedAction, k: int, t: Radius, x,
                           cap: int = DEFAULT_CAP) -> Fraction:
     """(sum_{t-boundary of B_k} w_g(x)) / (sum_{B_k} w_g(x)), exact."""
-    band = _t_boundary(action.n, k, t, cap)
-    _, num = _weighted_sums(action, _label_counts(action, band))
-    _, den = _weighted_sums(action, _ball_counts(action, k, cap))
-    i = action.states.index(x)
-    return num[i] / den[i]
+    return _weight_ratio(action, _t_boundary(action.n, k, t, cap), k, x, cap)
 
 
 def convergence_rows(action: WeightedAction, f, ks: Sequence[int],
@@ -366,9 +367,8 @@ def _first_radii(x: np.ndarray, m: np.ndarray, k: int) -> np.ndarray:
     """
     far = (x > k * k) | (abs(m) > 2 * k * k)
     x, m = np.where(far, 0, x), np.where(far, 0, m)
-    isqrt = np.frompyfunc(math.isqrt, 1, 1) if x.dtype == object else _isqrt_vec
-    v = (x + isqrt(np.maximum(x * x + m * m - 1, 0)) + 2) // 2
-    return np.where(far, k + 1, np.minimum(isqrt(v - 1) + 1, k + 1))
+    v = (x + _isqrt_vec(np.maximum(x * x + m * m - 1, 0)) + 2) // 2
+    return np.where(far, k + 1, np.minimum(_isqrt_vec(v - 1) + 1, k + 1))
 
 
 def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
@@ -392,9 +392,8 @@ def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
     running sums of integer numerators over one common denominator per
     side (D_a, D_b), read at the last atom of each radius.  With eps = p/q
     the test is q D_b s_i a > p D_a s_i b.  With B the largest atom
-    coordinate, |X| and |M| are at most 8 n B^2; int64 holds while that,
-    the radius test's 5 k^4 and these products stay within 2^62, Python
-    integers beyond.
+    coordinate, |X| and |M| are at most 8 n B^2; the arrays take
+    core._int_dtype of that, the radius test's 5 k^4 and these products.
 
     Atoms are the keys of a and b and must be lattice points of rank n
     (ValueError).  The work is |supp b| * |supp a u supp b| first radii;
@@ -424,8 +423,8 @@ def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
         pb, db = _common_denominator([Fraction(b.get(s, 0)) for s in atoms])
         wa, wb = eps.denominator * db, eps.numerator * da
         big = max(abs(c) for s in atoms for c in s.a + s.b + (s.m,))
-        bound = max(8 * n * big * big, 5 * k ** 4, wa * sum(map(abs, pa)), wb * sum(pb))
-        dtype = np.int64 if bound <= 2 ** 62 else object
+        dtype = _int_dtype(max(8 * n * big * big, 5 * k ** 4, wa * sum(map(abs, pa)),
+                               wb * sum(pb)))
         s_pts = np.array([s.a + s.b + (s.m,) for s in atoms], dtype=dtype)[None]
         h_pts = np.array([h.a + h.b + (h.m,) for h in centers], dtype=dtype)[:, None]
         dz = s_pts[..., :2 * n] - h_pts[..., :2 * n]
@@ -474,7 +473,6 @@ def maximal_inequality_experiment(action: WeightedAction, f, eps: Rational,
         Fraction(ball_cardinality(action.n, 2 * k), ball_cardinality(action.n, k))
         for k in range(1, k_max + 1)
     )
-    l1 = sum((abs(Fraction(func(x))) * action.mass[x] for x in action.states),
-             Fraction(0))
+    l1 = integral(action, lambda x: abs(Fraction(func(x))))
     bound = Fraction(c_emp) * d_emp / eps * l1
     return MaximalExperiment(exceeding, bound, Fraction(c_emp), d_emp)

@@ -235,6 +235,17 @@ class TestCardinality:
             assert fiber_sum(n, r) == want
             assert balls.ball_cardinality(n, r) == want
 
+    def test_partial_sums_past_int64_bound(self):
+        # the partial-sum bound (2r + 1)^8 (2r^2 + 1) of n = 4 passes 2^62 from
+        # r = 39, so r = 39 and 40 sum Python ints; the oracle sums the same
+        # fibers in Python ints: m = p mod 2 in [-w, w] for w = isqrt(4 r^2 (r^2 - S))
+        for r in (38, 39, 40):
+            want = 0
+            for s, (even, odd) in enumerate(balls._horizontal_hist(4, r, 1).tolist()):
+                w = math.isqrt(4 * r * r * (r * r - s))
+                want += even * (2 * (w // 2) + 1) + odd * 2 * ((w + 1) // 2)
+            assert balls.ball_cardinality(4, r) == want
+
     @pytest.mark.parametrize("n,r", [(1, 100), (1, 257), (1, 300), (1, Fraction(2999, 10)), (2, 12)])
     def test_matches_bench_oracle(self, n, r):
         # r >= 100 spans several row blocks of the pair histogram
@@ -347,6 +358,33 @@ class TestFiberSet:
         with mock.patch.object(np, "lexsort", side_effect=AssertionError("lexsort called")):
             table = balls.enumerate_ball(1, k, center)
         assert self.point_set(table.coords) == in_a
+
+    def test_translates_past_int64_match_python_ints(self):
+        # the twist and the shifted bounds were int64 sums: they wrapped, or
+        # raised a bare OverflowError where m_g left int64
+        ball = balls.FiberSet.ball(1, 3)
+        points = set(balls.enumerate_ball(1, 3).points())
+        # |m| <= 18 in B_3 and m >= 2^63 - 16 in sigma B_3: the balls are disjoint
+        far = hg.LatticePoint((0,), (0,), 2 ** 63 + 2)
+        assert balls.symmetric_difference_cardinality(1, 3, far) == (678, 339) == (2 * len(points), len(points))
+        assert ball.intersect(ball.translate(far, left=True)).count() == 0
+        for g in (hg.LatticePoint((0,), (0,), 2 ** 61), hg.LatticePoint((2 ** 60,), (-3,), 2 ** 61)):
+            for left in (False, True):
+                want = {hg.multiply(g, p) if left else hg.multiply(p, g) for p in points}
+                assert self.point_set(ball.translate(g, left).rows()) == want
+            # the union of two far sets keys its merge past int64 too
+            want = points | {hg.multiply(g, p) for p in points}
+            assert self.point_set(balls.symmetric_difference_coords(1, 3, g)) == want
+
+    @pytest.mark.parametrize("center", [
+        hg.LatticePoint((2 ** 62,), (3,), 2 ** 62),  # 12 of 65 rows wrapped m to about -2^63
+        hg.LatticePoint((0,), (0,), 2 ** 63 + 2),  # m_g outside int64: OverflowError
+        hg.LatticePoint((2 ** 63 - 2,), (0,), 0),  # y + z_g wrapped
+        hg.LatticePoint((2 ** 63,), (0,), 0),  # z_g outside int64: OverflowError
+    ])
+    def test_rows_outside_int64_refused(self, center):
+        with pytest.raises(ValueError, match="int64"):
+            balls.enumerate_ball(1, 2, center)
 
 
 # SHA-256 of rows().tobytes() as written by the per-column writer these rows replaced

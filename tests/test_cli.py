@@ -481,6 +481,12 @@ class TestActionFile:
         assert (code, out) == (3, "")
         assert "exceed cap" in err
 
+    def test_act_table_cap_is_exit_3(self, capsys):
+        # 8,000 states pass the state cap; their 6.4e7-entry act table was built
+        code, out, err = run(capsys, "ergodic", "--m", "20")
+        assert (code, out) == (3, "")
+        assert "act table" in err
+
     def test_maximal_rows_hold(self, capsys):
         code, out, _ = run(capsys, "maximal", "--trials", "2", "--k-max", "4",
                            "--seed", "7")

@@ -215,7 +215,7 @@ class TestExactComparison:
             hg.offset_exact(hg.lattice_identity(1), hg.continuous_identity(2))
 
     def test_pythagorean_distances_are_exact(self):
-        from heisgeo import balls, covering
+        from heisgeo import balls
 
         origin = hg.continuous_identity(1)
         count = 0
@@ -225,8 +225,8 @@ class TestExactComparison:
                 assert hg.dist_eq_exact(point, origin, p)
                 assert hg.dist_le_exact(point, origin, p)
                 assert not hg.dist_le_exact(point, origin, Fraction(2 * p - 1, 2))
-                assert covering._dist_le(point, origin, p)
-                assert not covering._dist_lt(point, origin, p)
+                assert hg.core.dist_cmp(point, origin, p) <= 0
+                assert not hg.core.dist_cmp(point, origin, p) < 0
                 res = balls.boundary_contains(point, balls.BallSpec(origin, p, 0))
                 assert res.inside and res.route.startswith("exact-")
             count += 1
@@ -314,15 +314,13 @@ class TestDistCmpTable:
         assert [row[1] for row in table[:-1]] == [1] * len(pairs)
 
     def test_zero_radius_rules(self):
-        from heisgeo import covering
-
         rng = random.Random(8)
         ps = [random_lattice(rng, 1, 3, 4) for _ in range(12)] + [mixed_dyadic(rng, 1)]
         table = table_of(ps, ps, [0] * len(ps))
         for i, p in enumerate(ps):
             for j, q in enumerate(ps):
-                assert (table[i][j] <= 0) == covering._dist_le(p, q, 0) == (p == q)
-                assert (table[i][j] < 0) == covering._dist_lt(p, q, 0) is False
+                assert (table[i][j] <= 0) == (hg.core.dist_cmp(p, q, 0) <= 0) == (p == q)
+                assert (table[i][j] < 0) == (hg.core.dist_cmp(p, q, 0) < 0) is False
 
     def test_python_int_path_past_int64(self):
         rng = random.Random(13)

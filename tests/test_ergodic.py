@@ -87,6 +87,22 @@ class TestQuotientAction:
         with pytest.raises(ResourceCapError):
             er.make_quotient_action(1, 4)
 
+    def test_act_table_capped(self, monkeypatch):
+        # the act table has N^2 entries: 8,000 states pass the state cap, and
+        # their table (0.48 GiB, with temporaries of its size) had no cap
+        monkeypatch.setattr(er, "_MAX_ACT_ENTRIES", 27 ** 2)
+        act = er.make_quotient_action(1, 3)  # a fresh action: _tables caches by identity
+        assert er.weighted_average(act, indicator(act.states[0]), 2, act.states[0]).value > 0
+        monkeypatch.setattr(er, "_MAX_ACT_ENTRIES", 27 ** 2 - 1)
+        act = er.make_quotient_action(1, 3)
+        with pytest.raises(ResourceCapError):
+            er.nsfc_ratio(act, 2, E1, act.states[0])
+        monkeypatch.undo()
+        big = er.make_quotient_action(1, 20)
+        with pytest.raises(ResourceCapError) as info:
+            er.weighted_average(big, indicator(big.states[0]), 1, big.states[0])
+        assert (info.value.predicted, info.value.cap) == (8000 ** 2, er._MAX_ACT_ENTRIES)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             er.make_quotient_action(1, 1)
@@ -360,6 +376,17 @@ class TestNsfcRatio:
         act = uniform_quotient()
         for k in (4, 8):
             assert er.nsfc_ratio(act, k, E1, act.states[0]) == folner_ratio(1, k, E1)
+
+    def test_far_sigma_past_int64(self):
+        # sigma's m = 2^63 + 2 left int64 in the translate (a bare OverflowError
+        # once).  The quotient reads the corner m / 2 mod 3 = 2, as for (0, 40),
+        # and both shifts move B_3 (|m| <= 18) off itself, so the ratios agree
+        far, near = LatticePoint((0,), (0,), 2 ** 63 + 2), LatticePoint((0,), (0,), 40)
+        act = uniform_quotient()
+        assert er.nsfc_ratio(act, 3, far, act.states[0]) == 2 == folner_ratio(1, 3, far)
+        act = skewed_quotient()
+        for x in (act.states[0], act.states[11]):
+            assert er.nsfc_ratio(act, 3, far, x) == er.nsfc_ratio(act, 3, near, x)
 
     def test_nonuniform_ratio_decays(self):
         act = skewed_quotient()

@@ -1,10 +1,11 @@
 """What a process loads: lazy re-exports, lazy layers, and never scipy.
 
 Every check runs in a fresh interpreter, so nothing an earlier test
-imported can hide an eager import.  Three more checks read the sources:
+imported can hide an eager import.  Four more checks read the sources:
 every public top-level name in the package is reached by the program,
-every module uses each name it imports, and every third-party import is a
-runtime dependency in pyproject.toml.
+every module uses each name it imports, every third-party import is a
+runtime dependency in pyproject.toml, and no module but core chooses an
+integer width or an isqrt path.
 """
 
 import ast
@@ -161,6 +162,18 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line}:{name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_integer_width_rule_lives_in_core():
+    # core._int_dtype picks int64 or Python-int object arrays from a caller's
+    # bound, and core._isqrt_vec takes both; no other module restates either
+    rule = re.compile(r"2\s*\*\*\s*6[123]\b|1\s*<<\s*6[123]\b|dtype\s*=\s*object\b"
+                      r"|\.astype\(\s*object\s*\)|frompyfunc\(\s*math\.isqrt")
+    package = Path(heisgeo.__file__).parent
+    found = [f"{path.name}:{i}: {line.strip()}"
+             for path in sorted(package.glob("*.py")) if path.name != "core.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1) if rule.search(line)]
+    assert found == []
 
 
 @pytest.mark.parametrize("argv", [
