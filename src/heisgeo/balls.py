@@ -68,7 +68,7 @@ import numpy as np
 
 from .core import (LatticePoint, Point, Radius, _int_dtype, _isqrt_vec, lattice_identity,
                    offset_cmp, offset_exact, radius_parts)
-from .errors import ResourceCapError
+from .errors import check_cap
 from .spherequad import gauge_min
 
 DEFAULT_CAP = 10 ** 8
@@ -105,11 +105,7 @@ def _disk(n: int, u: int, v: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError("n must be >= 1")
     side = 2 * (u // v) + 1
-    cells = side ** (2 * n)
-    if cells > cap:
-        raise ResourceCapError(
-            f"fiber grid of {cells} cells exceeds cap {cap}", predicted=cells, cap=cap
-        )
+    check_cap(side ** (2 * n), cap, "horizontal grid cells")
     grid = np.indices((side,) * (2 * n), dtype=np.int64).reshape(2 * n, -1) - u // v
     x = np.sum(grid * grid, axis=0)
     keep = x <= (u * u) // (v * v)
@@ -160,7 +156,8 @@ class FiberSet:
     the fiber's parity class <a, b> mod 2; lo and hi already lie in that
     class and every entry is nonempty.  Entries are sorted by (y, lo).  A
     fiber has two entries only where a difference splits it, and then they
-    are disjoint, so rows() comes out lex-sorted without sorting any points.
+    are disjoint, so rows() comes out lex-sorted without sorting any points;
+    rows() is the one place points are written, and it refuses more than cap.
     """
 
     y: np.ndarray   # (2n, N) int64, column i = (a_1..a_n, b_1..b_n) of entry i
@@ -184,9 +181,10 @@ class FiberSet:
     def count(self) -> int:
         return int(np.sum(self.sizes()))
 
-    def rows(self) -> np.ndarray:
-        """Every point once as (a_1..a_n, b_1..b_n, m), lex-sorted; ValueError
-        when an m does not fit int64."""
+    def rows(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """Every point once as (a_1..a_n, b_1..b_n, m), lex-sorted; more than cap
+        points raise ResourceCapError, an m outside int64 ValueError."""
+        check_cap(self.count(), cap, "points")
         lo, _ = _fit_int64(self.lo), _fit_int64(self.hi)
         sizes = self.sizes().astype(np.int64)
         heads = np.empty((sizes.size, self.y.shape[0] + 1), dtype=np.int64)
@@ -325,10 +323,8 @@ class BallTable:
         return self.coords.shape[0]
 
     def points(self, cap: int = 10 ** 6) -> list[LatticePoint]:
-        count, n = self.cardinality, self.n
-        if count > cap:
-            raise ResourceCapError(f"materializing {count} points exceeds cap {cap}",
-                                   predicted=count, cap=cap)
+        check_cap(self.cardinality, cap, "points")
+        n = self.n
         return [LatticePoint(tuple(row[:n]), tuple(row[n:2 * n]), int(row[2 * n]))
                 for row in self.coords.tolist()]
 
@@ -397,17 +393,13 @@ def enumerate_ball(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    fibers = FiberSet.ball(n, k, cap)  # refuses a horizontal grid beyond cap first
-    count = fibers.count()
-    if count > cap:
-        raise ResourceCapError(f"ball of {count} points exceeds cap {cap}", predicted=count, cap=cap)
-    card = ball_cardinality(n, k)
-    if count != card:
-        raise AssertionError(f"fiber enumeration ({count}) disagrees with histogram count ({card})")
     if center is None:
         center = lattice_identity(n)
-    fibers = fibers.translate(center)
-    return BallTable(n=n, k=k, center=center, coords=fibers.rows())
+    coords = FiberSet.ball(n, k, cap).translate(center).rows(cap)  # refused before the histogram
+    count, card = coords.shape[0], ball_cardinality(n, k)
+    if count != card:
+        raise AssertionError(f"fiber enumeration ({count}) disagrees with histogram count ({card})")
+    return BallTable(n=n, k=k, center=center, coords=coords)
 
 
 def _canonical(y: np.ndarray) -> np.ndarray:
@@ -445,11 +437,7 @@ def product_ball_cardinality(n: int, k: int, cap: int = DEFAULT_CAP) -> int:
     w, hull = centers.y, centers.hi
     pw = hull % 2
     y_grid, _ = _disk(n, 2 * k, 1, cap)
-    if y_grid.shape[1] * w.shape[1] > 50 * cap:
-        raise ResourceCapError(
-            f"{y_grid.shape[1]}x{w.shape[1]} fiber pairs exceed budget",
-            predicted=y_grid.shape[1] * w.shape[1], cap=50 * cap,
-        )
+    check_cap(y_grid.shape[1] * w.shape[1], 50 * cap, "fiber pairs")
     reps, weight = np.unique(_canonical(y_grid), axis=1, return_counts=True)
     total = 0
     step = max(1, _PAIR_BATCH // w.shape[1])
@@ -514,7 +502,7 @@ def symmetric_difference_coords(
 ) -> np.ndarray:
     """All points of B_k(0) triangle sigma B_k(0) as lex-sorted coordinate rows."""
     ball = FiberSet.ball(n, k, cap=cap)
-    return ball.symmetric_difference(ball.translate(sigma, left=True)).rows()
+    return ball.symmetric_difference(ball.translate(sigma, left=True)).rows(cap)
 
 
 # --- thickened boundaries ---------------------------------------------------
@@ -623,13 +611,7 @@ def _t_boundary(n: int, k: int, t: Radius, cap: int) -> FiberSet:
 
 def t_boundary_coords(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Coordinate rows of all lattice points within t of the sphere S_k(0), lex-sorted."""
-    band = _t_boundary(n, k, t, cap)
-    count = band.count()
-    if count > cap:
-        raise ResourceCapError(
-            f"t-boundary of {count} points exceeds cap {cap}", predicted=count, cap=cap
-        )
-    return band.rows()
+    return _t_boundary(n, k, t, cap).rows(cap)
 
 
 def t_boundary_count(n: int, k: int, t: Radius, cap: int = DEFAULT_CAP) -> int:

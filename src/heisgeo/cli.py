@@ -36,7 +36,7 @@ from .core import (
     lattice_identity,
     multiply,
 )
-from .errors import HypothesisViolation, ResourceCapError
+from .errors import HypothesisViolation, ResourceCapError, check_cap
 from .spherequad import sphere_point
 
 
@@ -147,15 +147,9 @@ def _emit(args, result, text=None, checklist=None) -> None:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_ball(args) -> int:
-    grid = (2 * args.k + 1) ** (2 * args.n)
-    if grid > args.cap:
-        raise ResourceCapError(
-            f"horizontal grid of {grid} cells exceeds cap {args.cap}",
-            predicted=grid, cap=args.cap)
+    check_cap((2 * args.k + 1) ** (2 * args.n), args.cap, "horizontal grid cells")
     card = ball_cardinality(args.n, args.k)
-    if card > args.cap:
-        raise ResourceCapError(f"ball of {card} points exceeds cap {args.cap}",
-                               predicted=card, cap=args.cap)
+    check_cap(card, args.cap, "ball points")
     _emit(args, {"cardinality": card}, str(card))
     return 0
 

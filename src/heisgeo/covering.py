@@ -29,7 +29,7 @@ import numpy as np
 from .balls import DEFAULT_CAP, BallSpec, boundary_contains
 from .core import (ContinuousPoint, LatticePoint, Point, _int_dtype, dist_cmp, dist_cmp_table,
                    point_to_json, radii_over)
-from .errors import HypothesisViolation, ResourceCapError
+from .errors import HypothesisViolation, check_cap
 from .spherequad import (_mul_rows, _norm_rows, _point, _row, _sphere_rows, _unit_rows,
                          sphere_distance)
 
@@ -437,9 +437,7 @@ def covering_net(n: int, rho: float, cap: int = DEFAULT_CAP) -> tuple[int, list[
     span = int(math.floor(1.0 / h)) if h * cap >= 1.0 else cap
     dim = 2 * n + 1
     cells = (2 * span + 1) ** dim
-    if cells > cap:
-        raise ResourceCapError(
-            f"net grid of {cells} cells exceeds cap {cap}", predicted=cells, cap=cap)
+    check_cap(cells, cap, "net grid cells")
     axis = np.arange(-span, span + 1, dtype=float) * h
     flat_grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
     in_ball = np.einsum("ij,ij->i", flat_grid, flat_grid) <= 1.0 + 1e-12

@@ -21,7 +21,7 @@ import numpy as np
 
 from .balls import DEFAULT_CAP, FiberSet, _t_boundary, ball_cardinality
 from .core import LatticePoint, Radius, _int_dtype, _isqrt_vec, generator, inverse
-from .errors import ResourceCapError
+from .errors import check_cap
 
 Rational = Union[int, Fraction]
 
@@ -55,15 +55,6 @@ class WeightedAction:
         return self.label_mul(self.label_of(g), x)
 
 
-def _check_cap(base: int, dims: int, cap: int, what: str) -> None:
-    """Refuse base^dims items (base >= 2) above cap before building any; past
-    64 factors the predicted count is a lower bound."""
-    predicted = base ** min(dims, 64)
-    if predicted > cap:
-        raise ResourceCapError(f"{base}^{dims} {what} exceed cap {cap}",
-                               predicted=predicted, cap=cap)
-
-
 def _validated_masses(states, masses) -> dict:
     if masses is None:
         w = Fraction(1, len(states))
@@ -95,7 +86,7 @@ def make_quotient_action(n: int, m: int, masses=None) -> WeightedAction:
         raise ValueError("m must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_cap(m, 2 * n + 1, _MAX_STATES, "states")
+    check_cap(m ** min(2 * n + 1, 64), _MAX_STATES, "states")  # a lower bound past 64 factors
     states = tuple(itertools.product(range(m), repeat=2 * n + 1))
     mass = _validated_masses(states, masses)
 
@@ -127,7 +118,7 @@ def make_torus_action(n: int, alpha: Sequence[float], resolution: int) -> Weight
     if not all(math.isfinite(float(a)) for a in alpha):
         raise ValueError(f"alpha entries must be finite, got {list(alpha)}")
     L = int(resolution)
-    _check_cap(L, 2 * n, _MAX_STATES, "states")
+    check_cap(L ** min(2 * n, 64), _MAX_STATES, "states")  # a lower bound past 64 factors
     shifts = [round(float(a) * L) % L for a in alpha]
     states = tuple(itertools.product(range(L), repeat=2 * n))
     mass = {x: Fraction(1, len(states)) for x in states}
@@ -200,12 +191,9 @@ def _ball_counts(action: WeightedAction, k: int, cap: int) -> np.ndarray:
     # actions compare by identity (eq=False), so the cache keys on the object
     if k < 1:
         raise ValueError("k must be >= 1")
-    card = ball_cardinality(action.n, k)
-    if card > cap:
-        raise ResourceCapError(
-            f"ball of {card} points exceeds cap {cap}", predicted=card, cap=cap
-        )
-    counts = _label_counts(action, FiberSet.ball(action.n, k, cap=cap))
+    fibers = FiberSet.ball(action.n, k, cap=cap)  # the grid is refused first
+    check_cap(fibers.count(), cap, "ball points")
+    counts = _label_counts(action, fibers)
     counts.flags.writeable = False
     return counts
 
@@ -249,7 +237,7 @@ def _tables(action: WeightedAction) -> tuple[np.ndarray, list]:
     raise ResourceCapError before anything is built.
     """
     states = action.states
-    _check_cap(len(states), 2, _MAX_ACT_ENTRIES, "act table entries")
+    check_cap(len(states) ** 2, _MAX_ACT_ENTRIES, "act table entries")
     digits = np.array(states, dtype=np.int64).T
     images = action.label_mul(tuple(digits[:, :, None]), tuple(digits[:, None, :]))
     act = np.ravel_multi_index(images, tuple(digits.max(axis=1) + 1))
@@ -414,9 +402,7 @@ def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
             raise ValueError(f"atom {s!r} is not a lattice point of rank {n}")
     centers = [h for h, v in b.items() if v]
     atoms = list(dict.fromkeys([s for s, v in a.items() if v] + centers))
-    work = len(centers) * len(atoms)
-    if work > cap:
-        raise ResourceCapError(f"{work} first radii exceed cap {cap}", predicted=work, cap=cap)
+    check_cap(len(centers) * len(atoms), cap, "first radii")
     hit = [False] * len(centers)
     if centers and any(a.values()):
         pa, da = _common_denominator([Fraction(a.get(s, 0)) for s in atoms])

@@ -12,6 +12,12 @@ class ResourceCapError(RuntimeError):
         self.cap = cap
 
 
+def check_cap(predicted: int, cap: int, what: str) -> None:
+    """The one refusal rule: call before allocating, with the predicted count of what."""
+    if predicted > cap:
+        raise ResourceCapError(f"{predicted} {what} exceed cap {cap}", predicted=predicted, cap=cap)
+
+
 class HypothesisViolation(RuntimeError):
     """An operation's mathematical hypotheses fail; carries the clause."""
 

@@ -17,13 +17,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.optimize as opt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heisgeo as hg
 from heisgeo import balls, spherequad as sq
+from heisgeo.core import _dist_parts
 from heisgeo.errors import ResourceCapError
+from heisgeo.separation import _nelder_mead
 from lattice_symmetry import lattice_rotate_quarter
 
 E1 = hg.generator(1, 0)
@@ -167,20 +168,23 @@ def near_band_queries(count=2400):
 
 
 def oracle_sphere_dist(p, r, rng, starts=6):
-    """Multistart downhill minimization of d(p, .) over the dilated sphere."""
+    """Multistart downhill minimization of d(p, .) over the dilated sphere.
+
+    The objective is metric_d(p, sphere_point(r, x / |x|)) on bare parts, and
+    separation._nelder_mead repeats SciPy's Nelder-Mead bit for bit
+    (tests/test_separation.py), so this is SciPy's oracle without its overhead.
+    """
     y = hg.as_continuous(p)
     lam = hg.homogeneous_norm(y)
 
     def f(x):
-        return hg.metric_d(y, sq.sphere_point(r, x / np.linalg.norm(x)))
+        return _dist_parts(y.z, y.tau, *sq._parts(x / np.linalg.norm(x), r))
 
     best = math.inf
     seeds = [rng.standard_normal(2 * y.n + 1) for _ in range(starts)]
     seeds.append(sq._row(y) + 1e-3)  # aim at p's direction
     for x0 in seeds:
-        res = opt.minimize(f, x0, method="Nelder-Mead",
-                           options=dict(xatol=1e-10, fatol=1e-12, maxiter=2000))
-        best = min(best, res.fun)
+        best = min(best, _nelder_mead(f, x0, xatol=1e-10, fatol=1e-12, maxiter=2000)[1])
     return min(best, math.sqrt(abs(lam * lam - r * r)))
 
 
@@ -512,6 +516,16 @@ class TestFolner:
         got = {tuple(r) for r in balls.symmetric_difference_coords(1, 3, sigma).tolist()}
         want = {(p.a[0], p.b[0], p.m) for p in self.brute_symdiff(1, 3, sigma)}
         assert got == want
+
+    def test_coords_cap_bounds_points(self):
+        # a far sigma makes the difference 2 |B_10| = 83306 points; they were
+        # written with no cap, while the 21^2-cell grid passes any cap here
+        far = hg.LatticePoint((0,), (0,), 10 ** 6)
+        for cap in (1000, 83305):
+            with pytest.raises(ResourceCapError, match="points") as info:
+                balls.symmetric_difference_coords(1, 10, far, cap=cap)
+            assert (info.value.predicted, info.value.cap) == (83306, cap)
+        assert balls.symmetric_difference_coords(1, 10, far, cap=83306).shape == (83306, 3)
 
     def test_ratio_decays(self):
         for sigma in (E1, IE1):

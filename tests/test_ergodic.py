@@ -8,6 +8,7 @@ coboundary display are then verified as exact rational identities.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,6 +241,20 @@ class TestBallLabelCounts:
             er.ball_label_counts(act, 40, cap=1000)
         with pytest.raises(ValueError):
             er.ball_label_counts(act, 0)
+
+    def test_caps_checked_before_histogram_count(self):
+        # ball_cardinality allocates floor(k^2) + 1 histogram rows (1.49 GiB of
+        # them at k = 10^4), so a grid or a ball beyond cap is refused without
+        # it (|B_5| = 2547 > 200 >= 11^2)
+        act = er.make_quotient_action(1, 3)
+        with mock.patch.object(er, "ball_cardinality", side_effect=AssertionError("counted")):
+            with pytest.raises(ResourceCapError, match="grid") as info:
+                er.ball_label_counts(act, 10 ** 4)
+            assert (info.value.predicted, info.value.cap) == (20001 ** 2, DEFAULT_CAP)
+            with pytest.raises(ResourceCapError, match="points") as info:
+                er.ball_label_counts(act, 5, cap=200)
+            assert (info.value.predicted, info.value.cap) == (2547, 200)
+            assert sum(er.ball_label_counts(act, 5, cap=2547).values()) == 2547
 
     def test_memo_hands_out_fresh_dicts(self):
         for act in (skewed_quotient(), er.make_torus_action(1, (0.375, 0.625), 8)):

@@ -1,11 +1,12 @@
 """What a process loads: lazy re-exports, lazy layers, and never scipy.
 
 Every check runs in a fresh interpreter, so nothing an earlier test
-imported can hide an eager import.  Four more checks read the sources:
+imported can hide an eager import.  Six more checks read the sources:
 every public top-level name in the package is reached by the program,
 every module uses each name it imports, every third-party import is a
-runtime dependency in pyproject.toml, and no module but core chooses an
-integer width or an isqrt path.
+runtime dependency in pyproject.toml, no module but core chooses an
+integer width or an isqrt path, no module but errors raises a resource
+cap by hand, and every FiberSet.rows call passes its caller's cap.
 """
 
 import ast
@@ -174,6 +175,31 @@ def test_integer_width_rule_lives_in_core():
              for path in sorted(package.glob("*.py")) if path.name != "core.py"
              for i, line in enumerate(path.read_text().splitlines(), 1) if rule.search(line)]
     assert found == []
+
+
+def calls_in_package(name: str):
+    """(file, line, call) for every call of name, as a function or a method, in the package."""
+    for path in sorted(Path(heisgeo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                yield path.name, node.lineno, node
+
+
+def test_cap_refusals_go_through_check_cap():
+    # errors.check_cap is the one refusal rule: predicted > cap raises, with
+    # one message format, before the caller allocates anything
+    assert [f"{name}:{line}" for name, line, _ in calls_in_package("ResourceCapError")
+            if name != "errors.py"] == []
+
+
+def test_every_rows_call_passes_a_cap():
+    # FiberSet.rows is the one place lattice points are written, and it
+    # refuses beyond the cap its caller holds
+    calls = list(calls_in_package("rows"))
+    assert calls
+    assert [f"{name}:{line}" for name, line, call in calls
+            if not call.args and not any(kw.arg == "cap" for kw in call.keywords)] == []
 
 
 @pytest.mark.parametrize("argv", [
