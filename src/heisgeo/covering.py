@@ -17,8 +17,6 @@ sphere_pair_distance is a float measurement that no verdict reads.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +26,7 @@ import numpy as np
 
 from .balls import DEFAULT_CAP, BallSpec, boundary_contains
 from .core import (ContinuousPoint, LatticePoint, Point, _int_dtype, dist_cmp, dist_cmp_table,
-                   point_to_json, radii_over)
+                   radii_over)
 from .errors import HypothesisViolation, check_cap
 from .spherequad import (_mul_rows, _norm_rows, _point, _row, _sphere_rows, _unit_rows,
                          sphere_distance)
@@ -59,22 +57,6 @@ def _num_doc(x: Num):
     if isinstance(x, Fraction):
         return str(x)
     return float(x)
-
-
-def _point_doc(p: Point) -> dict:
-    return json.loads(point_to_json(p))
-
-
-def _ball_doc(b: BallSpec) -> dict:
-    doc = {"center": _point_doc(b.center), "radius": _num_doc(b.radius)}
-    if b.thickening:
-        doc["thickening"] = _num_doc(b.thickening)
-    return doc
-
-
-def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # --- domain types -------------------------------------------------------------
@@ -487,10 +469,8 @@ def _shell_contains(y: Point, ball: BallSpec, thick: Num) -> bool:
     return bool(boundary_contains(y, BallSpec(ball.center, ball.radius, thick)))
 
 
-def _shell_mass_checklist(
-    nu: DiscreteMeasure, stack: Stack, eps: Fraction, t: Num
-) -> tuple[bool, str]:
-    """Hypothesis: nu(boundary_t B) > eps * nu(B) for every stack ball."""
+def _require_shell_mass(nu: DiscreteMeasure, stack: Stack, eps: Fraction, t: Num) -> None:
+    """Hypothesis shell_mass: nu(boundary_t B) > eps * nu(B) for every stack ball."""
     support = nu.support
     for level, carpet in enumerate(stack.carpets, start=1):
         centers = [b.center for b in carpet.balls]
@@ -501,22 +481,25 @@ def _shell_mass_checklist(
                 y for y in support if _shell_contains(y, ball, t)
             )
             if not shell_mass > eps * ball_mass:
-                detail = (
+                raise HypothesisViolation(
+                    "shell_mass",
                     f"level {level} ball at {point_key(ball.center)}: "
-                    f"shell mass {shell_mass} <= eps * ball mass {eps * ball_mass}"
+                    f"shell mass {shell_mass} <= eps * ball mass {eps * ball_mass}",
                 )
-                return False, detail
-    return True, ""
 
 
-def _radii_growth_checklist(stack: Stack, t: Num) -> tuple[bool, str]:
+def _require_radii_growth(stack: Stack, t: Num) -> None:
+    """Hypothesis radii_growth: rmin U_1 > 2t and rmin U_(i+1) > 2 rmax U_i."""
     if not Fraction(stack.carpets[0].rmin) > 2 * Fraction(t):
-        return False, f"rmin U_1 = {stack.carpets[0].rmin} is not > 2t = {2 * Fraction(t)}"
+        raise HypothesisViolation(
+            "radii_growth", f"rmin U_1 = {stack.carpets[0].rmin} is not > 2t = {2 * Fraction(t)}"
+        )
     for i in range(1, stack.height):
         lo, hi = stack.carpets[i].rmin, stack.carpets[i - 1].rmax
         if not Fraction(lo) > 2 * Fraction(hi):
-            return False, f"rmin U_{i + 1} = {lo} is not > 2 rmax U_{i} = {hi}"
-    return True, ""
+            raise HypothesisViolation(
+                "radii_growth", f"rmin U_{i + 1} = {lo} is not > 2 rmax U_{i} = {hi}"
+            )
 
 
 def boundgen_select(
@@ -535,12 +518,15 @@ def boundgen_select(
     Each stage takes the best colour class of a Besicovitch selection over
     the current uncaptured set, working down the stack; the exit check asks
     whether the thickened boundaries of the family collected so far already
-    hold a strict majority of nu(F).  Hypotheses (finite measure, strict
-    mass fraction, radii growth, shell mass) are verified exactly and any
-    failure raises with the violated clause; the height identity
-    p = ceil(2 chi / (eps delta)) is reported in the checklist but not
-    enforced, since the shell-mass hypothesis caps the usable height of any
-    finite instance far below that p (see the package notes).
+    hold a strict majority of nu(F).  Hypotheses (strict mass fraction,
+    radii growth, shell mass) are verified exactly, in that order, and the
+    first failure raises with its clause; finite measure follows from
+    nu(F) > 0.  The report's hypotheses dict records them and the height
+    identity p = ceil(2 chi / (eps delta)), which is reported but not
+    enforced, since the shell-mass hypothesis caps the usable height of
+    any finite instance far below that p (see the package notes).
+    maintech_chain's force=True path checks nu(F) > 0 alone and reports
+    the three other clauses as None: unchecked, not held.
 
     postconditions.sphere_separated is is_sphere_separated's verdict: a True
     is exact wherever boundary_contains is, up to its gauge band (ROADMAP
@@ -560,32 +546,24 @@ def boundgen_select(
     p = stack.height
     p_required = math.ceil(Fraction(2 * chi) / (eps * delta))
 
-    total = nu.total
     nu_F = nu.mass(F_pts)
     if nu_F <= 0:
         raise HypothesisViolation("mass_fraction", "F carries no mass")
-    growth_ok, growth_detail = _radii_growth_checklist(stack, t)
-    shells_ok, shells_detail = (True, "")
     if _verify:
-        shells_ok, shells_detail = _shell_mass_checklist(nu, stack, eps, t)
-    checklist = {
-        "finite_measure": total > 0,
-        "mass_fraction": nu_F > delta * total,
-        "radii_growth": growth_ok,
-        "shell_mass": shells_ok,
+        if not nu_F > delta * nu.total:
+            raise HypothesisViolation(
+                "mass_fraction", f"nu(F) = {nu_F} is not > delta nu(M) = {delta * nu.total}"
+            )
+        _require_radii_growth(stack, t)
+        _require_shell_mass(nu, stack, eps, t)
+    held = True if _verify else None
+    hypotheses = {
+        "finite_measure": True,
+        "mass_fraction": held,
+        "radii_growth": held,
+        "shell_mass": held,
         "height_matches_p": p == p_required,
     }
-    if _verify:
-        if not checklist["finite_measure"]:
-            raise HypothesisViolation("finite_measure", "nu has no mass")
-        if not checklist["mass_fraction"]:
-            raise HypothesisViolation(
-                "mass_fraction", f"nu(F) = {nu_F} is not > delta nu(M) = {delta * total}"
-            )
-        if not growth_ok:
-            raise HypothesisViolation("radii_growth", growth_detail)
-        if not shells_ok:
-            raise HypothesisViolation("shell_mass", shells_detail)
 
     V: list[BallSpec] = []
     stages: list[dict] = []
@@ -601,7 +579,6 @@ def boundgen_select(
             )
             cap_mass = nu.mass(captured)
             if 2 * cap_mass > nu_F:
-                k = p - l + 1
                 separated = is_sphere_separated(V)
                 if not separated:
                     raise RuntimeError(
@@ -609,21 +586,18 @@ def boundgen_select(
                         "is not certified well-separated"
                     )
                 report = {
-                    "input_digest": _boundgen_digest(nu, F_pts, stack, eps, delta, t, chi),
-                    "hypotheses": checklist,
+                    "hypotheses": hypotheses,
                     "height": p,
                     "p_required": p_required,
                     "stages": stages,
-                    "k": k,
                     "capture_thickening": _num_doc(thick),
-                    "selection": [_ball_doc(b) for b in V],
                     "postconditions": {
                         "sphere_separated": separated,
                         "capture_fraction": str(cap_mass / nu_F),
                         "exceeds_half": True,
                     },
                 }
-                return BoundgenResult(k, V, captured, report)
+                return BoundgenResult(p - l + 1, V, captured, report)
         if l == p - 1:
             raise HypothesisViolation(
                 "termination",
@@ -657,20 +631,6 @@ def boundgen_select(
         )
         V.extend(best_cls)
     raise AssertionError("unreachable: loop exits via capture or termination")
-
-
-def _boundgen_digest(nu, F_pts, stack, eps, delta, t, chi) -> str:
-    return _digest(
-        {
-            "nu": [[_point_doc(p), str(w)] for p, w in sorted(nu.weights.items(), key=lambda kv: point_key(kv[0]))],
-            "F": [_point_doc(p) for p in F_pts],
-            "stack": [[_ball_doc(b) for b in c.balls] for c in stack.carpets],
-            "eps": str(eps),
-            "delta": str(delta),
-            "t": _num_doc(t),
-            "chi": chi,
-        }
-    )
 
 
 # --- stack heights ---------------------------------------------------------------
@@ -775,9 +735,7 @@ def maintech_chain(
             raise HypothesisViolation(
                 "radii_floor", f"rmin U_1 = {stack.carpets[0].rmin} is not > 7 max(t, R)"
             )
-        shells_ok, detail = _shell_mass_checklist(nu, stack, params.eps, t)
-        if not shells_ok:
-            raise HypothesisViolation("shell_mass", detail)
+        _require_shell_mass(nu, stack, params.eps, t)
         if stack.height < heights.q:
             raise HypothesisViolation(
                 "height", f"stack height {stack.height} is below q = {heights.q}"
@@ -843,15 +801,7 @@ def maintech_chain(
         )
         centers.append(ball.center)
         radii.append(ball.radius)
-    report = dict(
-        base_report,
-        outcome="chain",
-        stages=stage_reports,
-        chain=[
-            {"center": _point_doc(c), "radius": _num_doc(r), "t": _num_doc(ti)}
-            for c, r, ti in zip(centers, radii, thicks)
-        ],
-    )
+    report = dict(base_report, outcome="chain", stages=stage_reports)
     config = ChainConfig(tuple(centers), tuple(radii), tuple(thicks), params.R)
     return Chain(x, config.points, config.radii, config.thicks, certify_chain(config, x), report)
 

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .balls import DEFAULT_CAP, FiberSet, _t_boundary, ball_cardinality
-from .core import LatticePoint, Radius, _int_dtype, _isqrt_vec, generator, inverse
+from .core import LatticePoint, Radius, _int_dtype, _isqrt_vec, _table_terms, generator, inverse
 from .errors import check_cap
 
 Rational = Union[int, Fraction]
@@ -374,14 +374,14 @@ def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
         right invariant;
       - so s enters at the first radius i(h, s) = max(1, ceil d(s, h)) and
         stays for every larger i, and never enters when that exceeds k;
-        _first_radii finds it from the integer offset (X, M) of s h^-1.
+        _first_radii finds it from the integer offset (X, M) of
+        core._table_terms for h s^-1, the inverse of s h^-1, of equal norm.
 
     Per h, the atoms sorted by first radius give s_i a(h) and s_i b(h) as
     running sums of integer numerators over one common denominator per
     side (D_a, D_b), read at the last atom of each radius.  With eps = p/q
-    the test is q D_b s_i a > p D_a s_i b.  With B the largest atom
-    coordinate, |X| and |M| are at most 8 n B^2; the arrays take
-    core._int_dtype of that, the radius test's 5 k^4 and these products.
+    the test is q D_b s_i a > p D_a s_i b; the running sums take
+    core._int_dtype of these products.
 
     Atoms are the keys of a and b and must be lattice points of rank n
     (ValueError).  The work is |supp b| * |supp a u supp b| first radii;
@@ -408,17 +408,13 @@ def discrete_maximal_check(a: dict, b: dict, k: int, eps: Rational,
         pa, da = _common_denominator([Fraction(a.get(s, 0)) for s in atoms])
         pb, db = _common_denominator([Fraction(b.get(s, 0)) for s in atoms])
         wa, wb = eps.denominator * db, eps.numerator * da
-        big = max(abs(c) for s in atoms for c in s.a + s.b + (s.m,))
-        dtype = _int_dtype(max(8 * n * big * big, 5 * k ** 4, wa * sum(map(abs, pa)),
-                               wb * sum(pb)))
-        s_pts = np.array([s.a + s.b + (s.m,) for s in atoms], dtype=dtype)[None]
-        h_pts = np.array([h.a + h.b + (h.m,) for h in centers], dtype=dtype)[:, None]
-        dz = s_pts[..., :2 * n] - h_pts[..., :2 * n]
-        twist = s_pts[..., :n] * h_pts[..., n:2 * n] - s_pts[..., n:2 * n] * h_pts[..., :n]
-        first = _first_radii(np.sum(dz * dz, axis=2),
-                             s_pts[..., -1] - h_pts[..., -1] - np.sum(twist, axis=2), k)
+        # the table's width bound holds 4 U^2 = 4 k^4, so where it picks int64,
+        # _first_radii's X^2 + M^2 <= 5 k^4 < 2^63 fits as well
+        X, M, _, _ = _table_terms(centers, atoms, [k], 1)
+        first = _first_radii(X, M, k)
         order = np.argsort(first, axis=1, kind="stable")
         r = np.take_along_axis(first, order, axis=1)
+        dtype = _int_dtype(max(wa * sum(map(abs, pa)), wb * sum(pb)))
         sa = np.cumsum(np.array(pa, dtype=dtype)[order], axis=1)
         sb = np.cumsum(np.array(pb, dtype=dtype)[order], axis=1)
         last = np.ones(r.shape, dtype=bool)  # last atom of its radius

@@ -205,9 +205,8 @@ class LssConfig(NamedTuple):
     r_tilde: float
 
 
-def random_lss_config(R: float, eps: float, n: int = 1,
-                      rng: Optional[np.random.Generator] = None,
-                      seed: Optional[int] = None) -> LssConfig:
+def random_lss_config(R: float, eps: float, n: int = 1, *,
+                      rng: np.random.Generator) -> LssConfig:
     """Hypothesis-satisfying configuration with certifiable memberships.
 
     p sits essentially on its own sphere through the origin; q is found
@@ -222,8 +221,6 @@ def random_lss_config(R: float, eps: float, n: int = 1,
         raise ValueError("eps must lie in (0, 1)")
     if not R > 1:
         raise ValueError("R must exceed 1")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     dim = 2 * n + 1
     t = 1.0 + float(rng.uniform(0.0, 2.0))
     t_tilde = 1.0 + float(rng.uniform(0.0, 2.0))

@@ -302,10 +302,16 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
-    def test_cardinality_cap_is_3(self, capsys):
-        # grid fits, predicted ball does not
-        code, _, _ = run(capsys, "ball", "--n", "1", "--k", "40", "--cap", "7")
+    def test_grid_over_small_cap_is_3(self, capsys):
+        # the 81^2 = 6,561-cell horizontal grid is refused before any count
+        code, _, err = run(capsys, "ball", "--n", "1", "--k", "40", "--cap", "7")
         assert code == 3
+        assert "6561 horizontal grid cells exceed cap 7" in err
+
+    def test_ball_count_past_default_cap_is_printed(self, capsys):
+        # |B_100| has more points than the default cap, but no point is written
+        code, out, _ = run(capsys, "ball", "--n", "1", "--k", "100")
+        assert (code, out) == (0, "418863885\n")
 
     def test_oversize_net_is_3(self, capsys):
         # a 321^5-cell grid is refused before any array is allocated

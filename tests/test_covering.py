@@ -495,6 +495,13 @@ def continuous_carpet(rng, n, count=30, box=12):
     return cv.Carpet(tuple(balls))
 
 
+def ball_doc(b):
+    """A carpet ball as JSON: its center's point_to_json object and an int or 'p/q' radius."""
+    r = b.radius
+    return {"center": json.loads(hg.point_to_json(b.center)),
+            "radius": str(r) if isinstance(r, Fraction) else r}
+
+
 def carpet_record(seed):
     rng = np.random.default_rng(seed)
     carpet = lattice_carpet(rng) if seed % 2 == 0 else continuous_carpet(rng, 1 + seed % 4 // 2)
@@ -502,11 +509,11 @@ def carpet_record(seed):
     chosen = cv.besicovitch_select(carpet)
     part = cv.colour_partition(chosen, 4)
     return {
-        "chosen": [cv._ball_doc(b) for b in chosen],
+        "chosen": [ball_doc(b) for b in chosen],
         "incremental": [cv.is_incremental(carpet.balls), cv.is_incremental(chosen)],
         "multiplicity": [cv.selection_multiplicity(chosen, base),
                          cv.selection_multiplicity(carpet.balls, base)],
-        "classes": [[cv._ball_doc(b) for b in cls] for cls in part.classes],
+        "classes": [[ball_doc(b) for b in cls] for cls in part.classes],
         "chi_used": part.chi_used,
         "separated": [cv.is_well_separated(cls) for cls in part.classes]
         + [cv.is_well_separated(chosen), cv.is_well_separated(carpet.balls[:4])],
@@ -852,7 +859,6 @@ class TestBoundgen:
         nu, F, stack, eps, delta, t = cv.synthetic_boundgen_instance(3, 2, 4)
         r1 = cv.boundgen_select(nu, F, stack, eps, delta, t, chi=4)
         r2 = cv.boundgen_select(nu, F, stack, eps, delta, t, chi=4)
-        assert r1.report["input_digest"] == r2.report["input_digest"]
         assert json.dumps(r1.report, sort_keys=True) == json.dumps(r2.report, sort_keys=True)
 
 
@@ -946,6 +952,29 @@ class TestMaintech:
         res = cv.maintech_chain(nu, F, stack, params, t, force=True)
         for c, r, th in zip(res.points, res.radii, res.thicks):
             assert boundary_contains(res.x, BallSpec(c, r, Fraction(th)))
+
+    def test_forced_stages_report_no_unchecked_clause_as_held(self, maintech_instance,
+                                                               monkeypatch):
+        # force=True runs each stage unverified: only nu(F) > 0, and with it
+        # finite measure, is checked there, so the other clauses read None;
+        # each substack has the p_i levels the height identity asks for
+        nu, F, stack, params, t = maintech_instance
+        seen = []
+        select = cv.boundgen_select
+
+        def spy(*args, **kwargs):
+            res = select(*args, **kwargs)
+            seen.append((kwargs["_verify"], res.report["hypotheses"]))
+            return res
+
+        monkeypatch.setattr(cv, "boundgen_select", spy)
+        cv.maintech_chain(nu, F, stack, params, t, force=True)
+        assert len(seen) == params.kappa
+        for verified, hypotheses in seen:
+            assert verified is False
+            assert hypotheses == {"finite_measure": True, "mass_fraction": None,
+                                  "radii_growth": None, "shell_mass": None,
+                                  "height_matches_p": True}
 
     def test_forced_stage_halving(self, maintech_instance):
         nu, F, stack, params, t = maintech_instance

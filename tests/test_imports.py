@@ -2,11 +2,12 @@
 
 Every check runs in a fresh interpreter, so nothing an earlier test
 imported can hide an eager import.  Six more checks read the sources:
-every public top-level name in the package is reached by the program,
-every module uses each name it imports, every third-party import is a
-runtime dependency in pyproject.toml, no module but core chooses an
-integer width or an isqrt path, no module but errors raises a resource
-cap by hand, and every FiberSet.rows call passes its caller's cap.
+every top-level function and class in the package, private ones too, is
+reached by the program, every module uses each name it imports, every
+third-party import is a runtime dependency in pyproject.toml, no module
+but core chooses an integer width or an isqrt path, no module but errors
+raises a resource cap by hand, and every FiberSet.rows call passes its
+caller's cap.
 """
 
 import ast
@@ -125,7 +126,8 @@ def code_uses(tree: ast.AST) -> Counter:
 
 
 def test_every_public_definition_is_reached():
-    # used as code outside its own definition in the package, the demos or
+    # every top-level function and class, private or public (dunders aside),
+    # is used as code outside its own definition in the package, the demos or
     # the bench; comments, docstrings and strings do not count, nor does the
     # export list in __init__, and a name only the tests use belongs in the tests
     package = Path(heisgeo.__file__).parent
@@ -137,7 +139,7 @@ def test_every_public_definition_is_reached():
         f"{path.name}:{node.name}"
         for path in sorted(package.glob("*.py"))
         for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__")
         and node.name not in TEST_ONLY
         and uses[node.name] == code_uses(node)[node.name]
     ]

@@ -80,7 +80,7 @@ class TestLssCheck:
             assert sp.lss_check(*cfg, eps=0.5, R=1e4).holds
 
     def test_gap_matches_direct_evaluation(self):
-        cfg = sp.random_lss_config(1e4, 0.5, n=1, seed=3)
+        cfg = sp.random_lss_config(1e4, 0.5, n=1, rng=np.random.default_rng(3))
         res = sp.lss_check(*cfg, eps=0.5, R=1e4)
         p_hat = dilate(1.0 / homogeneous_norm(cfg.p), cfg.p)
         q_hat = dilate(1.0 / homogeneous_norm(cfg.q), cfg.q)
@@ -91,7 +91,7 @@ class TestLssCheck:
         return exc_info.value.clause
 
     def test_violation_clauses(self):
-        cfg = sp.random_lss_config(1e4, 0.5, n=1, seed=1)
+        cfg = sp.random_lss_config(1e4, 0.5, n=1, rng=np.random.default_rng(1))
         p, q, t, tt, r, rt = cfg
         with pytest.raises(HypothesisViolation) as e:
             sp.lss_check(p, q, 0.5, tt, r, rt, eps=0.5, R=1e4)
@@ -556,7 +556,7 @@ class TestIntersectionSearch:
         with pytest.raises(ValueError, match="n must be >= 1"):
             sp.intersection_search(0, 1e4, trials=2)
         with pytest.raises(ValueError, match="n must be >= 1"):
-            sp.random_lss_config(1e4, 0.5, 0, seed=1)
+            sp.random_lss_config(1e4, 0.5, 0, rng=np.random.default_rng(1))
 
     def test_preserved_artifact_recertifies(self):
         # evidence written by the acceptance run must stay verifiable
