@@ -13,9 +13,9 @@ _EXPORTS = {
     "core": (
         "ContinuousPoint", "LatticePoint", "as_continuous",
         "continuous_identity", "dilate", "dist_eq_exact", "dist_le_exact",
-        "generator", "homogeneous_norm", "inverse", "isometry_flip",
-        "isometry_rotate", "lattice_identity", "metric_d", "multiply",
-        "offset_exact", "point_from_json", "point_to_json",
+        "generator", "homogeneous_norm", "inverse", "lattice_identity",
+        "metric_d", "multiply", "offset_exact", "point_from_json",
+        "point_to_json",
     ),
     "covering": (
         "BoundgenResult", "Carpet", "Chain", "ColourPartition",

@@ -165,11 +165,11 @@ class FiberSet:
     hi: np.ndarray  # (N,)
 
     @classmethod
-    def ball(cls, n: int, r: Radius, cap: int = DEFAULT_CAP, strict: bool = False) -> "FiberSet":
-        """Fibers of B_r(0), the open ball when strict; B_r(c) is ball(...).translate(c)."""
+    def ball(cls, n: int, r: Radius, cap: int = DEFAULT_CAP) -> "FiberSet":
+        """Fibers of B_r(0); B_r(c) is ball(...).translate(c)."""
         u, v = radius_parts(r)
         y, x = _disk(n, u, v, cap)
-        w = _halfwidth(u * u, v * v, x, strict)
+        w = _halfwidth(u * u, v * v, x)
         hull = w - (w - np.sum(y[:n] * y[n:], axis=0)) % 2
         keep = hull >= 0
         return cls(np.compress(keep, y, axis=1), -hull[keep], hull[keep])

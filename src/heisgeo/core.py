@@ -28,7 +28,6 @@ integer formula on arrays.  Counting never touches floating point.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -347,21 +346,6 @@ def dist_eq_exact(p: Point, q: Point, r: Union[Radius, float]) -> bool:
     if r == 0:
         raise ValueError("radius must be positive")
     return dist_cmp(p, q, r) == 0
-
-
-def isometry_flip(p: Point) -> Point:
-    """(z, tau) -> (conj z, -tau); a metric-preserving automorphism."""
-    if isinstance(p, LatticePoint):
-        return LatticePoint(p.a, tuple(-y for y in p.b), -p.m)
-    return ContinuousPoint(tuple(w.conjugate() for w in p.z), -p.tau)
-
-
-def isometry_rotate(theta: Sequence[float], p: Point) -> ContinuousPoint:
-    """Coordinatewise rotation (z_j) -> (e^{i theta_j} z_j), tau fixed."""
-    cp = as_continuous(p)
-    if len(theta) != cp.n:
-        raise ValueError("need one angle per coordinate")
-    return ContinuousPoint(tuple(cmath.exp(1j * t) * w for t, w in zip(theta, cp.z)), cp.tau)
 
 
 # --- serialisation ---------------------------------------------------------

@@ -255,8 +255,10 @@ def is_sphere_separated(balls: Sequence[BallSpec]) -> bool:
         raise ValueError("empty ball collection")
     rmin = Fraction(min(b.radius for b in balls))
     return all(_sphere_gap_certified(a, b, rmin)
-               or not _shell_contains(a.center, b, Fraction(a.radius) + rmin)
-               or not _shell_contains(b.center, a, Fraction(b.radius) + rmin)
+               or not boundary_contains(a.center, BallSpec(b.center, b.radius,
+                                                           Fraction(a.radius) + rmin))
+               or not boundary_contains(b.center, BallSpec(a.center, a.radius,
+                                                           Fraction(b.radius) + rmin))
                for i, a in enumerate(balls) for b in balls[i + 1:])
 
 
@@ -465,10 +467,6 @@ class BoundgenResult(NamedTuple):
     report: dict
 
 
-def _shell_contains(y: Point, ball: BallSpec, thick: Num) -> bool:
-    return bool(boundary_contains(y, BallSpec(ball.center, ball.radius, thick)))
-
-
 def _require_shell_mass(nu: DiscreteMeasure, stack: Stack, eps: Fraction, t: Num) -> None:
     """Hypothesis shell_mass: nu(boundary_t B) > eps * nu(B) for every stack ball."""
     support = nu.support
@@ -477,9 +475,8 @@ def _require_shell_mass(nu: DiscreteMeasure, stack: Stack, eps: Fraction, t: Num
         inside = (dist_cmp_table(support, centers, *_radii_table(carpet.balls)) <= 0).T.tolist()
         for ball, hits in zip(carpet.balls, inside):
             ball_mass = nu.mass(y for y, hit in zip(support, hits) if hit)
-            shell_mass = nu.mass(
-                y for y in support if _shell_contains(y, ball, t)
-            )
+            shell = BallSpec(ball.center, ball.radius, t)
+            shell_mass = nu.mass(y for y in support if boundary_contains(y, shell))
             if not shell_mass > eps * ball_mass:
                 raise HypothesisViolation(
                     "shell_mass",
@@ -572,11 +569,8 @@ def boundgen_select(
         captured: tuple[Point, ...] = ()
         if l >= 1:
             thick = 2 * Fraction(r_l)
-            captured = tuple(
-                y
-                for y in F_pts
-                if any(_shell_contains(y, B, thick) for B in V)
-            )
+            shells = [BallSpec(B.center, B.radius, thick) for B in V]
+            captured = tuple(y for y in F_pts if any(boundary_contains(y, s) for s in shells))
             cap_mass = nu.mass(captured)
             if 2 * cap_mass > nu_F:
                 separated = is_sphere_separated(V)
@@ -754,8 +748,7 @@ def maintech_chain(
 
     N = 0
     F_i = F_pts
-    selections: list[list[BallSpec]] = []
-    thicks: list[Num] = []
+    shells: list[list[BallSpec]] = []  # stage i's selection, thickened by its t_i
     stage_reports: list[dict] = []
     prev_mass = nu_F
     for i in range(params.kappa):
@@ -786,23 +779,16 @@ def maintech_chain(
                 "spheres": len(res.selection),
             }
         )
-        selections.append(res.selection)
-        thicks.append(t_i)
+        shells.append([BallSpec(b.center, b.radius, t_i) for b in res.selection])
         F_i = list(res.captured)
         prev_mass = new_mass
 
     ranked = sorted(F_i, key=lambda y: (-nu.weights.get(y, Fraction(0)), point_key(y)))
     x = ranked[0]
-    centers: list[Point] = []
-    radii: list[Num] = []
-    for i in range(params.kappa):
-        ball = next(
-            b for b in selections[i] if _shell_contains(x, b, thicks[i])
-        )
-        centers.append(ball.center)
-        radii.append(ball.radius)
+    chosen = [next(s for s in stage if boundary_contains(x, s)) for stage in shells]
     report = dict(base_report, outcome="chain", stages=stage_reports)
-    config = ChainConfig(tuple(centers), tuple(radii), tuple(thicks), params.R)
+    config = ChainConfig(tuple(s.center for s in chosen), tuple(s.radius for s in chosen),
+                         tuple(s.thickening for s in chosen), params.R)
     return Chain(x, config.points, config.radii, config.thicks, certify_chain(config, x), report)
 
 

@@ -35,13 +35,12 @@ from heisgeo.core import (
     dilate,
     dist_le_exact,
     generator,
-    isometry_flip,
-    isometry_rotate,
     metric_d,
     multiply,
     point_from_json,
 )
 from heisgeo.spherequad import sphere_point
+from lattice_symmetry import isometry_flip, isometry_rotate
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 

@@ -25,7 +25,7 @@ from heisgeo import balls, spherequad as sq
 from heisgeo.core import _dist_parts
 from heisgeo.errors import ResourceCapError
 from heisgeo.separation import _nelder_mead
-from lattice_symmetry import lattice_rotate_quarter
+from lattice_symmetry import isometry_flip, lattice_rotate_quarter
 
 E1 = hg.generator(1, 0)
 IE1 = hg.generator(1, 0, imaginary=True)
@@ -138,10 +138,24 @@ def candidate_box(center, r):
 
 
 def annulus_rows(n, k, t):
-    """Rows of the annulus k - t <= d(y, 0) <= k + t, the t-boundary's superset."""
+    """Rows of the annulus k - t <= d(y, 0) <= k + t, the t-boundary's superset.
+
+    The open ball d < s = k - t that it leaves out is the closed ball less
+    the fiber ends on its sphere, where m^2 = 4 s^2 (s^2 - |y|^2).
+    """
     t = Fraction(t)
     outer = balls.FiberSet.ball(n, k + t)
-    return outer.difference(balls.FiberSet.ball(n, max(k - t, 0), strict=True)).rows()
+    s = k - t
+    if s <= 0:
+        return outer.rows()
+    ball = balls.FiberSet.ball(n, s)
+    u, v = s.as_integer_ratio()
+    x = (ball.y.astype(object) ** 2).sum(axis=0).tolist()
+    on = np.array([m * m * v ** 4 == 4 * u * u * (u * u - xy * v * v)
+                   for xy, m in zip(x, ball.hi.tolist())], dtype=bool)
+    lo, hi = ball.lo + 2 * on, ball.hi - 2 * on
+    keep = lo <= hi
+    return outer.difference(balls.FiberSet(ball.y[:, keep], lo[keep], hi[keep])).rows()
 
 
 def band_membership(coords, n, k, t):
@@ -650,7 +664,7 @@ class TestBoundaryContains:
             m = (ab[0] * ab[1]) % 2 + 4
             y = hg.LatticePoint((ab[0],), (ab[1],), m)
             base = balls.boundary_contains(y, spec).inside
-            assert balls.boundary_contains(hg.isometry_flip(y), spec).inside == base
+            assert balls.boundary_contains(isometry_flip(y), spec).inside == base
             assert balls.boundary_contains(
                 lattice_rotate_quarter(y, (1,)), spec).inside == base
 

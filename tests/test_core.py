@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heisgeo as hg
-from lattice_symmetry import lattice_rotate_quarter
+from lattice_symmetry import isometry_flip, isometry_rotate, lattice_rotate_quarter
 
 
 def lattice_points(n=1, coord=20, m_span=60):
@@ -369,30 +369,30 @@ class TestIsometries:
         rng = random.Random(23)
         for _ in range(50):
             p, q = random_continuous(rng), random_continuous(rng)
-            fp, fq = hg.isometry_flip(p), hg.isometry_flip(q)
+            fp, fq = isometry_flip(p), isometry_flip(q)
             prod = hg.multiply(fp, fq)
-            fprod = hg.isometry_flip(hg.multiply(p, q))
+            fprod = isometry_flip(hg.multiply(p, q))
             assert abs(prod.tau - fprod.tau) < 1e-10
             assert hg.metric_d(fp, fq) == pytest.approx(hg.metric_d(p, q), abs=1e-10)
 
     @given(lattice_points())
     def test_flip_preserves_lattice(self, p):
-        fp = hg.isometry_flip(p)
+        fp = isometry_flip(p)
         assert isinstance(fp, hg.LatticePoint)
-        assert hg.isometry_flip(fp) == p
+        assert isometry_flip(fp) == p
 
     def test_rotation_isometry(self):
         rng = random.Random(29)
         for _ in range(50):
             p, q = random_continuous(rng, n=2), random_continuous(rng, n=2)
             th = [rng.uniform(0, 2 * math.pi) for _ in range(2)]
-            assert hg.metric_d(hg.isometry_rotate(th, p), hg.isometry_rotate(th, q)) == pytest.approx(
+            assert hg.metric_d(isometry_rotate(th, p), isometry_rotate(th, q)) == pytest.approx(
                 hg.metric_d(p, q), abs=1e-10)
 
     @given(lattice_points(coord=10), st.integers(0, 7))
     def test_quarter_turn_matches_continuous_rotation(self, p, c):
         lat = lattice_rotate_quarter(p, (c,))
-        cont = hg.isometry_rotate((c * math.pi / 2,), p)
+        cont = isometry_rotate((c * math.pi / 2,), p)
         lz = hg.as_continuous(lat)
         assert abs(lz.tau - cont.tau) < 1e-9
         assert all(abs(u - v) < 1e-9 for u, v in zip(lz.z, cont.z))

@@ -102,7 +102,7 @@ def test_every_public_name_resolves_and_is_listed(tmp_path):
                           "hasattr": hasattr(heisgeo, "no_such_name")}))
     """, tmp_path)
     assert doc["loaded"] == []  # dir() lists names before any submodule loads
-    assert doc["count"] == len(heisgeo.__all__) == 67
+    assert doc["count"] == len(heisgeo.__all__) == 65
     assert doc["unlisted"] == []
     assert doc["unresolved"] == []
     assert doc["missing_star"] == []

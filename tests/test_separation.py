@@ -27,8 +27,6 @@ from heisgeo.core import (
     dilate,
     homogeneous_norm,
     inverse,
-    isometry_flip,
-    isometry_rotate,
     metric_d,
     multiply,
     point_from_json,
@@ -36,6 +34,7 @@ from heisgeo.core import (
 )
 from heisgeo.errors import HypothesisViolation
 from heisgeo.spherequad import sphere_point
+from lattice_symmetry import isometry_flip, isometry_rotate
 
 
 def unit(rng, dim):
@@ -229,6 +228,63 @@ class TestCloseball:
         estimate = closeball_R_estimate(r=0.5, n=1, directions=5, seed=3, hi=64.0)
         # measured feasibility edge sits well inside the shipped default
         assert 1.0 < estimate < sp.DEFAULT_CLOSEBALL_R
+
+
+def closeball_round_trip(p, p_prime, r):
+    """(branch, q) by the isometry round trip closeball_witness once made:
+    flip tau0 to >= 0, rotate the phases of z0 away, pick the center on the
+    real axis or at the pole, then rotate and flip back."""
+    p0 = dilate(1.0 / (2.0 * r), multiply(p, inverse(p_prime)))
+    rho0 = homogeneous_norm(p0)
+    flipped = p0.tau < 0
+    p1 = isometry_flip(p0) if flipped else p0
+    theta = [-(0.0 if w == 0 else math.atan2(w.imag, w.real)) for w in p1.z]
+    p2 = isometry_rotate(theta, p1)
+    z_norm = math.sqrt(sum(w.real * w.real + w.imag * w.imag for w in p2.z))
+    if z_norm >= 2.0 * sp.DEFAULT_CLOSEBALL_C / rho0:
+        branch = "equator"
+        q_norm = ContinuousPoint(tuple(complex(w.real / z_norm, 0.0) for w in p2.z), 0.0)
+    else:
+        branch = "pole"
+        q_norm = ContinuousPoint((0j,) * p2.n, 1.0)
+    q_back = isometry_rotate([-a for a in theta], q_norm)
+    if flipped:
+        q_back = isometry_flip(q_back)
+    return branch, multiply(dilate(2.0 * r, q_back), as_continuous(p_prime))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closeball_center_matches_isometry_round_trip(n):
+    # the center built in the given frame is the round trip's, up to
+    # rounding, on both branches and both signs of tau0; a small horizontal
+    # part |z0| < 2C / rho0 steers a trial onto the pole branch
+    rng = np.random.default_rng(40 + n)
+    dim = 2 * n + 1
+    seen = set()
+    for trial in range(16):
+        pole, negative = trial % 2 == 1, (trial // 2) % 2 == 1
+        rho0 = 8.5 + float(rng.uniform(0.0, 11.5))
+        xi = unit(rng, dim)
+        if pole:
+            xi[:-1] *= float(rng.uniform(0.0, 0.005))
+        xi[-1] = -abs(xi[-1]) if negative else abs(xi[-1])
+        r = float(rng.choice([0.5, 1.0, 3.0]))
+        base = ContinuousPoint(tuple(complex(*rng.normal(size=2)) for _ in range(n)),
+                               float(rng.normal()))
+        p = multiply(dilate(2.0 * r, sphere_point(rho0, xi / np.linalg.norm(xi))), base)
+        res = sp.closeball_witness(p, base, r, samples=160, seed=trial)
+        branch, q = closeball_round_trip(p, base, r)
+        seen.add((branch, dilate(1.0 / (2.0 * r), multiply(p, inverse(base))).tau < 0))
+        assert res.report["branch"] == branch == ("pole" if pole else "equator")
+        # the round trip's center under the same sample and acceptance rule
+        max_d, _ = sp._boundary_max_distance(q, r, as_continuous(p), 160,
+                                             np.random.default_rng(trial))
+        assert res.verified == (max_d <= res.report["rho"] * (1.0 + 1e-12) + 1e-9)
+        new = [c for w in res.q.z for c in (w.real, w.imag)] + [res.q.tau]
+        old = [c for w in q.z for c in (w.real, w.imag)] + [q.tau]
+        scale = max(abs(c) for c in old)
+        assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(new, old)), (new, old)
+    assert seen == {(b, s) for b in ("equator", "pole") for s in (False, True)}
 
 
 def closeball_R_estimate(r, n, directions, seed, hi):
@@ -434,7 +490,7 @@ class TestChainConfig:
             sp.ChainConfig((x,), (-3.0,), (1.0,), 2.0)
         with pytest.raises(ValueError):
             sp.ChainConfig((x,), (10.0,), (1.0,), 1.0)
-        assert len(sp.ChainConfig((x,), (10.0,), (1.0,), 2.0)) == 1
+        assert sp.ChainConfig((x,), (10.0,), (1.0,), 2.0).points == (x,)
 
     def test_certify_hand_chain(self):
         rng = np.random.default_rng(3)
@@ -761,9 +817,9 @@ def test_search_report_is_pinned(kwargs, digest):
 
 
 # sha256 of json.dumps([[q, verified, report], ...], sort_keys=True) over
-# the 100 closeball trials of acceptance criterion 6, recorded before the
-# polishes moved onto Python floats
-CLOSEBALL_SUITE_HEX = "d305833d9d0fbe65b63d67f0dc6448b2628b16108718118e500b19915885f30a"
+# the 100 closeball trials of acceptance criterion 6, recorded when the
+# center came to be built in the given frame (verdicts and branches as before)
+CLOSEBALL_SUITE_HEX = "9aa2032a27675f4b4a20b8ede4663b62b0dabcf114f81fbe95bf85dce8734c5d"
 
 
 def test_closeball_suite_is_pinned():
