@@ -50,7 +50,7 @@ nu, F, stack, eps, delta, t = cv.synthetic_boundgen_instance(3, 2, 4, seed=1)
 res = cv.boundgen_select(nu, F, stack, eps, delta, t, chi=4)
 post = res.report["postconditions"]
 print(f"\nboundary selection: k = {res.k}, "
-      f"capture fraction = {Fraction(post['capture_fraction'])} "
+      f"capture fraction = {post['capture_fraction']} "
       f"(> 1/2: {post['exceeds_half']})")
 
 print("\nstack heights q(chi=1, eps=delta=1/2):")

@@ -30,8 +30,9 @@ it on the exact offset y x^-1 (core.offset_exact).  The bounds of _screens
 settle most points: a quick-out (|d(y,x) - r| > t, the triangle inequality)
 and a quick-in (the dilation witness gives dist <= sqrt|d^2 - r^2|).  Between
 them _gauge_inside alone calls the certified minimum of the sphere gauge
-(spherequad), on |z|^2 and tau rounded once each from the offset, accepted up
-to the fixed band _ACCEPT; no other float enters a count.
+(spherequad) at unit thickness, on |z|^2/t^2, tau/t^2 and r/t rounded once each
+from the exact offset and radii, accepted up to the fixed band _ACCEPT; no
+other float enters a count.
 d_t B_k(0) is a FiberSet, since each of its fibers is one band
 {lo <= |m| <= hi} of one parity class:
 
@@ -531,14 +532,19 @@ def _screens(r: tuple[int, int], t: tuple[int, int]) -> tuple[int, int, int, int
 
 def _gauge_inside(X, M, e: int, r: Radius, t: Radius):
     """Is each offset (X, M, e) (core.offset_exact; ints, or int64 arrays with
-    e = 0) within t of S_r(0) by the gauge at x = X/4^e, tau = M/2^(2e+1)?
-    Each input is one correctly rounded int division."""
-    d = 1 << 2 * e
+    e = 0) within t > 0 of S_r(0)?  The gauge, at unit thickness, reads
+    X tv^2/(4^e tu^2), M tv^2/(2 4^e tu^2) and ru tv/(rv tu): |z|^2, tau and
+    r over t^2, t^2 and t, each one division of integers in core._int_dtype
+    (an int64 term past 2^53 rounds once more on its way to a float)."""
+    (ru, rv), (tu, tv) = radius_parts(r), radius_parts(t)
+    scale, den = tv * tv, tu * tu << 2 * e
+    wide = _int_dtype(max(2 * den, scale * int(np.max(X + abs(M)))))
+    X, M = np.atleast_1d(X).astype(wide) * scale, np.atleast_1d(M).astype(wide) * scale
     try:
-        x, tau = X / d, M / (2 * d)
+        x, tau, rho = X / den, M / (2 * den), ru * tv / (rv * tu)
     except OverflowError:
         raise ValueError("offset too large for the float gauge") from None
-    return gauge_min(np.atleast_1d(x), np.atleast_1d(tau), float(r), float(t)) <= _ACCEPT
+    return gauge_min(x, tau, rho) <= _ACCEPT
 
 
 def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:

@@ -385,7 +385,7 @@ def cmd_maximal(args) -> int:
     all_hold = True
     for trial in range(args.trials):
         f = {x: Fraction(int(rng.integers(-6, 7)), 3) for x in action.states}
-        out = er.maximal_inequality_experiment(action, f, args.eps, args.k_max)
+        out = er.maximal_inequality_experiment(action, f, args.eps, args.k_max, cap=args.cap)
         ok = out.lhs_measure <= out.bound
         all_hold = all_hold and ok
         rows.append((trial, out.lhs_measure, out.bound, ok))

@@ -48,17 +48,6 @@ def point_key(p: Point):
     )
 
 
-def _num_doc(x: Num):
-    """JSON-stable scalar: ints stay ints, rationals become 'p/q' strings."""
-    if isinstance(x, bool):
-        raise TypeError("boolean is not a radius")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return str(x)
-    return float(x)
-
-
 # --- domain types -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -584,10 +573,10 @@ def boundgen_select(
                     "height": p,
                     "p_required": p_required,
                     "stages": stages,
-                    "capture_thickening": _num_doc(thick),
+                    "capture_thickening": thick,
                     "postconditions": {
                         "sphere_separated": separated,
-                        "capture_fraction": str(cap_mass / nu_F),
+                        "capture_fraction": cap_mass / nu_F,
                         "exceeds_half": True,
                     },
                 }
@@ -619,8 +608,8 @@ def boundgen_select(
                 "carpet_level": p - l,
                 "selected": len(chosen),
                 "classes_used": partition.chi_used,
-                "class_mass": str(best_mass),
-                "uncaptured_mass": str(e_mass),
+                "class_mass": best_mass,
+                "uncaptured_mass": e_mass,
             }
         )
         V.extend(best_cls)
@@ -774,8 +763,8 @@ def maintech_chain(
                 "stage": i + 1,
                 "n": n_next,
                 "N": N,
-                "t": _num_doc(t_i),
-                "mass": str(new_mass),
+                "t": t_i,
+                "mass": new_mass,
                 "spheres": len(res.selection),
             }
         )

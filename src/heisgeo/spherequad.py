@@ -32,15 +32,15 @@ minimum unchanged.  Everything here is float numerics; exact integer
 screens live in the ball module and only route the ambiguous band through
 this solver.
 
-Each entry takes a batch (one point is a batch of one): `gauge_min(x, tau,
-r, t)` |z|^2 = x and tau per row, with one t or one per row, and
-`sphere_distance` points as rows [Re z, Im z, tau] stacked on a first axis,
-whose argmins it maps back to rows itself (_gauge_argmin).  The Newton
-iteration of a small batch, up to _ROW_LOOP_ROWS rows still to solve, runs
-row by row on Python floats, where NumPy's fixed cost per call would
-dominate; a larger batch iterates as arrays over its unfinished rows.  Both
-apply the same float operations in the same order, so a row's value still
-does not depend on its batch.
+Each entry takes a batch (one point is a batch of one).  `gauge_min(x, tau,
+r)` solves at t = 1, since F_t at (z, tau, r) is F_1 at (z/t, tau/t^2, r/t):
+the ball module scales its exact offset by t before its one rounding.
+`sphere_distance` probes rows [Re z, Im z, tau] at one t per row and maps
+the argmins back to rows (_gauge_argmin).  The Newton iteration of a small
+batch, up to _ROW_LOOP_ROWS rows still to solve, runs row by row on Python
+floats, where NumPy's fixed cost per call would dominate; a larger batch
+iterates as arrays over its unfinished rows.  Both apply the same float
+operations in the same order, so a row's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -273,30 +273,23 @@ def _gauge_secular(x: np.ndarray, tau: np.ndarray, r: float, t: float):
     return lam, qt, c, cs, sn
 
 
-def gauge_min(x, tau, r: float, t) -> np.ndarray:
-    """min_{||xi||=1} F_t(xi) per row of x = |z|^2 (N,) and tau (N,).
+def gauge_min(x, tau, r: float) -> np.ndarray:
+    """min_{||xi||=1} F_1(xi) per row of x = |z|^2 (N,) and tau (N,).
 
-    A value <= 1 certifies dist((z, tau), S_r(0)) <= t.  t is a scalar or
-    one value per row; a row's value does not depend on the rest of its
-    batch.  A negative |z|^2, a non-finite input or value, or a t whose
-    square underflows to 0 raises ValueError.
+    A value <= 1 certifies dist((z, tau), S_r(0)) <= 1; a thickness t is
+    the same question at (z/t, tau/t^2, r/t).  A row's value does not
+    depend on the rest of its batch.  A negative |z|^2, a non-finite input
+    or value, or gauge terms that overflow raise ValueError.
     """
     if not 0 <= r < math.inf:
         raise ValueError("radius r must be nonnegative and finite")
-    tn = np.asarray(t)
-    if not ((tn > 0) & (tn < math.inf)).all():
-        raise ValueError("tolerance t must be positive and finite")
-    if not (tn * tn > 0).all():
-        raise ValueError("tolerance t is too small: t*t underflows to 0")
     x, tau = np.asarray(x, dtype=float), np.asarray(tau, dtype=float)
-    if not ((x >= 0) & (x < math.inf)).all():
-        raise ValueError("gauge input |z|^2 must be nonnegative and finite")
-    if not np.isfinite(tau).all():
-        raise ValueError("gauge input tau must be finite")
+    if not ((x >= 0) & (x < math.inf) & np.isfinite(tau)).all():
+        raise ValueError("gauge input |z|^2 must be nonnegative and finite, and tau finite")
     try:
-        values = _secular_batched(*_gauge_secular(x, tau, r, t)[:3])[0]
-    except OverflowError:  # (alpha beta)^2 of a float alpha = r/t beyond about 2e51
-        raise ValueError("gauge terms overflow: r/t is too large") from None
+        values = _secular_batched(*_gauge_secular(x, tau, r, 1.0)[:3])[0]
+    except OverflowError:  # (alpha beta)^2 of a float alpha = r beyond about 2e51
+        raise ValueError("gauge terms overflow: r is too large") from None
     if not np.isfinite(values).all():
         raise ValueError("gauge value is not finite")
     return values

@@ -11,6 +11,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -615,14 +616,59 @@ class TestBoundaryContains:
         with pytest.raises(ValueError):
             hg.dist_le_exact(e, e, math.inf)
 
-    def test_gauge_overflow_refused(self):
-        # |z|^2 = 1e600 has no float: once a silent minimizer-out from a NaN
+    def test_gauge_overflow_decided(self):
+        # |z|^2 = 1e600 has no float: once a silent minimizer-out from a NaN,
+        # then a refusal; the gauge now reads |z|^2/t^2 = 25
         y = hg.ContinuousPoint((1e300 + 0j,), 1.0)
         spec = balls.BallSpec(hg.continuous_identity(1), 9e299, 2e299)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="float gauge"):
-                balls.boundary_contains(y, spec)
+            assert balls.boundary_contains(y, spec) == balls.BoundaryResult(True, "minimizer-in")
+        # its 2^-994 dilation, whose tau of 2^-1988 rounds to 0.0, far below t
+        s = 2.0 ** -994
+        small = balls.BallSpec(hg.continuous_identity(1), 9e299 * s, 2e299 * s)
+        assert balls.boundary_contains(hg.ContinuousPoint((1e300 * s + 0j,), 0.0), small).inside
+
+    def test_dilation_invariant(self):
+        # F_t at (z, tau, r) is F_1 at (z/t, tau/t^2, r/t), and the gauge reads
+        # those rationals rounded once: dilating query, center, r and t by 2^k
+        # decides alike, where a float |z|^2 once overflowed from 2^505 on
+        def dilate(p, s):
+            return hg.ContinuousPoint(tuple(w * s for w in p.z), p.tau * s * s)
+
+        checked = Counter()
+        for y, spec in near_band_queries()[::2]:
+            base = balls.boundary_contains(y, spec)
+            for k in (-500, -61, 250, 505, 507, 509, 511):
+                s = 2.0 ** k
+                dy, dc = dilate(y, s), dilate(spec.center, s)
+                r, t = spec.radius * s, spec.thickening * s
+                if (dilate(dy, 1 / s), dilate(dc, 1 / s), r / s, t / s) != (
+                        y, spec.center, spec.radius, spec.thickening):
+                    continue  # the dilation itself rounds
+                assert balls.boundary_contains(dy, balls.BallSpec(dc, r, t)) == base, (y, spec, k)
+                checked[k] += 1
+        assert checked[-500] == checked[250] == 1200
+        assert checked[509] > 50 and checked[511] > 0
+
+    def test_tiny_scale_decided(self):
+        # horizontal points about a horizontal center: the offset's tau is the
+        # twist alone, so their 2^-700 dilation is exact, though its tau and
+        # t^2 (about 2^-1400) have no float, which the gauge once refused
+        rng = np.random.default_rng(1)
+        s, checked = 2.0 ** -700, 0
+        for _ in range(100):
+            zc, zy = (complex(*rng.normal(0, 3, 2)) for _ in range(2))
+            c, y = hg.ContinuousPoint((zc,), 0.0), hg.ContinuousPoint((zy,), 0.0)
+            t = float(rng.uniform(0.05, 2.0))
+            r = hg.metric_d(y, c) + float(rng.uniform(-1.2, 1.2)) * t
+            if r <= 0:
+                continue
+            base = balls.boundary_contains(y, balls.BallSpec(c, r, t))
+            small = balls.BallSpec(hg.ContinuousPoint((zc * s,), 0.0), r * s, t * s)
+            assert balls.boundary_contains(hg.ContinuousPoint((zy * s,), 0.0), small) == base
+            checked += base.route.startswith("minimizer")
+        assert checked > 50
 
     def test_continuous_near_band_decisions_pinned(self):
         # (inside, route) per query, recorded while the gauge input still came
@@ -757,12 +803,14 @@ class TestTBoundary:
         box = np.indices((9,) * 4).reshape(4, -1).T - 4
         rep = {(int(z @ z), int(z[:2] @ z[2:]) % 2): z.tolist() for z in box}
 
-        def record(x, tau, r, tf):
+        tt = float(t) ** 2  # the spy reads |z|^2/t^2 and tau/t^2, exact at t = 1 and 1/2
+
+        def record(x, tau, rho):
             solved.extend(zip(x.tolist(), np.abs(tau).tolist()))
-            for s, m in zip(x.tolist(), (2 * tau).round().astype(int).tolist()):
+            for s, m in zip((x * tt).tolist(), (2 * tau * tt).round().astype(int).tolist()):
                 z = rep[int(s), m % 2]
                 probes.append(hg.LatticePoint(tuple(z[:2]), tuple(z[2:]), m))
-            return sq.gauge_min(x, tau, r, tf)
+            return sq.gauge_min(x, tau, rho)
 
         with mock.patch.object(balls, "gauge_min", record):
             got = balls.t_boundary_coords(2, k, t)

@@ -302,6 +302,12 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err
 
+    def test_maximal_cap_is_3(self, capsys):
+        # the config recorded --cap, but the experiment once ran without it
+        code, out, err = run(capsys, "maximal", "--trials", "1", "--k-max", "3", "--cap", "10")
+        assert (code, out) == (3, "")
+        assert "25 horizontal grid cells exceed cap 10" in err
+
     def test_grid_over_small_cap_is_3(self, capsys):
         # the 81^2 = 6,561-cell horizontal grid is refused before any count
         code, _, err = run(capsys, "ball", "--n", "1", "--k", "40", "--cap", "7")

@@ -1,13 +1,14 @@
 """What a process loads: lazy re-exports, lazy layers, and never scipy.
 
 Every check runs in a fresh interpreter, so nothing an earlier test
-imported can hide an eager import.  Six more checks read the sources:
+imported can hide an eager import.  Seven more checks read the sources:
 every top-level function and class in the package, private ones too, is
 reached by the program, every module uses each name it imports, every
 third-party import is a runtime dependency in pyproject.toml, no module
 but core chooses an integer width or an isqrt path, no module but errors
-raises a resource cap by hand, and every FiberSet.rows call passes its
-caller's cap.
+raises a resource cap by hand, every FiberSet.rows call passes its
+caller's cap, and one function calls the sphere gauge and reads its
+acceptance band.
 """
 
 import ast
@@ -202,6 +203,22 @@ def test_every_rows_call_passes_a_cap():
     assert calls
     assert [f"{name}:{line}" for name, line, call in calls
             if not call.args and not any(kw.arg == "cap" for kw in call.keywords)] == []
+
+
+def test_exact_offset_enters_the_gauge_at_one_site():
+    # balls._gauge_inside alone calls gauge_min and reads _ACCEPT, so the exact
+    # offset is scaled by t and rounded to floats in one place
+    calls, reads = [], []
+    for path in sorted(Path(heisgeo.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            site = f"{path.name}:{getattr(top, 'name', top.lineno)}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "gauge_min":
+                    calls.append(site)
+                elif isinstance(node, ast.Name) and node.id == "_ACCEPT" and isinstance(
+                        node.ctx, ast.Load):
+                    reads.append(site)
+    assert calls == reads == ["balls.py:_gauge_inside"]
 
 
 @pytest.mark.parametrize("argv", [

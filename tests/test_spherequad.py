@@ -47,6 +47,16 @@ def sq_x(z_flat):
     return np.sum(np.atleast_2d(z_flat) ** 2, axis=1)
 
 
+def unit_gauge(x, tau, r, t):
+    """F_t's minimum per row through gauge_min at unit thickness, F_1 at
+    (x/t^2, tau/t^2, r/t), as the ball module calls it; with one t per row,
+    one call per row."""
+    if np.ndim(t):
+        return np.concatenate([unit_gauge(x[i:i + 1], tau[i:i + 1], r, t[i])
+                               for i in range(len(t))])
+    return sq.gauge_min(x / (t * t), tau / (t * t), r / t)
+
+
 def gauge_matrix(z_flat, tau, r, t):
     """(M, v) with F_t(xi) = ||M xi - v||^2 for y = (z, tau) against S_r(0).
 
@@ -132,17 +142,20 @@ class TestSphereGauge:
                 assert (F <= 1) == (d <= t)
 
     def test_batched_gauge_matches_scalar(self):
-        # a batch equals its one-row calls bit for bit, with one t or one per row
+        # a batch equals its one-row calls bit for bit; so does _gauge_argmin's
+        # with one t per row, which at t = 1 gives gauge_min's values
         rng = np.random.default_rng(3)
         zs = rng.standard_normal((25, 2)) * 2
         taus = rng.standard_normal(25) * 2
         ts = rng.uniform(0.05, 2.0, 25)
         xs = sq_x(zs)
-        vb = sq.gauge_min(xs, taus, 1.3, 0.4)
-        assert vb.tolist() == [sq.gauge_min(xs[i:i + 1], taus[i:i + 1], 1.3, 0.4)[0]
+        vb = unit_gauge(xs, taus, 1.3, 0.4)
+        assert vb.tolist() == [unit_gauge(xs[i:i + 1], taus[i:i + 1], 1.3, 0.4)[0]
                                for i in range(25)]
-        vb, xb = sq._gauge_argmin(zs, taus, 1.3, ts)
-        assert vb.tobytes() == sq.gauge_min(xs, taus, 1.3, ts).tobytes()  # sphere_distance's values
+        unit = sq._gauge_argmin(zs, taus, 1.3, 1.0)[0]
+        assert unit.tobytes() == sq.gauge_min(xs, taus, 1.3).tobytes()
+        vb, xb = sq._gauge_argmin(zs, taus, 1.3, ts)  # sphere_distance's values
+        np.testing.assert_allclose(vb, unit_gauge(xs, taus, 1.3, ts), rtol=1e-12, atol=1e-12)
         for i in range(25):
             v, x = sq._gauge_argmin(zs[i:i + 1], taus[i:i + 1], 1.3, ts[i:i + 1])
             assert vb[i:i + 1].tobytes() == v.tobytes() and xb[i:i + 1].tobytes() == x.tobytes()
@@ -155,50 +168,44 @@ class TestSphereGauge:
             s = sq.sphere_point(2.5, xi)
             assert hg.homogeneous_norm(s) == pytest.approx(2.5, abs=1e-10)
 
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            sq.gauge_min(np.zeros(1), np.zeros(1), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            sq.gauge_min(np.zeros(3), np.zeros(3), 1.0, np.array([0.5, 0.0, 0.5]))
-
     @pytest.mark.parametrize("r, t", [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0),
-                                      (1.0, math.inf)])
+                                      (1.0, math.nan)])
     def test_bad_radius_or_tolerance_refused(self, r, t):
-        # once answered nan, nan, 0.2418 and -1e-318 instead of refusing
+        # once answered nan, nan and 0.2418 instead of refusing; a bad t
+        # reaches the gauge as bad inputs
         with pytest.raises(ValueError):
-            sq.gauge_min(np.full(1, 2.0), np.array([0.5]), r, t)
+            unit_gauge(np.full(1, 2.0), np.array([0.5]), r, t)
         with pytest.raises(ValueError):
-            sq.gauge_min(np.full(3, 2.0), np.arange(3.0), r, np.array([1.0, t, 1.0]))
+            unit_gauge(np.full(3, 2.0), np.arange(3.0), r, t)
 
     @pytest.mark.parametrize("x, tau", [(math.inf, 0.5), (math.nan, 0.5), (2.0, math.inf),
                                         (2.0, -math.inf), (2.0, math.nan)])
     def test_non_finite_gauge_input_refused(self, x, tau):
         with pytest.raises(ValueError):
-            sq.gauge_min(np.array([x]), np.array([tau]), 1.0, 0.5)
+            unit_gauge(np.array([x]), np.array([tau]), 1.0, 0.5)
         with pytest.raises(ValueError):
-            sq.gauge_min(np.array([2.0, x]), np.array([0.5, tau]), 1.0, 0.5)
+            unit_gauge(np.array([2.0, x]), np.array([0.5, tau]), 1.0, 0.5)
 
     @pytest.mark.parametrize("x, tau, r, t, message", [
-        (0.0, 0.0, 1e-200, 1e-200, r"t\*t underflows"),  # once a ZeroDivisionError
         (-1.0, 0.5, 1.0, 0.5, r"\|z\|\^2 must be nonnegative"),  # once warned from sqrt first
     ])
     def test_tiny_tolerance_and_negative_norm_refused(self, x, tau, r, t, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
-                sq.gauge_min(np.array([x]), np.array([tau]), r, t)
+                unit_gauge(np.array([x]), np.array([tau]), r, t)
             with pytest.raises(ValueError, match=message):
-                sq.gauge_min(np.array([2.0, x]), np.array([0.5, tau]), r, np.array([0.5, t]))
+                unit_gauge(np.array([2.0, x]), np.array([0.5, tau]), r, t)
 
     def test_overflowing_gauge_terms_refused(self):
-        # (alpha beta)^2 of a float r/t = 1e60 once raised OverflowError
+        # (alpha beta)^2 of a float r = 1e60 once raised OverflowError
         with pytest.raises(ValueError, match="overflow"):
-            sq.gauge_min(np.array([1.0]), np.array([0.0]), 1e60, 1.0)
+            sq.gauge_min(np.array([1.0]), np.array([0.0]), 1e60)
 
     def test_non_finite_gauge_value_refused(self):
-        # finite inputs whose gauge terms overflow: gamma^2 = (r |z| / 2 t^2)^2
+        # finite inputs whose gauge terms overflow: gamma^2 = (r |z| / 2)^2
         with np.errstate(all="ignore"), pytest.raises(ValueError):
-            sq.gauge_min(np.array([1e300]), np.array([1.0]), 1e10, 1e-10)
+            sq.gauge_min(np.array([1e300]), np.array([1.0]), 1e20)
 
 
 def gauge_cases():
@@ -237,14 +244,9 @@ class TestStructuredGauge:
             zs = np.stack([z for z, _ in rows])
             taus = np.array([tau for _, tau in rows])
             xs = sq_x(zs)
-            got = sq.gauge_min(xs, taus, 1.3, 0.6)
-            assert got.tolist() == [sq.gauge_min(sq_x(z), np.array([tau]), 1.3, 0.6)[0]
+            got = unit_gauge(xs, taus, 1.3, 0.6)
+            assert got.tolist() == [unit_gauge(sq_x(z), np.array([tau]), 1.3, 0.6)[0]
                                     for z, tau in rows]
-            # one t per row: each row as in its own one-row call
-            ts = np.array([t for z, _, _, t in gauge_cases() if z.size == 2 * n])
-            got = sq.gauge_min(xs, taus, 1.3, ts)
-            assert got.tolist() == [sq.gauge_min(xs[i:i + 1], taus[i:i + 1], 1.3, ts[i:i + 1])[0]
-                                    for i in range(len(rows))]
 
     @pytest.mark.parametrize("steps", [1, 3, sq._NEWTON_STEPS])
     def test_newton_root_stays_in_bracket(self, steps, monkeypatch):
@@ -270,7 +272,7 @@ class TestStructuredGauge:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         y = hg.ContinuousPoint((1.3 + 0.4j,), -0.7)
-        sq.gauge_min(np.full(3, 2.0), np.arange(3.0), 1.5, np.array([0.4, 0.5, 0.6]))
+        unit_gauge(np.full(3, 2.0), np.arange(3.0), 1.5, np.array([0.4, 0.5, 0.6]))
         sq.sphere_distance(sq._row(y)[None], 1.5)
 
 
@@ -324,13 +326,13 @@ def pin_corpus():
 
 
 def corpus_digests():
-    """SHA-256 of gauge_min's values (or its refusal) and of _gauge_argmin's values
-    and argmins over pin_corpus()."""
+    """SHA-256 of gauge_min's values at unit thickness (unit_gauge, or its
+    refusal) and of _gauge_argmin's values and argmins over pin_corpus()."""
     h = {key: hashlib.sha256() for key in ("gauge_min", "argmin_values", "argmins")}
     with np.errstate(all="ignore"):
         for z, tau, r, t in pin_corpus():
             try:
-                h["gauge_min"].update(sq.gauge_min(np.sum(z * z, axis=1), tau, r, t).tobytes())
+                h["gauge_min"].update(unit_gauge(np.sum(z * z, axis=1), tau, r, t).tobytes())
             except ValueError:
                 h["gauge_min"].update(b"refused")
             values, xi = sq._gauge_argmin(z, tau, r, t)
@@ -339,9 +341,10 @@ def corpus_digests():
     return {key: d.hexdigest() for key, d in h.items()}
 
 
-# recorded from the solver before its row loop existed
+# the argmin pins recorded from the solver before its row loop existed; the
+# gauge_min pin re-recorded when gauge_min lost t and took unit thickness
 CORPUS_SHA256 = {
-    "gauge_min": "2abfef927775b7be1b69aa388168fa4a261e24608d0dc803a399d0e6d7034f81",
+    "gauge_min": "8d05b711c115c27aa3ac58bea3a3d76c0e1465f8d59ae6b92bb95186005be31e",
     "argmin_values": "2abfef927775b7be1b69aa388168fa4a261e24608d0dc803a399d0e6d7034f81",
     "argmins": "48502a975fd93f3c91ab9cb335be13d31750405588b0a2f6bbc81fbd7393c856",
 }
@@ -430,7 +433,7 @@ class TestSphereDistance:
             with pytest.raises(ValueError):
                 sq.sphere_distance(sq._row(y)[None], r)
         with pytest.raises(ValueError):
-            sq.gauge_min(np.full(1, 2.0), np.array([0.5]), 1.0, math.nan)
+            sq.gauge_min(np.full(1, 2.0), np.array([0.5]), math.nan)
 
     def test_witness_is_valid(self):
         # the nearest row lies on the sphere at the reported distance, also
