@@ -25,11 +25,12 @@ and keeps <a, b> mod 2; so it maps their fiber over y onto the one over g y,
 and fiber counts are constant on G-orbits.
 
 The t-boundary d_t B_r(x) is the set of points within distance t of the
-sphere S_r(x).  boundary_contains and the band bisection of _t_boundary decide
-it on the exact offset y x^-1 (core.offset_exact).  The bounds of _screens
-settle most points: a quick-out (|d(y,x) - r| > t, the triangle inequality)
-and a quick-in (the dilation witness gives dist <= sqrt|d^2 - r^2|).  Between
-them _gauge_inside alone calls the certified minimum of the sphere gauge
+sphere S_r(x).  boundary_contains, its family form boundary_table and the
+band bisection of _t_boundary decide it on the exact offset y x^-1
+(core.offset_exact).  The bounds of _screens settle most points: a
+quick-out (|d(y,x) - r| > t, the triangle inequality) and a quick-in (the
+dilation witness gives dist <= sqrt|d^2 - r^2|).  Between them
+_gauge_inside alone calls the certified minimum of the sphere gauge
 (spherequad) at unit thickness, on |z|^2/t^2, tau/t^2 and r/t rounded once each
 from the exact offset and radii, accepted up to the fixed band _ACCEPT; no
 other float enters a count.
@@ -63,12 +64,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (LatticePoint, Point, Radius, _int_dtype, _isqrt_vec, lattice_identity,
-                   offset_cmp, offset_exact, radius_parts)
+from .core import (LatticePoint, Point, Radius, _dyadic, _int_dtype, _isqrt_vec, _offset_forms,
+                   lattice_identity, offset_exact, offset_within, radius_parts)
 from .errors import check_cap
 from .spherequad import gauge_min
 
@@ -530,15 +531,21 @@ def _screens(r: tuple[int, int], t: tuple[int, int]) -> tuple[int, int, int, int
     return lo * lo if lo > 0 else 0, hi * hi, rr - tt if rr > tt else 0, rr + tt, w * w
 
 
+def _gauge_width(bound: int, e: int, t: Radius):
+    """core._int_dtype of _gauge_inside's terms for offsets at scale e with X + |M| <= bound."""
+    tu, tv = radius_parts(t)
+    return _int_dtype(max(2 * (tu * tu << 2 * e), tv * tv * bound))
+
+
 def _gauge_inside(X, M, e: int, r: Radius, t: Radius):
-    """Is each offset (X, M, e) (core.offset_exact; ints, or int64 arrays with
-    e = 0) within t > 0 of S_r(0)?  The gauge, at unit thickness, reads
-    X tv^2/(4^e tu^2), M tv^2/(2 4^e tu^2) and ru tv/(rv tu): |z|^2, tau and
-    r over t^2, t^2 and t, each one division of integers in core._int_dtype
+    """Is each offset (X, M, e) (core.offset_exact; ints, or int arrays) within
+    t > 0 of S_r(0)?  The gauge, at unit thickness, reads X tv^2/(4^e tu^2),
+    M tv^2/(2 4^e tu^2) and ru tv/(rv tu): |z|^2, tau and r over t^2, t^2 and
+    t, each one division of integers at the width _gauge_width gives the batch
     (an int64 term past 2^53 rounds once more on its way to a float)."""
     (ru, rv), (tu, tv) = radius_parts(r), radius_parts(t)
     scale, den = tv * tv, tu * tu << 2 * e
-    wide = _int_dtype(max(2 * den, scale * int(np.max(X + abs(M)))))
+    wide = _gauge_width(int(np.max(X + abs(M))), e, t)
     X, M = np.atleast_1d(X).astype(wide) * scale, np.atleast_1d(M).astype(wide) * scale
     try:
         x, tau, rho = X / den, M / (2 * den), ru * tv / (rv * tu)
@@ -547,23 +554,72 @@ def _gauge_inside(X, M, e: int, r: Radius, t: Radius):
     return gauge_min(x, tau, rho) <= _ACCEPT
 
 
+_EXACT = {False: BoundaryResult(False, "exact-out"), True: BoundaryResult(True, "exact-in")}
+_GAUGED = {False: BoundaryResult(False, "minimizer-out"), True: BoundaryResult(True, "minimizer-in")}
+
+
+def _exact_route(off: tuple[int, int, int], screens: tuple) -> Optional[BoundaryResult]:
+    """The exact screens (_screens) on an offset (X, M, e) of core.offset_exact:
+    the result they settle, or None where only the gauge can decide."""
+    out_lo, out_hi, in_lo, in_hi, w2 = screens
+    if not offset_within(off, out_lo, out_hi, w2):
+        return _EXACT[False]
+    # horizontal offsets (M = 0) realize the triangle bound, dist = |lam - r|,
+    # so surviving the quick-out screens already certifies membership
+    if off[1] == 0 or offset_within(off, in_lo, in_hi, w2):
+        return _EXACT[True]
+    return None
+
+
 def boundary_contains(y: Point, spec: BallSpec) -> BoundaryResult:
     """Is y within spec.thickening of the sphere of radius spec.radius?
 
-    The exact screens (_screens) on the offset y x^-1 settle almost every
+    The exact screens (_exact_route) on the offset y x^-1 settle almost every
     query, for every input; only points sandwiched between the triangle bound
     and the dilation-witness bound go to the gauge (_gauge_inside).
     """
     off = offset_exact(y, spec.center)
-    out_lo, out_hi, in_lo, in_hi, w2 = spec.screens
-    if offset_cmp(off, out_hi, w2) > 0 or offset_cmp(off, out_lo, w2) < 0:
-        return BoundaryResult(False, "exact-out")
-    # horizontal offsets (M = 0) realize the triangle bound, dist = |lam - r|,
-    # so surviving the quick-out screens already certifies membership
-    if off[1] == 0 or (offset_cmp(off, in_lo, w2) >= 0 and offset_cmp(off, in_hi, w2) <= 0):
-        return BoundaryResult(True, "exact-in")
-    inside = bool(_gauge_inside(*off, spec.radius, spec.thickening)[0])
-    return BoundaryResult(inside, "minimizer-in" if inside else "minimizer-out")
+    settled = _exact_route(off, spec.screens)
+    if settled is not None:
+        return settled
+    return _GAUGED[bool(_gauge_inside(*off, spec.radius, spec.thickening)[0])]
+
+
+def boundary_table(points: Sequence[Point], specs: Sequence[BallSpec],
+                   pairs: Iterable[tuple[int, int]]) -> list[BoundaryResult]:
+    """boundary_contains(points[i], specs[j]) for each pair (i, j), in order.
+
+    The family form of boundary_contains: the same screens (_exact_route) and
+    gauge, so the same decisions and routes.  Each point's core._dyadic form
+    is taken once, shared by a center that is also a point.  The screens run
+    pair by pair on Python ints, since array screens lose on families of a
+    few balls (core.dist_cmp_table's fixed cost).  The pairs they leave open
+    go to _gauge_inside batched by spec, scale and integer width: the rows
+    one gauge call can share with every value kept bit for bit.
+    """
+    forms = {}  # id -> _dyadic form; every point is held by the arguments
+
+    def form(p: Point):
+        f = forms.get(id(p))
+        if f is None:
+            f = forms[id(p)] = _dyadic(p)
+        return f
+
+    out, open_rows = [], {}
+    for i, j in pairs:
+        spec = specs[j]
+        off = _offset_forms(form(points[i]), form(spec.center))
+        settled = _exact_route(off, spec.screens)
+        if settled is None:
+            key = (j, off[2], _gauge_width(off[0] + abs(off[1]), off[2], spec.thickening))
+            open_rows.setdefault(key, []).append((len(out), off))
+        out.append(settled)
+    for (j, e, wide), rows in open_rows.items():
+        X, M = (np.array([off[c] for _, off in rows], dtype=wide) for c in (0, 1))
+        inside = _gauge_inside(X, M, e, specs[j].radius, specs[j].thickening)
+        for (k, _), v in zip(rows, inside):
+            out[k] = _GAUGED[bool(v)]
+    return out
 
 
 def _t_boundary(n: int, k: int, t: Radius, cap: int) -> FiberSet:

@@ -21,9 +21,10 @@ lambda^2 tau), and satisfies the closed form
 Comparing a distance with a radius reduces to an integer comparison for
 every point type: a float is a dyadic rational, so offset_exact scales the
 offset p q^-1 by a power-of-two dilation to integer coordinates, and
-offset_cmp compares its squared distance with a rational.  dist_cmp decides
-one pair; dist_cmp_table decides a whole family of pairs with the same
-integer formula on arrays.  Counting never touches floating point.
+offset_cmp compares its squared distance with a rational (offset_within
+with the two ends of an interval).  dist_cmp decides one pair;
+dist_cmp_table decides a whole family of pairs with the same integer
+formula on arrays.  Counting never touches floating point.
 """
 
 from __future__ import annotations
@@ -194,17 +195,15 @@ def _dyadic(p: Point) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
     """
     if isinstance(p, LatticePoint):
         return p.a, p.b, p.m, 0
-    nums, ks = [], []
-    for c in [w.real for w in p.z] + [w.imag for w in p.z] + [p.tau]:
-        if not math.isfinite(c):
-            raise ValueError("point coordinates must be finite")
-        num, den = c.as_integer_ratio()
-        nums.append(num)
-        ks.append(den.bit_length() - 1)
+    try:  # inf raises OverflowError, nan ValueError
+        parts = [c.as_integer_ratio() for c in [w.real for w in p.z] + [w.imag for w in p.z] + [p.tau]]
+    except (OverflowError, ValueError):
+        raise ValueError("point coordinates must be finite") from None
+    ks = [den.bit_length() - 1 for _, den in parts]
     tk = ks.pop()
     e = max(max(ks), tk // 2)
-    h = [num << (e - k) for num, k in zip(nums, ks)]
-    return tuple(h[:p.n]), tuple(h[p.n:]), nums[-1] << (2 * e + 1 - tk), e
+    h = [num << (e - k) for (num, _), k in zip(parts, ks)]
+    return tuple(h[:p.n]), tuple(h[p.n:]), parts[-1][0] << (2 * e + 1 - tk), e
 
 
 def offset_exact(p: Point, q: Point) -> tuple[int, int, int]:
@@ -215,8 +214,13 @@ def offset_exact(p: Point, q: Point) -> tuple[int, int, int]:
     when both points are lattice points.  Non-finite coordinates raise
     ValueError.
     """
-    ap, bp, tp, ep = _dyadic(p)
-    aq, bq, tq, eq = _dyadic(q)
+    return _offset_forms(_dyadic(p), _dyadic(q))
+
+
+def _offset_forms(fp, fq) -> tuple[int, int, int]:
+    """offset_exact on the _dyadic forms of the two points."""
+    ap, bp, tp, ep = fp
+    aq, bq, tq, eq = fq
     if len(ap) != len(aq):
         raise ValueError("rank mismatch")
     e = max(ep, eq)
@@ -241,6 +245,21 @@ def offset_cmp(offset: tuple[int, int, int], p: int, q: int) -> int:
         return 1
     diff = q * q * m * m - 4 * u * (u - q * x)
     return (diff > 0) - (diff < 0)
+
+
+def offset_within(offset: tuple[int, int, int], lo: int, hi: int, q: int) -> bool:
+    """lo/q <= d^2 <= hi/q for an offset of offset_exact and q > 0: offset_cmp
+    at both ends, with q X and q^2 M^2 formed once."""
+    x, m, e = offset
+    qx = q * x
+    u = hi << 2 * e
+    if u < qx:
+        return False
+    qm2 = q * q * m * m
+    if qm2 > 4 * u * (u - qx):
+        return False
+    u = lo << 2 * e
+    return u < qx or qm2 >= 4 * u * (u - qx)
 
 
 def dist_cmp(p: Point, q: Point, r: Union[Radius, float]) -> int:

@@ -29,15 +29,16 @@ it stays below DEFAULT_CLOSEBALL_R.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from operator import add
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .balls import BallSpec, boundary_contains
+from .balls import BallSpec, boundary_contains, boundary_table
 from .core import (
     ContinuousPoint,
     Point,
@@ -394,38 +395,72 @@ class ChainConfig:
             raise ValueError("R must exceed 1")
 
 
+def _ratio(v) -> tuple[int, int]:
+    """v as an exact integer ratio; a float needs no Fraction."""
+    return v.as_integer_ratio() if isinstance(v, float) else Fraction(v).as_integer_ratio()
+
+
 def certify_chain(config: ChainConfig, witness: Optional[Point] = None) -> dict:
-    """Re-check the chain conditions; exact arithmetic on the radii scaling."""
-    thick_ok = all(t >= 1 for t in config.thicks)
+    """The chain's clauses, each decided exactly.
+
+    thickness_floor: every t_i >= 1.  radius_scale: r_i >= R t_1 ... t_i for
+    every i, cross-multiplied in integers.  memberships: x_i lies in the
+    thickened sphere of x_j for every j < i.  witness_in_all, given a
+    witness: it lies in every thickened sphere.  The last two read one
+    balls.boundary_table over the chain's points and shells, which decides
+    every pair, so a point that core.offset_exact refuses raises even past a
+    failed clause.  A shell that BallSpec refuses (a negative thickness,
+    say) raises only where a clause tests it with every pair before it in.
+    """
+    return _certify(config, witness)
+
+
+def _certify(config: ChainConfig, witness: Optional[Point], known=()) -> dict:
+    """certify_chain, with the memberships (i, j) in known taken as decided
+    in by a shorter chain on the same leading spheres."""
     # r_i >= R t_1 ... t_i, cross-multiplied in integers (denominators > 0)
     scale_ok = True
-    num, den = Fraction(config.R).as_integer_ratio()
+    num, den = _ratio(config.R)
     for r_i, t_i in zip(config.radii, config.thicks):
-        t_num, t_den = Fraction(t_i).as_integer_ratio()
+        t_num, t_den = _ratio(t_i)
         num, den = num * t_num, den * t_den
-        r_num, r_den = Fraction(r_i).as_integer_ratio()
+        r_num, r_den = _ratio(r_i)
         if r_num * den < num * r_den:
             scale_ok = False
             break
-    # one shell per sphere, built when first tested: the last sphere's only
-    # for a witness, and none past a failed clause, so a shell that BallSpec
-    # refuses (a negative thickness, say) raises only where it is tested
-    shell = cache(lambda j: BallSpec(config.points[j], config.radii[j], config.thicks[j]))
-    m = len(config.points)
-    out = {
-        "thickness_floor": thick_ok,
-        "radius_scale": scale_ok,
-        "memberships": all(bool(boundary_contains(config.points[i], shell(j)))
-                           for i in range(m) for j in range(i)),
-    }
+    out = {"thickness_floor": all(t >= 1 for t in config.thicks), "radius_scale": scale_ok}
+    m, points = len(config.points), config.points
+    clauses = {"memberships": [(i, j) for i in range(m) for j in range(i) if (i, j) not in known]}
     if witness is not None:
-        out["witness_in_all"] = all(bool(boundary_contains(witness, shell(j))) for j in range(m))
+        points += (witness,)
+        clauses["witness_in_all"] = [(m, j) for j in range(m)]
+    # the shells the clauses test, in order: the last sphere's only for a
+    # witness, and none past the first that BallSpec refuses
+    shells, refused = [], None
+    for j in range(m if witness is not None else m - 1):
+        try:
+            shells.append(BallSpec(config.points[j], config.radii[j], config.thicks[j]))
+        except ValueError as exc:
+            refused = exc
+            break
+    # each clause tests its spheres in ascending order, so a pair on a sphere
+    # past the refused one comes after a pair on the refused one
+    pairs = [p for ps in clauses.values() for p in ps if p[1] < len(shells)]
+    table = dict(zip(pairs, boundary_table(points, shells, pairs)))
+    for name, ps in clauses.items():
+        out[name] = True
+        for p in ps:
+            if p[1] == len(shells):
+                raise refused
+            if not table[p]:
+                out[name] = False
+                break
     return out
 
 
-def _certified(config: ChainConfig, witness: Point) -> Optional[tuple]:
+def _certified(config: ChainConfig, witness: Point, known=()) -> Optional[tuple]:
     """(config, witness, certify_chain's clauses) when every clause holds, else None."""
-    conditions = certify_chain(config, witness)
+    conditions = _certify(config, witness, known)
     return (config, witness, conditions) if all(conditions.values()) else None
 
 
@@ -484,6 +519,11 @@ def _polish(row, shells, value: float):
                           np.append(row[:-1] / scale, row[-1] / (scale * scale)),
                           xatol=1e-12, fatol=1e-12, maxiter=600)
     return (np.array(unscaled(x)), float(fun)) if fun < value else (row, value)
+
+
+# Trials per process below which a pool costs more than it saves; the
+# crossover comes from demos/pool_crossover.py.
+_POOL_MIN_TRIALS = 1024
 
 
 def _run_trials(args) -> list[dict]:
@@ -576,7 +616,8 @@ def _run_trials(args) -> list[dict]:
             best, best_v = _polish(best, shells, best_v)
         outs[i]["violation3"] = best_v
         if best is not None and best_v <= 0.0:
-            chain = _certified(ChainConfig(points, radii, thicks, R), _point(best))
+            # the trial's length-2 table already holds x2 in the shell of x1
+            chain = _certified(ChainConfig(points, radii, thicks, R), _point(best), {(1, 0)})
             if chain is not None:
                 outs[i].update(length=3, chain=chain)
     return outs
@@ -594,10 +635,16 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
     cyclic dilation projection from two seeds per trial.  Per candidate
     chain, the better seed is polished by _nelder_mead when its shell
     violation is positive but below 9 t_min^2, and certify_chain alone
-    decides the chain's length.  The arrays repeat the object-level float
-    operations bit for bit, so batching never changes the report.  With
-    workers > 1 each worker takes one contiguous block of trials, and
-    blocks merge in trial order.
+    decides the chain's length; a length-3 candidate keeps its length-2
+    decision that x2 lies in the shell of x1.  The arrays repeat the
+    object-level float operations bit for bit, so batching never changes
+    the report.  max_chain is 2 or 3.
+
+    workers is an upper bound: the search forks min(workers, trials //
+    _POOL_MIN_TRIALS, os.cpu_count()) processes, each taking one contiguous
+    block of trials, and blocks merge in trial order.  With one process it
+    runs in the caller and builds no pool.  The report is the same for any
+    workers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -605,15 +652,19 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
         raise ValueError("trials must be >= 0")
     if max_chain < 2:
         raise ValueError("max_chain must be >= 2")
+    if max_chain > 3:
+        raise ValueError("max_chain must be 2 or 3")
     if not R > 1:
         raise ValueError("R must exceed 1")
-    block = max(1, -(-trials // max(1, workers)))
+    procs = max(1, min(workers, trials // _POOL_MIN_TRIALS, os.cpu_count() or 1))
+    block = max(1, -(-trials // procs))
     jobs = [(n, R, seed, a, min(a + block, trials), max_chain)
             for a in range(0, trials, block)]
-    if workers > 1:
+    if len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method launches every worker at the first submit
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             blocks = list(pool.map(_run_trials, jobs))
     else:
         blocks = [_run_trials(j) for j in jobs]

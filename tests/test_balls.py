@@ -715,6 +715,101 @@ class TestBoundaryContains:
                 lattice_rotate_quarter(y, (1,)), spec).inside == base
 
 
+def dyadic_round(p, k):
+    """p with every coordinate rounded to the dyadic grid 2^-k (tau to 4^-k)."""
+    c = hg.as_continuous(p)
+    s = 2.0 ** k
+    return hg.ContinuousPoint(tuple(complex(round(w.real * s) / s, round(w.imag * s) / s) for w in c.z),
+                              round(c.tau * s * s) / (s * s))
+
+
+class TestBoundaryTable:
+    """boundary_table equals boundary_contains entry by entry, routes included."""
+
+    @staticmethod
+    def check(points, specs, pairs=None):
+        if pairs is None:
+            pairs = [(i, j) for i in range(len(points)) for j in range(len(specs))]
+        got = balls.boundary_table(points, specs, pairs)
+        assert got == [balls.boundary_contains(points[i], specs[j]) for i, j in pairs]
+        return got
+
+    def test_lattice_family(self):
+        centers = [hg.lattice_identity(1), hg.LatticePoint((2,), (-1,), 4), hg.LatticePoint((0,), (3,), -6)]
+        specs = [balls.BallSpec(c, r, t) for c in centers
+                 for r, t in ((3, 1), (4, Fraction(1, 2)), (Fraction(7, 2), Fraction(3, 2)), (2, 0))]
+        points = [hg.LatticePoint((a,), (b,), a * b % 2 + 2 * k)
+                  for a in range(-5, 6) for b in range(-5, 6) for k in range(-6, 7, 3)]
+        routes = Counter(b.route for b in self.check(points + centers, specs))
+        assert set(routes) == {"exact-out", "exact-in", "minimizer-in", "minimizer-out"}
+
+    def test_continuous_family(self):
+        queries = near_band_queries()[:400]
+        points, specs = [y for y, _ in queries], [s for _, s in queries]
+        # cross pairs keep the rank: queries alternate n = 1, 2
+        pairs = [(k, k) for k in range(400)] + [(k, (k + 2 * (k % 7) + 2) % 400) for k in range(400)]
+        routes = Counter(b.route for b in self.check(points, specs, pairs))
+        assert routes["minimizer-in"] > 200 and routes["minimizer-out"] > 50
+
+    def test_mixed_scales_and_point_kinds(self):
+        # coarse centers and queries rounded to several dyadic grids, so one
+        # spec's open pairs sit at several scales e; lattice points against
+        # continuous centers and continuous points against lattice centers
+        points, specs, pairs = [], [], []
+        for y, spec in near_band_queries()[:300:2]:
+            j = len(specs)
+            specs.append(balls.BallSpec(dyadic_round(spec.center, 8), spec.radius, spec.thickening))
+            for k in (6, 10, 24, 40):
+                pairs.append((len(points), j))
+                points.append(dyadic_round(y, k))
+            pairs.append((len(points), j))
+            points.append(y)
+        lattice = [hg.LatticePoint((a,), (b,), a * b % 2 + 2 * m) for a in range(-3, 4)
+                   for b in range(-3, 4) for m in (-9, 0, 9)]
+        one = [j for j, s in enumerate(specs) if s.center.n == 1]
+        pairs += [(len(points) + i, j) for i in range(len(lattice)) for j in one[:12]]
+        points += lattice
+        specs.append(balls.BallSpec(hg.lattice_identity(1), 3, Fraction(3, 4)))
+        pairs += [(i, len(specs) - 1) for i, p in enumerate(points) if p.n == 1]
+        got = self.check(points, specs, pairs)
+        opened = {(j, hg.offset_exact(points[i], specs[j].center)[2])
+                  for (i, j), b in zip(pairs, got) if b.route.startswith("minimizer")}
+        assert len(opened) > len({j for j, _ in opened}) > 20
+
+    def test_past_int64(self):
+        # 2^480 dilations make every offset an integer past 2^62 (object
+        # arrays in the gauge), beside the small-scale originals of one table
+        s = 2.0 ** 480
+        points, specs = [], []
+        for y, spec in near_band_queries()[:200:4]:
+            for f in (1.0, s):
+                specs.append(balls.BallSpec(hg.dilate(f, spec.center), spec.radius * f, spec.thickening * f))
+                points.append(hg.dilate(f, y))
+        big = hg.ContinuousPoint((1e300 + 0j,), 1.0)
+        points.append(big)
+        specs.append(balls.BallSpec(hg.continuous_identity(1), 9e299, 2e299))
+        pairs = [(i, i) for i in range(len(points))]
+        pairs += [(i, j) for i in range(len(points)) for j in range(len(specs))
+                  if i != j and points[i].n == specs[j].center.n][::5]
+        routes = Counter(b.route for b in self.check(points, specs, pairs))
+        assert routes["minimizer-in"] and routes["minimizer-out"]
+
+    def test_shared_points_and_empty(self):
+        # a center that is also a point, a point read twice, no pairs at all
+        c = hg.ContinuousPoint((1.5 - 0.25j,), 0.75)
+        y = hg.multiply(sq.sphere_point(4.0, np.array([0.6, 0.0, 0.8])), c)
+        specs = [balls.BallSpec(c, 4.0, 0.5), balls.BallSpec(y, 4.0, 0.5)]
+        got = self.check([c, y], specs, [(1, 0), (0, 1), (1, 0), (0, 0)])
+        assert [b.inside for b in got] == [True, True, True, False]
+        assert balls.boundary_table([c], specs, []) == []
+
+    def test_non_finite_point_refused(self):
+        spec = balls.BallSpec(hg.lattice_identity(1), 2, 1)
+        for y in (hg.ContinuousPoint((1 + 0j,), math.nan), hg.ContinuousPoint((math.inf,), 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                balls.boundary_table([y], [spec], [(0, 0)])
+
+
 class TestTBoundary:
     def test_t_zero_is_exact_sphere(self):
         e = hg.lattice_identity(1)

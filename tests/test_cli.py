@@ -282,6 +282,13 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert "max_chain must be >= 2" in err
 
+    @pytest.mark.parametrize("max_chain", ["4", "5"])
+    def test_intersect_max_chain_above_three_is_usage(self, capsys, max_chain):
+        # once exited 0 recording "max_chain": 5 for a search that stops at three
+        code, out, err = run(capsys, "intersect", "--trials", "2", "--max-chain", max_chain)
+        assert (code, out) == (64, "")
+        assert "max_chain must be 2 or 3" in err
+
     @pytest.mark.parametrize("count", ["+1", " 1", "0_1"])
     def test_count_parses_as_int(self, capsys, count):
         # a count accepts what int() accepts; only values below 1 are refused

@@ -528,6 +528,38 @@ class TestChainConfig:
         assert not off_witness["witness_in_all"]
 
 
+def scalar_certify(cfg, witness=None):
+    """certify_chain as one boundary_contains call per pair, each clause
+    walked in order up to its first failure and each shell built when first
+    tested: the oracle of its table form."""
+    out = {"thickness_floor": all(t >= 1 for t in cfg.thicks), "radius_scale": True}
+    acc = Fraction(cfg.R)
+    for r, t in zip(cfg.radii, cfg.thicks):
+        acc *= Fraction(t)
+        if Fraction(r) < acc:
+            out["radius_scale"] = False
+            break
+    shells = {}
+
+    def inside(y, j):
+        if j not in shells:
+            shells[j] = BallSpec(cfg.points[j], cfg.radii[j], cfg.thicks[j])
+        return bool(boundary_contains(y, shells[j]))
+
+    m = len(cfg.points)
+    out["memberships"] = all(inside(cfg.points[i], j) for i in range(m) for j in range(i))
+    if witness is not None:
+        out["witness_in_all"] = all(inside(witness, j) for j in range(m))
+    return out
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
 def recertify_certificate(cert):
     """Cold-start verification of a search certificate."""
     points = tuple(point_from_json(s) for s in cert["points"])
@@ -535,6 +567,69 @@ def recertify_certificate(cert):
                          cert["R"])
     witness = point_from_json(cert["witness"]) if "witness" in cert else None
     return sp.certify_chain(cfg, witness)
+
+
+def record_pools(monkeypatch) -> list:
+    """Lower the pool minimum to one trial and record the size of every
+    process pool the search then builds; the pools are real and run."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(sp, "_POOL_MIN_TRIALS", 1)
+    monkeypatch.setattr(sp.os, "cpu_count", lambda: 2)  # two workers even on one core
+    return sizes
+
+
+class TestCertifyTable:
+    """certify_chain reads one boundary_table per chain; its clauses and its
+    refusals are those of the scalar walk (scalar_certify)."""
+
+    @staticmethod
+    def chains():
+        out = []
+        for seed, max_chain in ((0, 3), (1, 3), (2, 2), (3, 2)):
+            for cert in sp.intersection_search(1, 1e4, 8, seed=seed, max_chain=max_chain)["certificates"]:
+                points = tuple(point_from_json(x) for x in cert["points"])
+                out.append((sp.ChainConfig(points, tuple(cert["radii"]), tuple(cert["thicks"]), cert["R"]),
+                            point_from_json(cert["witness"])))
+        return out
+
+    def variants(self):
+        for cfg, w in self.chains():
+            m = len(cfg.points)
+            yield cfg, w
+            yield cfg, None
+            yield cfg, continuous_identity(1)
+            for k in range(m):
+                # a point adrift, a thickness below one, a refused (negative) shell
+                moved = cfg.points[:k] + (dilate(0.5, cfg.points[k]),) + cfg.points[k + 1:]
+                yield sp.ChainConfig(moved, cfg.radii, cfg.thicks, cfg.R), w
+                for t in (0.5, -1.0):
+                    thicks = cfg.thicks[:k] + (t,) + cfg.thicks[k + 1:]
+                    for witness in (w, None):
+                        yield sp.ChainConfig(cfg.points, cfg.radii, thicks, cfg.R), witness
+                    yield sp.ChainConfig(moved, cfg.radii, thicks, cfg.R), w
+
+    def test_matches_scalar_walk(self):
+        seen = {"refused": 0, "failed": 0, "held": 0}
+        for cfg, w in self.variants():
+            got = outcome(sp.certify_chain, cfg, w)
+            assert got == outcome(scalar_certify, cfg, w), (cfg, w)
+            seen["refused" if isinstance(got, tuple) else "held" if all(got.values()) else "failed"] += 1
+        assert min(seen.values()) > 10, seen
+
+    def test_known_pairs_keep_the_clauses(self):
+        # a length-3 candidate takes x2 in the shell of x1 from its length-2 chain
+        for cfg, w in self.chains():
+            if len(cfg.points) == 3:
+                assert sp._certify(cfg, w, {(1, 0)}) == scalar_certify(cfg, w)
 
 
 class TestIntersectionSearch:
@@ -586,10 +681,61 @@ class TestIntersectionSearch:
         out = sp.certify_chain(moved, witness)
         assert all(out.values()), out
 
-    def test_worker_pool_merge_is_deterministic(self):
+    def test_worker_pool_merge_is_deterministic(self, monkeypatch):
         serial = sp.intersection_search(1, 1e4, trials=12, seed=5, workers=1)
+        pools = record_pools(monkeypatch)
         pooled = sp.intersection_search(1, 1e4, trials=12, seed=5, workers=2)
+        assert pools == [2]
         assert serial == pooled
+
+    def test_search_below_the_pool_minimum_builds_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Refused)
+        # one trial short of two processes' worth, on a lowered minimum
+        monkeypatch.setattr(sp, "_POOL_MIN_TRIALS", 4)
+        assert sp.intersection_search(1, 1e4, trials=7, seed=5, workers=2) == \
+            sp.intersection_search(1, 1e4, trials=7, seed=5, workers=1)
+        with pytest.raises(AssertionError, match="a pool was built"):
+            sp.intersection_search(1, 1e4, trials=8, seed=5, workers=2)
+
+    @pytest.mark.parametrize("trials, workers, cpus, want", [
+        (2, 64, 2, [2]),  # never more processes than blocks
+        (0, 2, 2, []),  # nothing to fork for
+        (1, 2, 2, []),
+        (3, 2, 2, [2]),
+        (5, 4, 3, [3]),  # nor than cores
+        (5, 4, 1, []),
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, trials, workers, cpus, want):
+        # a stand-in pool records its size and maps in the caller: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(sp, "_POOL_MIN_TRIALS", 1)
+        monkeypatch.setattr(sp.os, "cpu_count", lambda: cpus)
+        report = sp.intersection_search(1, 1e4, trials=trials, seed=5, workers=workers)
+        assert sizes == want
+        assert sum(report["length_counts"].values()) == trials
 
     def test_max_chain_two_stops_early(self):
         rep = sp.intersection_search(1, 1e4, trials=10, seed=6, max_chain=2)
@@ -600,6 +746,12 @@ class TestIntersectionSearch:
     def test_max_chain_below_two_refused(self, max_chain):
         # a chain of two is built before the bound is read, so it cannot go lower
         with pytest.raises(ValueError, match="max_chain must be >= 2"):
+            sp.intersection_search(1, 1e4, trials=2, max_chain=max_chain)
+
+    @pytest.mark.parametrize("max_chain", [4, 5])
+    def test_max_chain_above_three_refused(self, max_chain):
+        # the search builds no chain past three, yet once recorded "max_chain": 5
+        with pytest.raises(ValueError, match="max_chain must be 2 or 3"):
             sp.intersection_search(1, 1e4, trials=2, max_chain=max_chain)
 
     def test_negative_trials_refused(self):
@@ -810,9 +962,11 @@ PINNED_REPORTS = [
 
 @pytest.mark.parametrize("kwargs, digest", PINNED_REPORTS,
                          ids=[json.dumps(k, sort_keys=True) for k, _ in PINNED_REPORTS])
-def test_search_report_is_pinned(kwargs, digest):
+def test_search_report_is_pinned(monkeypatch, kwargs, digest):
     args = {"n": 1, "R": 1e4, **kwargs}
+    pools = record_pools(monkeypatch)
     report = sp.intersection_search(**args)
+    assert pools == ([args["workers"]] if args.get("workers", 1) > 1 else [])
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
 
 
