@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .core import (ContinuousPoint, LatticePoint, Point, _int_dtype, dist_cmp, d
 from .errors import HypothesisViolation, check_cap
 from .spherequad import (_mul_rows, _norm_rows, _point, _row, _sphere_rows, _unit_rows,
                          sphere_distance)
+
+if TYPE_CHECKING:  # `heisgeo net` loads covering alone
+    from .separation import ChainConfig
 
 Num = Union[int, float, Fraction]
 
@@ -667,7 +670,7 @@ class MassBound:
 class Chain:
     """Candidate chain for the intersection-dimension test.
 
-    x sits in every thickened sphere; points[i] is the i-th sphere's
+    x sits in every thickened sphere; config.points[i] is the i-th sphere's
     center, drawn from F_{i-1}.  conditions is separation.certify_chain's
     record of the intersection-dimension clauses, re-certified with the
     exact boundary test: thickness_floor (a: every t_i >= 1), radius_scale
@@ -676,9 +679,7 @@ class Chain:
     """
 
     x: Point
-    points: tuple[Point, ...]
-    radii: tuple[Num, ...]
-    thicks: tuple[Num, ...]
+    config: ChainConfig
     conditions: dict
     report: dict
 
@@ -778,7 +779,7 @@ def maintech_chain(
     report = dict(base_report, outcome="chain", stages=stage_reports)
     config = ChainConfig(tuple(s.center for s in chosen), tuple(s.radius for s in chosen),
                          tuple(s.thickening for s in chosen), params.R)
-    return Chain(x, config.points, config.radii, config.thicks, certify_chain(config, x), report)
+    return Chain(x, config, certify_chain(config, x), report)
 
 
 # --- synthetic instances -----------------------------------------------------------

@@ -30,8 +30,7 @@ it stays below DEFAULT_CLOSEBALL_R.
 
 import math
 import os
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import NamedTuple, Optional
@@ -52,6 +51,7 @@ from .core import (
     metric_d,
     multiply,
     point_to_json,
+    radius_parts,
 )
 from .errors import HypothesisViolation
 from .spherequad import (_dot_rows, _mul_rows, _norm_rows, _parts, _point, _row,
@@ -378,26 +378,22 @@ def closeball_witness(p: Point, p_prime: Point, r: float, *,
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Candidate chain of mutually incident thickened spheres."""
+    """Candidate chain of mutually incident thickened spheres; shells[j] is
+    BallSpec(points[j], radii[j], thicks[j]), built and checked here."""
 
     points: tuple[Point, ...]
     radii: tuple[float, ...]
     thicks: tuple[float, ...]
     R: float
+    shells: tuple[BallSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = len(self.points)
         if m < 1 or len(self.radii) != m or len(self.thicks) != m:
             raise ValueError("points, radii and thicks must share a positive length")
-        if any(not r > 0 for r in self.radii):
-            raise ValueError("radii must be positive")
-        if not self.R > 1:
-            raise ValueError("R must exceed 1")
-
-
-def _ratio(v) -> tuple[int, int]:
-    """v as an exact integer ratio; a float needs no Fraction."""
-    return v.as_integer_ratio() if isinstance(v, float) else Fraction(v).as_integer_ratio()
+        if not 1 < self.R < math.inf:
+            raise ValueError("R must be finite and exceed 1")
+        object.__setattr__(self, "shells", tuple(map(BallSpec, self.points, self.radii, self.thicks)))
 
 
 def certify_chain(config: ChainConfig, witness: Optional[Point] = None) -> dict:
@@ -407,60 +403,34 @@ def certify_chain(config: ChainConfig, witness: Optional[Point] = None) -> dict:
     every i, cross-multiplied in integers.  memberships: x_i lies in the
     thickened sphere of x_j for every j < i.  witness_in_all, given a
     witness: it lies in every thickened sphere.  The last two read one
-    balls.boundary_table over the chain's points and shells, which decides
-    every pair, so a point that core.offset_exact refuses raises even past a
-    failed clause.  A shell that BallSpec refuses (a negative thickness,
-    say) raises only where a clause tests it with every pair before it in.
+    balls.boundary_table over the chain's points and config.shells, which
+    decides every pair, so a point that core.offset_exact refuses raises
+    even past a failed clause.  No radius or thickness raises here: the
+    config refused those that BallSpec refuses when it was built.
     """
-    return _certify(config, witness)
-
-
-def _certify(config: ChainConfig, witness: Optional[Point], known=()) -> dict:
-    """certify_chain, with the memberships (i, j) in known taken as decided
-    in by a shorter chain on the same leading spheres."""
     # r_i >= R t_1 ... t_i, cross-multiplied in integers (denominators > 0)
+    num, den = radius_parts(config.R)
     scale_ok = True
-    num, den = _ratio(config.R)
     for r_i, t_i in zip(config.radii, config.thicks):
-        t_num, t_den = _ratio(t_i)
+        (t_num, t_den), (r_num, r_den) = radius_parts(t_i), radius_parts(r_i)
         num, den = num * t_num, den * t_den
-        r_num, r_den = _ratio(r_i)
-        if r_num * den < num * r_den:
-            scale_ok = False
-            break
+        scale_ok = scale_ok and r_num * den >= num * r_den
     out = {"thickness_floor": all(t >= 1 for t in config.thicks), "radius_scale": scale_ok}
     m, points = len(config.points), config.points
-    clauses = {"memberships": [(i, j) for i in range(m) for j in range(i) if (i, j) not in known]}
+    clauses = {"memberships": [(i, j) for i in range(m) for j in range(i)]}
     if witness is not None:
         points += (witness,)
         clauses["witness_in_all"] = [(m, j) for j in range(m)]
-    # the shells the clauses test, in order: the last sphere's only for a
-    # witness, and none past the first that BallSpec refuses
-    shells, refused = [], None
-    for j in range(m if witness is not None else m - 1):
-        try:
-            shells.append(BallSpec(config.points[j], config.radii[j], config.thicks[j]))
-        except ValueError as exc:
-            refused = exc
-            break
-    # each clause tests its spheres in ascending order, so a pair on a sphere
-    # past the refused one comes after a pair on the refused one
-    pairs = [p for ps in clauses.values() for p in ps if p[1] < len(shells)]
-    table = dict(zip(pairs, boundary_table(points, shells, pairs)))
+    pairs = [p for ps in clauses.values() for p in ps]
+    table = dict(zip(pairs, boundary_table(points, config.shells, pairs)))
     for name, ps in clauses.items():
-        out[name] = True
-        for p in ps:
-            if p[1] == len(shells):
-                raise refused
-            if not table[p]:
-                out[name] = False
-                break
+        out[name] = all(table[p] for p in ps)
     return out
 
 
-def _certified(config: ChainConfig, witness: Point, known=()) -> Optional[tuple]:
+def _certified(config: ChainConfig, witness: Point) -> Optional[tuple]:
     """(config, witness, certify_chain's clauses) when every clause holds, else None."""
-    conditions = _certify(config, witness, known)
+    conditions = certify_chain(config, witness)
     return (config, witness, conditions) if all(conditions.values()) else None
 
 
@@ -616,8 +586,7 @@ def _run_trials(args) -> list[dict]:
             best, best_v = _polish(best, shells, best_v)
         outs[i]["violation3"] = best_v
         if best is not None and best_v <= 0.0:
-            # the trial's length-2 table already holds x2 in the shell of x1
-            chain = _certified(ChainConfig(points, radii, thicks, R), _point(best), {(1, 0)})
+            chain = _certified(ChainConfig(points, radii, thicks, R), _point(best))
             if chain is not None:
                 outs[i].update(length=3, chain=chain)
     return outs
@@ -635,10 +604,9 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
     cyclic dilation projection from two seeds per trial.  Per candidate
     chain, the better seed is polished by _nelder_mead when its shell
     violation is positive but below 9 t_min^2, and certify_chain alone
-    decides the chain's length; a length-3 candidate keeps its length-2
-    decision that x2 lies in the shell of x1.  The arrays repeat the
-    object-level float operations bit for bit, so batching never changes
-    the report.  max_chain is 2 or 3.
+    decides the chain's length.  The arrays repeat the object-level float
+    operations bit for bit, so batching never changes the report.
+    max_chain is 2 or 3.
 
     workers is an upper bound: the search forks min(workers, trials //
     _POOL_MIN_TRIALS, os.cpu_count()) processes, each taking one contiguous
@@ -650,9 +618,7 @@ def intersection_search(n: int, R: float, trials: int, max_chain: int = 3,
         raise ValueError("n must be >= 1")
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    if max_chain < 2:
-        raise ValueError("max_chain must be >= 2")
-    if max_chain > 3:
+    if max_chain not in (2, 3):
         raise ValueError("max_chain must be 2 or 3")
     if not R > 1:
         raise ValueError("R must exceed 1")

@@ -280,7 +280,7 @@ class TestExitCodes:
         # once printed "longest_chain_found": 2 beside "max_chain": 0 with exit 0
         code, out, err = run(capsys, "intersect", "--trials", "2", "--max-chain", max_chain)
         assert (code, out) == (64, "")
-        assert "max_chain must be >= 2" in err
+        assert "max_chain must be 2 or 3" in err
 
     @pytest.mark.parametrize("max_chain", ["4", "5"])
     def test_intersect_max_chain_above_three_is_usage(self, capsys, max_chain):

@@ -937,14 +937,14 @@ class TestMaintech:
         assert all(res.conditions.values())
         assert res.report["outcome"] == "chain"
         assert res.report["forced"] is True
-        assert len(res.points) == len(res.radii) == len(res.thicks)
+        assert len(res.config.points) == len(res.config.radii) == len(res.config.thicks)
 
     def test_forced_chain_conditions_are_certify_chain(self, maintech_instance):
         from heisgeo import separation as sp
 
         nu, F, stack, params, t = maintech_instance
         res = cv.maintech_chain(nu, F, stack, params, t, force=True)
-        config = sp.ChainConfig(res.points, res.radii, res.thicks, params.R)
+        config = sp.ChainConfig(res.config.points, res.config.radii, res.config.thicks, params.R)
         assert res.conditions == sp.certify_chain(config, res.x)
         assert list(res.conditions) == ["thickness_floor", "radius_scale",
                                         "memberships", "witness_in_all"]
@@ -952,7 +952,7 @@ class TestMaintech:
     def test_forced_chain_memberships_recheck(self, maintech_instance):
         nu, F, stack, params, t = maintech_instance
         res = cv.maintech_chain(nu, F, stack, params, t, force=True)
-        for c, r, th in zip(res.points, res.radii, res.thicks):
+        for c, r, th in zip(res.config.points, res.config.radii, res.config.thicks):
             assert boundary_contains(res.x, BallSpec(c, r, Fraction(th)))
 
     def test_forced_stages_report_no_unchecked_clause_as_held(self, maintech_instance,

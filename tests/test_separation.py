@@ -492,6 +492,21 @@ class TestChainConfig:
             sp.ChainConfig((x,), (10.0,), (1.0,), 1.0)
         assert sp.ChainConfig((x,), (10.0,), (1.0,), 2.0).points == (x,)
 
+    def test_refuses_what_a_shell_refuses(self):
+        # refused with the config, the last sphere's shell too, although
+        # only a witness tests it
+        x = sphere_point(10.0, np.array([1.0, 0.0, 0.0]))
+        y = sphere_point(10.0, np.array([0.0, 0.0, 1.0]))
+        refused = [((10.0, 20.0), (1.0, t), 2.0) for t in (-1.0, math.inf, math.nan)]
+        refused += [((10.0, math.inf), (1.0, 1.0), 2.0), ((10.0, 20.0), (1.0, 1.0), math.inf)]
+        for radii, thicks, R in refused:
+            with pytest.raises(ValueError):
+                sp.ChainConfig((x, y), radii, thicks, R)
+        points, radii, thicks = (x, y), (10.0, Fraction(41, 2)), (1, 1.5)
+        cfg = sp.ChainConfig(points, radii, thicks, 2.0)
+        for j in range(2):
+            assert cfg.shells[j] == BallSpec(points[j], radii[j], thicks[j])
+
     def test_certify_hand_chain(self):
         rng = np.random.default_rng(3)
         r1, t1 = 250.0, 2.0
@@ -553,13 +568,6 @@ def scalar_certify(cfg, witness=None):
     return out
 
 
-def outcome(f, *args):
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return ("refused", str(exc))
-
-
 def recertify_certificate(cert):
     """Cold-start verification of a search certificate."""
     points = tuple(point_from_json(s) for s in cert["points"])
@@ -588,8 +596,8 @@ def record_pools(monkeypatch) -> list:
 
 
 class TestCertifyTable:
-    """certify_chain reads one boundary_table per chain; its clauses and its
-    refusals are those of the scalar walk (scalar_certify)."""
+    """certify_chain reads one boundary_table per chain; its clauses are
+    those of the scalar walk (scalar_certify)."""
 
     @staticmethod
     def chains():
@@ -608,28 +616,24 @@ class TestCertifyTable:
             yield cfg, None
             yield cfg, continuous_identity(1)
             for k in range(m):
-                # a point adrift, a thickness below one, a refused (negative) shell
+                # a point adrift and a thickness below one; a negative
+                # thickness is refused with the config
                 moved = cfg.points[:k] + (dilate(0.5, cfg.points[k]),) + cfg.points[k + 1:]
                 yield sp.ChainConfig(moved, cfg.radii, cfg.thicks, cfg.R), w
-                for t in (0.5, -1.0):
-                    thicks = cfg.thicks[:k] + (t,) + cfg.thicks[k + 1:]
-                    for witness in (w, None):
-                        yield sp.ChainConfig(cfg.points, cfg.radii, thicks, cfg.R), witness
-                    yield sp.ChainConfig(moved, cfg.radii, thicks, cfg.R), w
+                thin = cfg.thicks[:k] + (0.5,) + cfg.thicks[k + 1:]
+                for witness in (w, None):
+                    yield sp.ChainConfig(cfg.points, cfg.radii, thin, cfg.R), witness
+                yield sp.ChainConfig(moved, cfg.radii, thin, cfg.R), w
+                with pytest.raises(ValueError, match="must be nonnegative"):
+                    sp.ChainConfig(cfg.points, cfg.radii, thin[:k] + (-1.0,) + thin[k + 1:], cfg.R)
 
     def test_matches_scalar_walk(self):
-        seen = {"refused": 0, "failed": 0, "held": 0}
+        seen = {"failed": 0, "held": 0}
         for cfg, w in self.variants():
-            got = outcome(sp.certify_chain, cfg, w)
-            assert got == outcome(scalar_certify, cfg, w), (cfg, w)
-            seen["refused" if isinstance(got, tuple) else "held" if all(got.values()) else "failed"] += 1
+            got = sp.certify_chain(cfg, w)
+            assert got == scalar_certify(cfg, w), (cfg, w)
+            seen["held" if all(got.values()) else "failed"] += 1
         assert min(seen.values()) > 10, seen
-
-    def test_known_pairs_keep_the_clauses(self):
-        # a length-3 candidate takes x2 in the shell of x1 from its length-2 chain
-        for cfg, w in self.chains():
-            if len(cfg.points) == 3:
-                assert sp._certify(cfg, w, {(1, 0)}) == scalar_certify(cfg, w)
 
 
 class TestIntersectionSearch:
@@ -745,7 +749,7 @@ class TestIntersectionSearch:
     @pytest.mark.parametrize("max_chain", [0, 1, -2])
     def test_max_chain_below_two_refused(self, max_chain):
         # a chain of two is built before the bound is read, so it cannot go lower
-        with pytest.raises(ValueError, match="max_chain must be >= 2"):
+        with pytest.raises(ValueError, match="max_chain must be 2 or 3"):
             sp.intersection_search(1, 1e4, trials=2, max_chain=max_chain)
 
     @pytest.mark.parametrize("max_chain", [4, 5])
