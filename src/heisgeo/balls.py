@@ -305,7 +305,7 @@ class BallSpec:
     screens: tuple = field(init=False, repr=False, compare=False)  # _screens of radius, thickening
 
     def __post_init__(self) -> None:
-        r, t = radius_parts(self.radius), radius_parts(self.thickening)  # finite, nonnegative
+        r, t = radius_parts(self.radius), radius_parts(self.thickening, "thickening")
         if r[0] == 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "screens", _screens(r, t))

@@ -170,19 +170,19 @@ def homogeneous_norm(p: Point) -> float:
     return metric_d(cp, continuous_identity(cp.n))
 
 
-def radius_parts(r: Union[Radius, float]) -> tuple[int, int]:
-    """Numerator/denominator of a finite nonnegative radius (int, Fraction or float)."""
+def radius_parts(r: Union[Radius, float], what: str = "radius") -> tuple[int, int]:
+    """Numerator/denominator of a finite nonnegative radius (int, Fraction or float), named what."""
     if isinstance(r, int):
         num, den = r, 1
     elif isinstance(r, float):  # np.float64 included
         if not math.isfinite(r):
-            raise ValueError("radius must be finite")
+            raise ValueError(f"{what} must be finite")
         num, den = r.as_integer_ratio()
     else:  # a Fraction built from NumPy ints keeps them fixed-width
         frac = r if isinstance(r, Fraction) else Fraction(r)
         num, den = int(frac.numerator), int(frac.denominator)
     if num < 0:
-        raise ValueError("radius must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative")
     return num, den
 
 

@@ -12,7 +12,9 @@ carpet machinery (selection, incrementality, multiplicity, colouring,
 separation) reads one core.dist_cmp_table per call and runs its greedy
 loops over plain booleans; single queries go through core.dist_cmp.  Sphere
 separation is decided by triangle bounds and boundary_contains' shell test;
-sphere_pair_distance is a float measurement that no verdict reads.
+sphere_pair_distance is a float measurement that no verdict reads.  The
+greedy covering_net decides its sample and every distance in integers, one
+interval test per stencil offset on its grid of step rho/8.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .balls import DEFAULT_CAP, BallSpec, boundary_contains
 from .core import (ContinuousPoint, LatticePoint, Point, _int_dtype, dist_cmp, dist_cmp_table,
-                   radii_over)
+                   radii_over, radius_parts)
 from .errors import HypothesisViolation, check_cap
 from .spherequad import (_mul_rows, _norm_rows, _point, _row, _sphere_rows, _unit_rows,
                          sphere_distance)
@@ -335,119 +337,114 @@ def colour_partition(seq: Sequence[BallSpec], chi: int) -> ColourPartition:
 
 # --- greedy nets ----------------------------------------------------------------
 
-def _metric_d_rows(rows: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """d(row, q) for flat coordinate rows (Re z | Im z | tau)."""
-    dz = rows[:, : 2 * n] - q[: 2 * n]
-    x = np.einsum("ij,ij->i", dz, dz)
-    twist = rows[:, :n] @ q[n : 2 * n] - rows[:, n : 2 * n] @ q[:n]
-    two_delta = 2.0 * (rows[:, 2 * n] - q[2 * n]) - twist
-    return np.sqrt(0.5 * (x + np.hypot(x, two_delta)))
+def _net_within(e: np.ndarray, cz: np.ndarray, p: int, q: int) -> np.ndarray:
+    """d(c + e, c) <= rho/2 for cell offsets e = (e_z | e_t) from centers c of
+    horizontal index cz, on the grid of step h = rho/8 = p/(8q).  The offset
+    has |z|^2 = |e_z|^2 h^2 and doubled central coordinate h (2 e_t - h omega),
+    omega = <e_a, c_b> - <e_b, c_a>, so the test is (16 q e_t - p omega)^2 <= 64 p^2
+    (16 - |e_z|^2), in the core._int_dtype of the bound on its two sides."""
+    n = cz.shape[1] // 2
+    me, mc = (int(np.abs(a).max(initial=0)) for a in (e, cz))
+    wide = _int_dtype(max(((16 * q + 2 * n * p * mc) * me) ** 2, 64 * p * p * (16 + 2 * n * me**2)))
+    e, cz = e.astype(wide), cz.astype(wide)
+    omega = (e[:, :n] * cz[:, n:]).sum(axis=1) - (e[:, n : 2 * n] * cz[:, :n]).sum(axis=1)
+    gap = 16 * q * e[:, -1] - p * omega
+    return gap * gap <= 64 * p * p * (16 - (e[:, :-1] ** 2).sum(axis=1))
 
 
-def _net_stencil(side: int, h: float, n: int) -> np.ndarray:
-    """Flat offsets, in a C-order cube grid of the given side and step h, of
-    the cells that can lie within 4h (the net's rho/2) of a center in the
-    unit ball.
+def _net_stencil(n: int, p: int, q: int, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, lo, hi): the offsets e from a center of the unit ball to the cells of
+    the grid [-span, span]^(2n+1) that can lie within rho/2 of it, and the
+    interval [lo, hi] of omega on which _net_within holds: with s = isqrt(64 p^2
+    (16 - |e_z|^2)), |16 q e_t - p omega| <= s, and |omega| <= |e_z| |c_z| <= B =
+    isqrt(|e_z|^2 floor(64 q^2 / p^2)), so intervals are clipped to [-B, B],
+    empty ones dropped, and |e_t| <= (s + p B) / (16 q).  In Python ints, once."""
+    kball, reach = 64 * q * q // (p * p), min(4, 2 * span)
+    box = np.indices([2 * reach + 1] * (2 * n)).reshape(2 * n, -1).T - reach
+    r2, rows = np.einsum("ij,ij->i", box, box), []
+    for r in np.unique(r2[r2 <= 16]).tolist():  # a wider e_z fails for every omega
+        s, b = math.isqrt(64 * p * p * (16 - r)), math.isqrt(r * kball)
+        top = min((s + p * b) // (16 * q), 2 * span)
+        for t in range(-top, top + 1):
+            lo, hi = max(-b, -((s - 16 * q * t) // p)), min(b, (16 * q * t + s) // p)
+            if lo <= hi:
+                rows.append((r, t, lo, hi))
+    tab = np.array(rows, dtype=np.int64)
+    i, j = np.nonzero(r2[:, None] == tab[:, 0])
+    return np.column_stack((box[i], tab[j, 1])), tab[j, 2], tab[j, 3]
 
-    With x = |dz|^2, d <= H iff |2 Delta| <= 2 H sqrt(H^2 - x), so |dz| <= H.
-    2 Delta = 2 dtau - twist and |twist| = |omega(dz, c_z)| <= |dz| |c_z|
-    <= |dz|, so |dtau| <= H sqrt(H^2 - x) + |dz| / 2.  In cells, with e the
-    horizontal offset and t the vertical one: |e| <= 4 and
-    |t| <= 4 h sqrt(16 - |e|^2) + |e| / 2.  Widening both by 1e-3 of a cell
-    absorbs the rounding of the grid and of d.
-    """
-    r = 4.001
-    reach = [min(4, side - 1)] * (2 * n) + [min(int(r * r * h + r / 2 + 1e-3), side - 1)]
-    box = np.indices([2 * w + 1 for w in reach]).reshape(2 * n + 1, -1).T - reach
-    e2 = np.einsum("ij,ij->i", box[:, :-1], box[:, :-1])
-    bound = r * h * np.sqrt(np.maximum(r * r - e2, 0.0)) + np.sqrt(e2) / 2.0 + 1e-3
-    return box[(e2 <= r * r) & (np.abs(box[:, -1]) <= bound)] @ side ** np.arange(2 * n, -1, -1)
 
-
-def _clear_near(padded: np.ndarray, pad: int, flat_grid: np.ndarray, c: int,
-                offsets: np.ndarray, half: float, n: int) -> np.ndarray:
-    """Clear the set cells c + offsets of the flat mask stored from padded[pad]
-    that lie within half of cell c, and return them.  An offset that wraps
-    past a grid edge names another cell, decided by its true coordinates.
-    """
-    near = c + offsets[padded[c + pad + offsets]]
-    near = near[_metric_d_rows(flat_grid[near], flat_grid[c], n) <= half]
-    padded[pad + near] = False
+def _clear_near(mask: np.ndarray, c: int, offsets: np.ndarray, turn: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    """Clear and return the set cells c + offsets of the flat mask within rho/2 of
+    cell c: omega = turn @ cz, cz its horizontal index, against each [lo, hi]."""
+    at = c + offsets
+    k = mask[at].nonzero()[0]
+    omega = turn[k] @ cz
+    near = at[k[(lo[k] <= omega) & (omega <= hi[k])]]
+    mask[near] = False
     return near
 
 
 def covering_net(n: int, rho: float, cap: int = DEFAULT_CAP) -> tuple[int, list[ContinuousPoint]]:
     """Greedy rho/2-net of the unit ball, sampled on a grid of step rho/8.
 
-    The unit ball of the metric is the Euclidean unit ball, so the sample
-    is every grid point of step rho/8 inside it.  The greedy order is the
-    origin first, then the grid in C order, which is lexicographic in
-    (Re z | Im z | tau); a point becomes a center when it is more than
-    rho/2 from every earlier center, so every sample point is covered.
-
-    The sweep keeps a flat mask of the sample points no center covers yet,
-    padded at both ends by the largest offset of `_net_stencil`, so the
-    stencil's cells around any center never leave the mask.  Each new
-    center clears the masked stencil cells within rho/2 of it, its own
-    cell among them, and owns the cells it clears; the next center is the
-    first masked cell after it: every cell before it is a center or
-    covered already.  That picks exactly the centers of the plain greedy
-    loop, which keeps a point iff min_j d(c_j, point) > rho/2.
-    `_metric_d_rows` with the cell and the center swapped gives
-    bit-identical values: dz and 2 Delta are only negated exactly (each
-    twist term is the same dot product either way), and neither |dz|^2
-    nor the hypot sees the sign.  Coverage is then checked from the owners
-    alone: every sample point must be owned by a center, each center by
-    itself, and the distances to each center, recomputed as one block of
-    its cells, must be within rho/2.
-
-    A grid of more than cap cells raises ResourceCapError before anything
-    is allocated.
+    Every decision is exact.  With rho = p/q as core.radius_parts takes it, a
+    cell is an index vector i of the grid of step p/(8q), sampled when |i|^2 <=
+    floor(64 q^2 / p^2).  The origin comes first, then C order over (Re z | Im z
+    | tau); a cell becomes a center when it is more than rho/2 from every earlier
+    one.  Each center clears and owns the uncovered cells within rho/2 of it,
+    itself included (`_clear_near`), on a mask padded on every axis so that no
+    stencil offset wraps; the next center is the first uncovered cell after it.
+    The recheck reads the owners alone, 2^14 cells at a time: each owned cell is
+    in the ball, owned once and within rho/2 of its owner (`_net_within`), no
+    other cell is in the ball, and each center owns itself.  The state is a byte
+    per padded cell and eight per in-ball cell; float rows i * fl(rho/8) are
+    built for the centers only.  A cube of more than cap cells,
+    (2 floor(8q/p) + 1)^(2n+1), raises ResourceCapError first.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 < rho < math.inf:
         raise ValueError("rho must be positive and finite")
-    h = float(rho) / 8.0
-    # a subnormal rho makes h = 0 or 1/h = inf: the grid is past the cap
-    span = int(math.floor(1.0 / h)) if h * cap >= 1.0 else cap
-    dim = 2 * n + 1
-    cells = (2 * span + 1) ** dim
-    check_cap(cells, cap, "net grid cells")
-    axis = np.arange(-span, span + 1, dtype=float) * h
-    flat_grid = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    in_ball = np.einsum("ij,ij->i", flat_grid, flat_grid) <= 1.0 + 1e-12
-    half = float(rho) / 2.0
-    offsets = _net_stencil(2 * span + 1, h, n)
-    pad = int(offsets.max())
-
-    padded = np.pad(in_ball, pad)
-    flat = padded[pad : pad + cells]
-    owner = np.full(cells, -1, dtype=np.intp)
-    centers, pos = [cells // 2], 0  # the origin is the middle cell
-    while True:
-        owner[_clear_near(padded, pad, flat_grid, centers[-1], offsets, half, n)] = len(centers) - 1
-        pos += int(np.argmax(flat[pos:]))
-        if not flat[pos]:
-            break
-        centers.append(pos)
-
-    # The recheck runs `_metric_d_rows` on each center's block of owned cells,
-    # as the sweep did: for n >= 2 a twist taken over all cells at once (by
-    # einsum) rounds differently, and so does a one-row `rows @ q`, which is
-    # why each block holds its center's own row (d = 0)
-    owned = owner[in_ball]
-    covered = (owned.min() >= 0 and owned.max() < len(centers)
-               and np.array_equal(owner[centers], np.arange(len(centers))))
-    if covered:
-        ends = np.cumsum(np.bincount(owned))[:-1]
-        blocks = np.split(flat_grid[in_ball][np.argsort(owned, kind="stable")], ends)
-        covered = all((_metric_d_rows(rows, flat_grid[c], n) <= half).all()
-                      for c, rows in zip(centers, blocks))
-    if not covered:
+    p, q = radius_parts(rho)
+    span, kball = 8 * q // p, 64 * q * q // (p * p)
+    check_cap((2 * span + 1) ** (2 * n + 1), cap, "net grid cells")
+    e, lo, hi = _net_stencil(n, p, q, span)
+    corner = span + np.abs(e).max(axis=0)  # the grid's origin, in padded indices
+    shape = 2 * corner + 1
+    strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]
+    sq = np.arange(-span, span + 1) ** 2
+    hz = sum(np.ix_(*[sq] * (2 * n)))  # |i_z|^2 over the horizontal grid
+    mask = np.pad(sq <= (kball - hz)[..., None], np.c_[corner - span, corner - span])
+    flat, total = mask.reshape(-1), int(np.count_nonzero(mask))
+    offsets, turn = e @ strides, np.concatenate((-e[:, n : 2 * n], e[:, :n]), axis=1)
+    axes = list(zip(strides[:-1].tolist(), shape[:-1].tolist(), corner[:-1].tolist()))
+    # the sweep clears each cell once, so its owned cells fill owned[:total] in center order
+    centers, owned, ends, pos = [int(corner @ strides)], np.empty(total, dtype=np.intp), [0], 0
+    for c in centers:  # each pass appends the next center, if any
+        cz = np.array([c // s % d - k for s, d, k in axes])  # its horizontal index
+        near = _clear_near(flat, c, offsets, turn, lo, hi, cz)
+        owned[ends[-1] : ends[-1] + len(near)] = near
+        ends.append(ends[-1] + len(near))
+        pos += int(flat[pos:].argmax())
+        if flat[pos] and pos != c:  # a center that keeps its own cell stops the sweep
+            centers.append(pos)
+    cells = np.stack(np.unravel_index(centers, shape), axis=1) - corner
+    owned, ends = owned[: ends[-1]], np.array(ends[1:])
+    covered, selfs = not flat.any() and len(owned) == total, []
+    flat[owned] = True  # then as many cells are set as owned iff each is owned once
+    covered = covered and np.count_nonzero(flat) == total
+    for a in range(0, len(owned), 1 << 14):  # in blocks, which bound the memory
+        at = np.stack(np.unravel_index(owned[a : a + (1 << 14)], shape), axis=1) - corner
+        owner = np.searchsorted(ends, np.arange(a, a + len(at)), side="right")
+        off = at - cells[owner]
+        selfs.append(owner[~off.any(axis=1)])
+        covered = covered and bool((np.einsum("ij,ij->i", at, at) <= kball).all()
+                                   and _net_within(off, cells[owner, :-1], p, q).all())
+    if not (covered and np.array_equal(np.concatenate(selfs), np.arange(len(cells)))):
         raise RuntimeError("net left a grid point uncovered; grid resolution bug")
-    points = [_point(row) for row in flat_grid[centers]]
-    return len(points), points
+    return len(cells), [_point(row) for row in cells * (float(rho) / 8.0)]
 
 
 # --- the selection recursion over thickened spheres -----------------------------

@@ -542,12 +542,12 @@ def _run_trials(args) -> list[dict]:
         y, found = bisect(rows, perp[rows])
         witness[rows[found]] = y[found]
         pending = np.setdiff1d(pending, rows[found])
-    configs = {}
+    configs = {}  # the report shows three chains of the longest length: keep three a length
     for i in np.setdiff1d(np.arange(len(rngs)), pending):
         config = ChainConfig((_point(x1[i]), _point(x2[i])), draws[i][2:], draws[i][:2], R)
         chain = _certified(config, _point(witness[i]))
         if chain is not None:
-            outs[i].update(length=2, chain=chain)
+            outs[i].update(length=2, chain=chain if len(configs) < 3 else None)
             configs[i] = config
     if max_chain < 3 or not configs:
         return outs
@@ -571,6 +571,7 @@ def _run_trials(args) -> list[dict]:
     seeds = np.concatenate([witness[rows], _mul_rows(_sphere_rows(r3s, _unit_rows(xis)), x3)])
     projected = _project_rows(seeds, [np.tile(c, (2, 1)) for c in (x1[rows], x2[rows], x3)],
                               [np.tile(r, 2) for r in (r1s[rows], r2s[rows], r3s)])
+    kept = 0
     for k, i in enumerate(rows):
         points = configs[i].points + (_point(x3[k]),)
         radii = configs[i].radii + (third[k][1],)
@@ -588,7 +589,8 @@ def _run_trials(args) -> list[dict]:
         if best is not None and best_v <= 0.0:
             chain = _certified(ChainConfig(points, radii, thicks, R), _point(best))
             if chain is not None:
-                outs[i].update(length=3, chain=chain)
+                outs[i].update(length=3, chain=chain if kept < 3 else None)
+                kept += 1
     return outs
 
 

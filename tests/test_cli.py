@@ -327,7 +327,7 @@ class TestExitCodes:
         assert (code, out) == (0, "418863885\n")
 
     def test_oversize_net_is_3(self, capsys):
-        # a 321^5-cell grid is refused before any array is allocated
+        # a 319^5-cell grid is refused before any array is allocated
         import heisgeo.covering  # noqa: F401  (keep import costs out of the peak)
 
         tracemalloc.start()

@@ -6,6 +6,7 @@ instances whose memberships all resolve on the exact integer path.
 """
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 import heisgeo as hg
 from heisgeo import covering as cv
 from heisgeo.balls import BallSpec, boundary_contains
+from heisgeo.core import radius_parts
 from heisgeo.errors import HypothesisViolation, ResourceCapError
 
 # empirical Besicovitch multiplicity on random carpets peaks at 5; any
@@ -568,6 +570,33 @@ def plain_greedy_net(n, rho):
     return centers
 
 
+def fraction_greedy_net(n, rho):
+    """The greedy net in rationals, as one plain loop: the grid step is
+    h = Fraction(rho) / 8, a cell i is sampled when |i h|^2 <= 1, the origin
+    comes first and then every sampled cell in lexicographic order, and a
+    cell is kept when it is more than rho/2 from every center so far.  With
+    x = |dz|^2 and M = 2 dtau - twist, d = sqrt((x + sqrt(x^2 + M^2)) / 2), so
+    d <= H iff M^2 <= 4 H^2 (H^2 - x).  Returns the centers' index vectors."""
+    h, half = Fraction(rho) / 8, Fraction(rho) / 2
+    span = math.floor(1 / h)
+    origin = (0,) * (2 * n + 1)
+    cells = [i for i in itertools.product(range(-span, span + 1), repeat=2 * n + 1)
+             if sum(v * v for v in i) * h * h <= 1 and i != origin]
+
+    def within(p, c):
+        x = sum((a - b) ** 2 for a, b in zip(p[:-1], c[:-1]))
+        twist = sum(p[j] * c[n + j] - p[n + j] * c[j] for j in range(n))
+        m = 2 * (p[-1] - c[-1]) - twist
+        return m * m <= 4 * half * half * (half * half - x)
+
+    centers = []
+    for i in [origin] + cells:
+        p = tuple(v * h for v in i)
+        if not any(within(p, c) for c in reversed(centers)):  # the latest centers cover most
+            centers.append(p)
+    return [tuple(int(v / h) for v in c) for c in centers]
+
+
 class TestCoveringNet:
     def test_wide_radius_single_center(self):
         n, pts = cv.covering_net(1, 2.0)
@@ -594,64 +623,90 @@ class TestCoveringNet:
         _, pts = cv.covering_net(n, rho)
         assert np.array_equal(center_rows(pts), plain_greedy_net(n, rho))
 
+    @pytest.mark.parametrize("n, rho", [(1, 1.0), (1, 1.6), (2, 1.75), (2, 1.8)])
+    def test_matches_fraction_greedy(self, n, rho):
+        # dyadic and non-dyadic rho, every decision in rationals; at (1, 1.6)
+        # the float net took the cell (-5, 0, 0), whose row i * fl(rho / 8)
+        # rounds onto the unit sphere, and found 16 centers, not 15
+        _, pts = cv.covering_net(n, rho)
+        want = np.array(fraction_greedy_net(n, rho), dtype=float) * (rho / 8.0)
+        assert np.array_equal(center_rows(pts), want)
+
+    @staticmethod
+    def sweep_parts(n, rho):
+        """covering_net's stencil, on a padded mask with the whole grid set."""
+        p, q = radius_parts(rho)
+        span = 8 * q // p
+        e, lo, hi = cv._net_stencil(n, p, q, span)
+        corner = span + np.abs(e).max(axis=0)
+        shape = 2 * corner + 1
+        strides = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]
+        turn = np.concatenate((-e[:, n : 2 * n], e[:, :n]), axis=1)
+        mask = np.zeros(tuple(shape), dtype=bool)
+        mask[tuple(slice(c - span, c + span + 1) for c in corner.tolist())] = True
+        return p, q, span, mask.reshape(-1), corner, strides, e @ strides, turn, lo, hi
+
     @pytest.mark.parametrize("n, rho", [(1, 0.5), (1, 0.7), (2, 1.4)])
     def test_window_is_conservative(self, n, rho):
-        # clearing through the stencil leaves the same cells as clearing
-        # over the whole grid, for centers across the ball and on its rim,
-        # where the twist bound is tightest
-        h, half = rho / 8.0, rho / 2.0
-        span = int(math.floor(1.0 / h))
-        axis = np.arange(-span, span + 1, dtype=float) * h
-        grid = np.stack(np.meshgrid(*([axis] * (2 * n + 1)), indexing="ij"), axis=-1)
-        norm = np.einsum("...j,...j->...", grid, grid)
-        inside = np.argwhere(norm <= 1.0 + 1e-12)
-        rim = np.argwhere((norm <= 1.0 + 1e-12) & (norm > 0.8))
-        picks = [tuple(at) for cells in (inside, rim) for at in cells[:: len(cells) // 40]]
-        flat_grid = grid.reshape(-1, 2 * n + 1)
-        cells = len(flat_grid)
-        offsets = cv._net_stencil(len(axis), h, n)
-        pad = int(offsets.max())
-        assert 10 * len(offsets) < cells
-        for at in picks:
-            c = int(np.ravel_multi_index(at, grid.shape[:-1]))
-            padded = np.zeros(cells + 2 * pad, dtype=bool)
-            padded[pad : pad + cells] = True
-            everywhere = np.ones(cells, dtype=bool)
-            near = cv._clear_near(padded, pad, flat_grid, c, offsets, half, n)
-            cv._clear_near(everywhere, 0, flat_grid, c, np.arange(-c, cells - c), half, n)
-            assert np.array_equal(padded[pad : pad + cells], everywhere), at
-            assert c in near
+        # clearing through the stencil's intervals of omega clears exactly the
+        # grid cells that _net_within admits over the whole grid, for centers
+        # across the ball and on its rim, where |omega| is largest
+        p, q, span, full, corner, strides, offsets, turn, lo, hi = self.sweep_parts(n, rho)
+        grid = np.indices([2 * span + 1] * (2 * n + 1)).reshape(2 * n + 1, -1).T - span
+        norm, kball = np.einsum("ij,ij->i", grid, grid), 64 * q * q // (p * p)
+        inside, rim = grid[norm <= kball], grid[(norm <= kball) & (5 * norm > 4 * kball)]
+        picks = [c for cells in (inside, rim) for c in cells[:: len(cells) // 40]]
+        assert 10 * len(offsets) < len(grid)
+        for c in picks:
+            e = grid - c
+            # |e_z|^2 > 16 fails _net_within's inequality for every omega
+            e = e[np.einsum("ij,ij->i", e[:, :-1], e[:, :-1]) <= 16]
+            want = e[cv._net_within(e, np.tile(c[:-1], (len(e), 1)), p, q)]
+            at = int((c + corner) @ strides)
+            near = cv._clear_near(full.copy(), at, offsets, turn, lo, hi, c[:-1])
+            got = np.stack(np.unravel_index(near, 2 * corner + 1), axis=1) - corner - c
+            assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist())), c
+            assert at in near
 
     @pytest.mark.parametrize("n, rho", [(1, 0.5), (2, 1.4)])
     @pytest.mark.parametrize("fake", [0.0, math.inf])
     def test_recheck_catches_a_corrupt_sweep(self, n, rho, fake, monkeypatch):
-        # the third center's sweep sees every distance as fake: with 0 it
-        # owns cells beyond rho/2 of it, with inf it clears nothing, not even
-        # itself, and is taken again as the next center; the owner recheck
-        # must refuse both nets
-        honest, calls = cv._metric_d_rows, []
+        # the third center's interval test reads every distance as fake: with
+        # 0 its intervals hold every omega and it owns cells beyond rho/2 of it;
+        # with inf they are empty, it clears nothing, not even itself, and the
+        # sweep stops there.  The recheck must refuse both nets
+        honest, calls = cv._clear_near, []
 
-        def corrupt(rows, q, n):
-            calls.append(len(rows))
-            d = honest(rows, q, n)
-            return np.full_like(d, fake) if len(calls) == 3 else d
+        def corrupt(mask, c, offsets, turn, lo, hi, cz):
+            calls.append(int(np.count_nonzero(mask[c + offsets])))
+            if len(calls) == 3:
+                big = np.iinfo(np.int64).max
+                lo, hi = ((np.full_like(lo, -big), np.full_like(hi, big)) if fake == 0
+                          else (np.ones_like(lo), np.zeros_like(hi)))
+            return honest(mask, c, offsets, turn, lo, hi, cz)
 
-        monkeypatch.setattr(cv, "_metric_d_rows", corrupt)
+        monkeypatch.setattr(cv, "_clear_near", corrupt)
         with pytest.raises(RuntimeError, match="net"):
             cv.covering_net(n, rho)
         assert calls[2] > 1
 
     @pytest.mark.parametrize("n, rho, count, digest", [
-        (1, 0.3, 6453, "f983bbba642629c2d5345925a5356a5f9047f3294be54104c4d766665060e307"),
+        (1, 0.3, 6464, "405f056951447f177fb8a9d2e53f71788ea2cbf1111e85f6ca0a6e22e48ed40a"),
         (2, 1.0, 649, "85924fe9d33812747256c2255bd8e98a13e984cb63143859b5a1bbf9e1cecde4"),
-        (1, 0.45, 1445, "8f772a26f7e4b4dadeaeebb2e827fc336605942b7204d21005bd2280db17abb1"),
+        (1, 0.45, 1445, "8e7600f6f5a8fa7c028eda6c5f6c51649a0cada17c7486759355959fb27ef922"),
         (1, 0.7, 277, "0a9e2d23c7b03a01e9d7a8d5d645cba236c676c3b9fe19f37f6476445ada00b6"),
-        (2, 1.6, 59, "acb0b42d3d16062b4f7eb2281e72ffb708cf0b4e529cee3214784b2c6bad0577"),
+        (2, 1.6, 57, "c185a85fe47ccea7ce53faa7c7213925a009f250e64ab54d2bd42f19a3da9da8"),
         (1, 0.25, 12869, "3d8fa7587fa98ccf3e76c243f48fe5127cb7fb7fad2758246c38e23ee4b558a8"),
     ])
     def test_pinned_centers(self, n, rho, count, digest):
-        # the first two pins were taken from the plain greedy loop, the
-        # other four from the windowed sweep that preceded the stencil sweep
+        # (2, 1.0) was taken from the plain float greedy loop, (1, 0.7) and
+        # (1, 0.25) from the windowed sweep that preceded the stencil sweep;
+        # (1, 0.3), (1, 0.45) and (2, 1.6) come from the exact net and match
+        # a Fraction greedy loop.  The float net read 6453, 1445 (other rows)
+        # and 59 there: it kept (-16, 0, -12) at (1, 0.3), exactly rho/2 from
+        # the center (-20, 0, -12), and (-2, 0, -1) at (1, 0.45), exactly
+        # rho/2 from (-6, 0, -1), as farther, and took (-5, 0, 0, 0, 0) at
+        # (2, 1.6), outside the unit ball by 1.1e-16, as inside
         got, pts = cv.covering_net(n, rho)
         assert got == count
         rows = np.ascontiguousarray(center_rows(pts), dtype="<f8")
@@ -660,7 +715,7 @@ class TestCoveringNet:
     def test_oversize_grid_refused(self):
         with pytest.raises(ResourceCapError) as info:
             cv.covering_net(2, 0.05)
-        assert info.value.predicted == 321 ** 5
+        assert info.value.predicted == 319 ** 5  # span = floor(8 / fl(0.05)) = 159
         for rho in (5e-324, 1e-300):
             with pytest.raises(ResourceCapError):
                 cv.covering_net(1, rho)

@@ -23,7 +23,8 @@ def test_demos_are_found():
 
 
 # a measurement script runs here at its smallest size; its full sweep takes minutes
-ARGS = {"pool_crossover": ["--reps", "1", "--sizes", "16"]}
+ARGS = {"pool_crossover": ["--reps", "1", "--sizes", "16"],
+        "net_timing": ["--reps", "1", "--time", "1:1.0", "--rss", "1:1.0"]}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])

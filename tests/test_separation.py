@@ -497,10 +497,13 @@ class TestChainConfig:
         # only a witness tests it
         x = sphere_point(10.0, np.array([1.0, 0.0, 0.0]))
         y = sphere_point(10.0, np.array([0.0, 0.0, 1.0]))
-        refused = [((10.0, 20.0), (1.0, t), 2.0) for t in (-1.0, math.inf, math.nan)]
-        refused += [((10.0, math.inf), (1.0, 1.0), 2.0), ((10.0, 20.0), (1.0, 1.0), math.inf)]
-        for radii, thicks, R in refused:
-            with pytest.raises(ValueError):
+        refused = [((10.0, 20.0), (1.0, -1.0), 2.0, "thickening must be nonnegative")]
+        refused += [((10.0, 20.0), (1.0, t), 2.0, "thickening must be finite")
+                    for t in (math.inf, math.nan)]
+        refused += [((10.0, math.inf), (1.0, 1.0), 2.0, "radius must be finite"),
+                    ((10.0, 20.0), (1.0, 1.0), math.inf, "R must be finite and exceed 1")]
+        for radii, thicks, R, message in refused:
+            with pytest.raises(ValueError, match=message):
                 sp.ChainConfig((x, y), radii, thicks, R)
         points, radii, thicks = (x, y), (10.0, Fraction(41, 2)), (1, 1.5)
         cfg = sp.ChainConfig(points, radii, thicks, 2.0)
